@@ -26,11 +26,12 @@
 //!   directory).
 //!
 //! Every mix's teardown scrapes the `metrics` endpoint and runs a full
-//! Prometheus exposition lint over it: every line must parse, every
-//! sample family must carry `# HELP` and `# TYPE`, counters must wear
-//! the `_total` suffix and be integral, and histogram series must be
-//! internally consistent (cumulative buckets monotone, `+Inf` equal to
-//! `_count`, `_sum` present).  On quiesced in-process servers the lint
+//! Prometheus exposition lint over it: every line must parse, the
+//! families announced by `# HELP` and `# TYPE` must be exactly the
+//! server's metric registry (`prdnn_serve::metrics::families`) with its
+//! kinds, every family must be sampled, counters must be integral, and
+//! histogram series must be internally consistent (cumulative buckets
+//! monotone, `+Inf` equal to `_count`, `_sum` present).  On quiesced in-process servers the lint
 //! also cross-checks histogram counts against the server's own request
 //! counters (e.g. `prdnn_request_seconds_count{kind="eval"}` must equal
 //! `prdnn_eval_requests_total` exactly).  The per-mix report gains:
@@ -83,6 +84,7 @@
 use prdnn_core::{OutputPolytope, PointSpec, RepairConfig};
 use prdnn_serve::chaos::{ChaosConfig, ChaosProxy};
 use prdnn_serve::client::Client;
+use prdnn_serve::metrics;
 use prdnn_serve::protocol::{ErrorKind, ModelRef};
 use prdnn_serve::server::{serve, ServerConfig, ServerHandle};
 use prdnn_serve::{RetryPolicy, RetryingClient};
@@ -333,10 +335,11 @@ impl Scrape {
     }
 }
 
-/// Parses and lints one metrics exposition: every line well-formed,
-/// every sample family announced with HELP and TYPE, counters
-/// `_total`-suffixed and integral, histogram series internally
-/// consistent.  Panics (failing the bench) on the first violation.
+/// Parses and lints one metrics exposition: every line well-formed, the
+/// announced families (`# HELP` and `# TYPE`) exactly the server's metric
+/// registry with its kinds, every family sampled, counters integral,
+/// histogram series internally consistent.  Panics (failing the bench) on
+/// the first violation.
 fn lint_scrape(text: &str) -> Scrape {
     let mut types: BTreeMap<String, String> = BTreeMap::new();
     let mut helps: BTreeSet<String> = BTreeSet::new();
@@ -346,20 +349,12 @@ fn lint_scrape(text: &str) -> Scrape {
             let (name, help) = rest
                 .split_once(' ')
                 .unwrap_or_else(|| panic!("malformed HELP line: {line:?}"));
-            assert!(
-                name.starts_with("prdnn_") && !help.is_empty(),
-                "malformed HELP line: {line:?}"
-            );
+            assert!(!help.is_empty(), "malformed HELP line: {line:?}");
             assert!(helps.insert(name.to_owned()), "duplicate HELP for {name}");
         } else if let Some(rest) = line.strip_prefix("# TYPE ") {
             let (name, kind) = rest
                 .split_once(' ')
                 .unwrap_or_else(|| panic!("malformed TYPE line: {line:?}"));
-            assert!(
-                matches!(kind, "counter" | "gauge" | "histogram"),
-                "unknown TYPE {kind:?} for {name}"
-            );
-            assert!(name.starts_with("prdnn_"), "malformed TYPE line: {line:?}");
             assert!(
                 types.insert(name.to_owned(), kind.to_owned()).is_none(),
                 "duplicate TYPE for {name}"
@@ -378,29 +373,28 @@ fn lint_scrape(text: &str) -> Scrape {
                 "sample value out of range: {line:?}"
             );
             assert!(
-                name.starts_with("prdnn_"),
-                "sample outside the prdnn_ namespace: {line:?}"
-            );
-            assert!(
                 samples.insert(name.to_owned(), value).is_none(),
                 "duplicate sample {name}"
             );
         }
     }
+
+    // The announced families are exactly the registry's, with its kinds.
+    let registry: BTreeMap<String, String> = metrics::families()
+        .map(|f| (f.name.to_owned(), f.kind.to_owned()))
+        .collect();
+    assert_eq!(
+        types, registry,
+        "TYPE lines differ from the metric registry"
+    );
     assert!(
-        samples.len() >= 30,
-        "metrics scrape returned only {} samples",
-        samples.len()
+        helps.iter().eq(registry.keys()),
+        "HELP lines differ from the metric registry"
     );
 
-    // Every sample must resolve to an announced family of the right
-    // shape; every announced family must carry both comments.
-    for family in &helps {
-        assert!(
-            types.contains_key(family),
-            "family {family} has HELP but no TYPE"
-        );
-    }
+    // Every sample belongs to an announced family (histograms through
+    // their `_bucket`/`_sum`/`_count` series), and every family is sampled.
+    let mut sampled = BTreeSet::new();
     for (name, value) in &samples {
         let base = name.split('{').next().unwrap();
         let family = if types.contains_key(base) {
@@ -418,39 +412,30 @@ fn lint_scrape(text: &str) -> Scrape {
             );
             stripped
         };
-        assert!(
-            helps.contains(family),
-            "family {family} has TYPE but no HELP"
-        );
         if types[family] == "counter" {
-            assert!(
-                family.ends_with("_total"),
-                "counter {family} is missing the _total suffix"
-            );
             assert_eq!(
                 value.fract(),
                 0.0,
                 "counter {name} is not integral: {value}"
             );
         }
+        sampled.insert(family);
+    }
+    for family in types.keys() {
+        assert!(
+            sampled.contains(family.as_str()),
+            "family {family} has no samples"
+        );
     }
 
     let scrape = Scrape { samples, types };
-    let hist_families: Vec<String> = scrape
+    let hist_families = scrape
         .types
         .iter()
         .filter(|(_, kind)| kind.as_str() == "histogram")
-        .map(|(name, _)| name.clone())
-        .collect();
-    assert!(
-        hist_families.len() >= 6,
-        "expected at least 6 histogram families, scrape exposes {}",
-        hist_families.len()
-    );
-    for family in &hist_families {
-        let series = scrape.histogram_series(family);
-        assert!(!series.is_empty(), "histogram {family} exported no series");
-        for (labels, buckets) in &series {
+        .map(|(name, _)| name);
+    for family in hist_families {
+        for (labels, buckets) in &scrape.histogram_series(family) {
             let (last_le, last_cum) = *buckets.last().unwrap();
             assert!(
                 last_le.is_infinite(),

@@ -28,6 +28,7 @@ use std::time::Duration;
 /// * [`RepairError::SpecDimensionMismatch`] / [`RepairError::EmptySpec`] —
 ///   malformed specification.
 /// * [`RepairError::LpIterationLimit`] — the LP solver ran out of iterations.
+/// * [`RepairError::LpNumerical`] — the LP solver broke down numerically.
 ///
 /// # Example
 ///

@@ -101,8 +101,7 @@ pub struct RepairStats {
     pub delta_l1: f64,
     /// ℓ∞ norm of the applied delta.
     pub delta_linf: f64,
-    /// Simplex pivots the repair LP took (0 when the dense tableau
-    /// backend ran — it is uninstrumented).
+    /// Simplex pivots the repair LP took, on either backend.
     pub lp_pivots: u64,
     /// Basis refactorisations during the repair LP solve.
     pub lp_refactorizations: u64,
@@ -163,7 +162,7 @@ pub struct RepairProvenance {
     /// ℓ∞ norm of the applied delta.
     pub delta_linf: f64,
     /// Simplex pivots the repair LP took (0 for records published before
-    /// the counter existed, or when the uninstrumented dense backend ran).
+    /// the counter existed, or before dense-tableau solves counted theirs).
     pub lp_pivots: u64,
     /// Basis refactorisations during the repair LP solve.
     pub lp_refactorizations: u64,
@@ -347,6 +346,9 @@ pub enum RepairError {
     /// The LP solver exhausted its iteration budget (treated as a timeout in
     /// the evaluation, cf. the starred entries of Table 4).
     LpIterationLimit,
+    /// The LP solver broke down numerically: it declared the repair LP
+    /// unbounded, which its norm objective (bounded below by 0) cannot be.
+    LpNumerical,
     /// The requested layer has no parameters (max/average pooling layers).
     LayerHasNoParameters {
         /// The offending layer index.
@@ -380,6 +382,10 @@ impl std::fmt::Display for RepairError {
                 write!(f, "no single-layer repair of the requested layer exists")
             }
             RepairError::LpIterationLimit => write!(f, "LP solver iteration limit exceeded"),
+            RepairError::LpNumerical => write!(
+                f,
+                "LP solver broke down numerically (declared a norm objective unbounded)"
+            ),
             RepairError::LayerHasNoParameters { layer } => {
                 write!(f, "layer {layer} has no parameters to repair")
             }
@@ -407,6 +413,19 @@ impl std::fmt::Display for RepairError {
 }
 
 impl std::error::Error for RepairError {}
+
+impl From<LpError> for RepairError {
+    /// Maps an LP failure to its true cause.  The repair LP minimises a
+    /// norm, which is bounded below by 0, so an `Unbounded` verdict can
+    /// only be a numerical breakdown.
+    fn from(e: LpError) -> Self {
+        match e {
+            LpError::Infeasible => RepairError::Infeasible,
+            LpError::IterationLimit => RepairError::LpIterationLimit,
+            LpError::Unbounded => RepairError::LpNumerical,
+        }
+    }
+}
 
 /// One key point of the LP encoding: a value-channel input point, the point
 /// whose activation pattern must be used (Appendix B), and the output
@@ -557,14 +576,7 @@ pub(crate) fn repair_key_points(
         max_iters: config.max_lp_iterations,
         pricing: config.lp_pricing,
     };
-    let (solution, lp_stats) = match prdnn_lp::solve_with_stats(&lp, &options) {
-        Ok(solved) => solved,
-        Err(LpError::Infeasible) => return Err(RepairError::Infeasible),
-        Err(LpError::IterationLimit) => return Err(RepairError::LpIterationLimit),
-        // Norm objectives are bounded below by zero, so unboundedness cannot
-        // occur; treat it as an iteration/robustness failure if it ever does.
-        Err(LpError::Unbounded) => return Err(RepairError::LpIterationLimit),
-    };
+    let (solution, lp_stats) = prdnn_lp::solve_with_stats(&lp, &options)?;
     let lp_time = lp_start.elapsed();
 
     // Line 9: apply Δ to value layer `layer`.
@@ -623,6 +635,26 @@ mod tests {
         assert!(RepairError::Infeasible
             .to_string()
             .contains("no single-layer repair"));
+    }
+
+    #[test]
+    fn lp_failures_map_to_their_true_cause() {
+        let solve = |r: Result<u8, LpError>| -> Result<u8, RepairError> { Ok(r?) };
+        assert_eq!(solve(Ok(7)), Ok(7));
+        assert_eq!(
+            solve(Err(LpError::Infeasible)),
+            Err(RepairError::Infeasible)
+        );
+        assert_eq!(
+            solve(Err(LpError::IterationLimit)),
+            Err(RepairError::LpIterationLimit)
+        );
+        // A norm objective cannot be unbounded: that verdict is numerical
+        // breakdown, never an iteration limit.
+        let numerical = solve(Err(LpError::Unbounded)).unwrap_err();
+        assert_eq!(numerical, RepairError::LpNumerical);
+        assert!(numerical.to_string().contains("numerically"));
+        assert!(!numerical.to_string().contains("iteration"));
     }
 
     #[test]

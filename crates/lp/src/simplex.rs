@@ -11,6 +11,8 @@
 //! phase-1 → phase-2 transition compacts the artificial columns away in
 //! place instead of rebuilding per-row vectors.
 
+use crate::solver::LpStats;
+
 /// A standard-form LP: `min c·x  s.t.  A x = b, x ≥ 0` with `b ≥ 0`.
 #[derive(Debug, Clone)]
 pub(crate) struct StandardForm {
@@ -100,6 +102,10 @@ struct Tableau {
     stride: usize,
     /// Number of constraint rows (the objective row is row `m`).
     m: usize,
+    /// Work counters: every pivot, with the degenerate and Bland ones
+    /// counted again on their own.  A dense tableau keeps no factorised
+    /// basis, so it never refactorises.
+    stats: LpStats,
 }
 
 impl Tableau {
@@ -132,6 +138,7 @@ impl Tableau {
     /// One pass of stride-indexed row operations over the flat buffer; no
     /// allocation.
     fn pivot(&mut self, row: usize, col: usize) {
+        self.stats.pivots += 1;
         let stride = self.stride;
         let piv = self.at(row, col);
         debug_assert!(piv.abs() > PIVOT_EPS, "pivot on (near-)zero element");
@@ -190,8 +197,8 @@ impl Tableau {
 /// sum; phase 2 optimises the real objective after driving the artificials
 /// out of the basis.  Dantzig pricing is used until a run of degenerate
 /// pivots is detected, at which point Bland's rule takes over to guarantee
-/// termination.
-pub(crate) fn solve_standard(sf: &StandardForm, max_iters: usize) -> SimplexOutcome {
+/// termination.  Returns the outcome with the solve's pivot counts.
+pub(crate) fn solve_standard(sf: &StandardForm, max_iters: usize) -> (SimplexOutcome, LpStats) {
     let m = sf.a.len();
     let n = if m == 0 { sf.c.len() } else { sf.a[0].len() };
     debug_assert!(sf.a.iter().all(|row| row.len() == n));
@@ -200,7 +207,7 @@ pub(crate) fn solve_standard(sf: &StandardForm, max_iters: usize) -> SimplexOutc
     debug_assert!(sf.b.iter().all(|&bi| bi >= -PIVOT_EPS));
 
     if m == 0 {
-        return solve_unconstrained(n, &sf.c);
+        return (solve_unconstrained(n, &sf.c), LpStats::default());
     }
 
     // ---- Phase 1 setup.  Rows whose slack column already forms a unit
@@ -227,6 +234,7 @@ pub(crate) fn solve_standard(sf: &StandardForm, max_iters: usize) -> SimplexOutc
         data: vec![0.0; (m + 1) * stride],
         stride,
         m,
+        stats: LpStats::default(),
     };
     let mut basis: Vec<usize> = Vec::with_capacity(m);
     for (i, row) in sf.a.iter().enumerate() {
@@ -259,14 +267,14 @@ pub(crate) fn solve_standard(sf: &StandardForm, max_iters: usize) -> SimplexOutc
             }
         }
         match run_pivots(&mut tab, &mut basis, &mut iters_left, Some(n)) {
-            PivotRun::Unbounded => return SimplexOutcome::Unbounded,
-            PivotRun::IterationLimit => return SimplexOutcome::IterationLimit,
+            PivotRun::Unbounded => return (SimplexOutcome::Unbounded, tab.stats),
+            PivotRun::IterationLimit => return (SimplexOutcome::IterationLimit, tab.stats),
             PivotRun::Optimal => {}
         }
         // The objective row's RHS holds the negated phase-1 value.
         let phase1_value = -tab.obj()[total];
         if phase1_value > FEAS_EPS {
-            return SimplexOutcome::Infeasible;
+            return (SimplexOutcome::Infeasible, tab.stats);
         }
 
         // Drive any remaining artificial variables out of the basis.
@@ -307,8 +315,8 @@ pub(crate) fn solve_standard(sf: &StandardForm, max_iters: usize) -> SimplexOutc
         }
     }
     match run_pivots(&mut tab, &mut basis, &mut iters_left, None) {
-        PivotRun::Unbounded => return SimplexOutcome::Unbounded,
-        PivotRun::IterationLimit => return SimplexOutcome::IterationLimit,
+        PivotRun::Unbounded => return (SimplexOutcome::Unbounded, tab.stats),
+        PivotRun::IterationLimit => return (SimplexOutcome::IterationLimit, tab.stats),
         PivotRun::Optimal => {}
     }
 
@@ -319,7 +327,7 @@ pub(crate) fn solve_standard(sf: &StandardForm, max_iters: usize) -> SimplexOutc
         }
     }
     let objective: f64 = sf.c.iter().zip(&x).map(|(c, v)| c * v).sum();
-    SimplexOutcome::Optimal { x, objective }
+    (SimplexOutcome::Optimal { x, objective }, tab.stats)
 }
 
 enum PivotRun {
@@ -387,8 +395,12 @@ fn run_pivots(
         };
         if best_ratio < PIVOT_EPS {
             degenerate_streak += 1;
+            tab.stats.degenerate_pivots += 1;
         } else {
             degenerate_streak = 0;
+        }
+        if use_bland {
+            tab.stats.bland_pivots += 1;
         }
         tab.pivot(l, e);
         basis[l] = e;
@@ -400,7 +412,7 @@ mod tests {
     use super::*;
 
     fn optimal(sf: &StandardForm) -> (Vec<f64>, f64) {
-        match solve_standard(sf, 10_000) {
+        match solve_standard(sf, 10_000).0 {
             SimplexOutcome::Optimal { x, objective } => (x, objective),
             other => panic!("expected optimal, got {:?}", other),
         }
@@ -424,6 +436,16 @@ mod tests {
         assert!((x[0] - 2.0).abs() < 1e-7);
         assert!((x[1] - 6.0).abs() < 1e-7);
         assert!((obj + 36.0).abs() < 1e-7);
+        // The slack basis is feasible, so Dantzig pricing reaches the
+        // optimum in two non-degenerate pivots: y enters, then x.
+        let stats = solve_standard(&sf, 10_000).1;
+        assert_eq!(
+            stats,
+            LpStats {
+                pivots: 2,
+                ..LpStats::default()
+            }
+        );
     }
 
     #[test]
@@ -435,7 +457,7 @@ mod tests {
             c: vec![0.0],
         };
         assert!(matches!(
-            solve_standard(&sf, 1000),
+            solve_standard(&sf, 1000).0,
             SimplexOutcome::Infeasible
         ));
     }
@@ -449,7 +471,7 @@ mod tests {
             c: vec![-1.0, -1.0],
         };
         assert!(matches!(
-            solve_standard(&sf, 1000),
+            solve_standard(&sf, 1000).0,
             SimplexOutcome::Unbounded
         ));
     }
@@ -490,7 +512,7 @@ mod tests {
             c: vec![-1.0],
         };
         assert!(matches!(
-            solve_standard(&sf2, 10),
+            solve_standard(&sf2, 10).0,
             SimplexOutcome::Unbounded
         ));
     }
@@ -521,8 +543,10 @@ mod tests {
             ],
             stride: 5,
             m: 2,
+            stats: LpStats::default(),
         };
         tab.pivot(0, 0);
+        assert_eq!(tab.stats.pivots, 1);
         assert_eq!(tab.at(0, 0), 1.0);
         assert_eq!(tab.at(1, 0), 0.0);
         // Row 1 became (0, 2.5, -0.5, 1, 4).
@@ -546,6 +570,7 @@ mod tests {
             ],
             stride: 3,
             m: 2,
+            stats: LpStats::default(),
         };
         tab.remove_row(0);
         assert_eq!(tab.m, 1);

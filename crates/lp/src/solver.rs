@@ -38,10 +38,12 @@ pub struct Solution {
 
 /// Work counters from one solve, surfaced by [`solve_with_stats`].
 ///
-/// The revised sparse backend fills every field; the dense tableau has no
-/// instrumentation, so dense solves (including the transparent
-/// breakdown fallback) report all-zero stats.  ℓ∞ objectives are lowered to
-/// a single augmented solve, whose counters carry through unchanged.
+/// Both backends fill the counters.  The dense tableau counts every pivot
+/// (phase 1, driving artificials out, phase 2) and never refactorises,
+/// since it keeps no factorised basis; after a numerical breakdown of the
+/// revised backend, the dense fallback's counts are reported.  ℓ∞
+/// objectives are lowered to a single augmented solve, whose counters carry
+/// through unchanged.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LpStats {
     /// Total simplex pivots across both phases.
@@ -246,20 +248,12 @@ pub fn solve_with_stats(
     };
     let (outcome, stats) = if use_revised {
         // `None` is a numerical breakdown in the revised backend; the dense
-        // tableau is the robust (uninstrumented) fallback.
+        // tableau is the robust fallback, and its counts are reported.
         solve_standard_sparse_with_stats(&sf, options.max_iters, options.pricing.resolve())
             .map(|(outcome, stats)| (outcome, LpStats::from(stats)))
-            .unwrap_or_else(|| {
-                (
-                    solve_standard(&sf.to_dense(), options.max_iters),
-                    LpStats::default(),
-                )
-            })
+            .unwrap_or_else(|| solve_standard(&sf.to_dense(), options.max_iters))
     } else {
-        (
-            solve_standard(&sf.to_dense(), options.max_iters),
-            LpStats::default(),
-        )
+        solve_standard(&sf.to_dense(), options.max_iters)
     };
     match outcome {
         SimplexOutcome::Optimal { x, objective } => {
@@ -639,7 +633,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_with_stats_counts_revised_pivots_and_zeroes_dense() {
+    fn solve_with_stats_counts_pivots_on_both_backends() {
         // A wide block-sparse program the revised backend must pivot on.
         let mut wide = LpProblem::new();
         let vars = wide.add_vars(128, VarKind::Free);
@@ -656,14 +650,18 @@ mod tests {
         assert!((solution.objective - 16.0).abs() < 1e-6);
         assert!(stats.pivots > 0, "revised solve must report pivot work");
 
-        // The dense tableau is uninstrumented: all-zero stats, same optimum.
+        // The dense tableau reaches the same optimum and counts its work:
+        // each of the 16 `≥` rows starts on an artificial, which only a
+        // pivot can remove, and no factorised basis means no
+        // refactorisations.
         let dense = SolveOptions {
             backend: LpBackend::DenseTableau,
             ..SolveOptions::default()
         };
         let (dense_solution, dense_stats) = solve_with_stats(&wide, &dense).unwrap();
         assert!((dense_solution.objective - solution.objective).abs() < 1e-6);
-        assert_eq!(dense_stats, LpStats::default());
+        assert!(dense_stats.pivots >= 16, "{dense_stats:?}");
+        assert_eq!(dense_stats.refactorizations, 0);
 
         // ℓ∞ lowering carries the augmented solve's counters through.
         let mut linf = LpProblem::new();
@@ -681,5 +679,9 @@ mod tests {
         .unwrap();
         assert!((linf_solution.objective - 0.5).abs() < 1e-7);
         assert!(linf_stats.pivots > 0);
+        // `Auto` sends this small program to the dense tableau, whose
+        // pivots are reported too.
+        let (_, auto_stats) = solve_with_stats(&linf, &SolveOptions::default()).unwrap();
+        assert!(auto_stats.pivots > 0, "{auto_stats:?}");
     }
 }

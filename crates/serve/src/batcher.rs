@@ -28,12 +28,13 @@
 //! ran, in which case the fill is skipped and counted.
 
 use crate::cache::{CacheKey, ResultCache};
+use crate::metrics::{label_index, Counters, CACHE_RESULTS};
 use crate::protocol::ErrorKind;
 use crate::store::ModelVersion;
 use crate::telemetry::{Outcome, Stage, Telemetry};
 use prdnn_par::PoolRef;
 use prdnn_syrenn::LinearRegion;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
@@ -79,41 +80,6 @@ struct BatchState {
     shutdown: bool,
 }
 
-/// Counters exposed through the `stats` request.
-#[derive(Debug, Default)]
-pub struct BatchCounters {
-    /// `eval` items accepted.
-    pub eval_requests: AtomicU64,
-    /// Batched forward calls executed.
-    pub eval_batches: AtomicU64,
-    /// Points pushed through those calls.
-    pub eval_points: AtomicU64,
-    /// `lin_regions` items accepted.
-    pub lin_requests: AtomicU64,
-    /// Batched `lin_regions` calls executed.
-    pub lin_batches: AtomicU64,
-    /// Polytopes pushed through those calls.
-    pub lin_polytopes: AtomicU64,
-    /// Queue drains that found at least one item (a "gulp").
-    pub gulps: AtomicU64,
-    /// Items drained across all gulps (mean gulp size = `gulp_items /
-    /// gulps` — how well concurrent load actually coalesces).
-    pub gulp_items: AtomicU64,
-    /// Largest single gulp observed.
-    pub max_gulp: AtomicU64,
-    /// Items rejected at submission because the queue was full (load
-    /// shedding — each one surfaced a typed `overloaded` to its client).
-    pub shed: AtomicU64,
-    /// Items answered `deadline_exceeded` without executing, in the
-    /// pre-batch sweep or the per-group re-check.
-    pub deadline_expired: AtomicU64,
-    /// Individual isolation-rescue calls run after a batched `lin_regions`
-    /// group failed (each member re-runs alone; these calls are *not*
-    /// counted under `lin_batches`/`lin_polytopes`, which track coalesced
-    /// work only).
-    pub lin_rescue_calls: AtomicU64,
-}
-
 /// The coalescing batcher; see the module docs.
 pub struct Batcher {
     state: Mutex<BatchState>,
@@ -122,8 +88,8 @@ pub struct Batcher {
     pool: Arc<PoolRef>,
     cache: Arc<ResultCache>,
     telemetry: Arc<Telemetry>,
-    /// Request/batch counters.
-    pub counters: BatchCounters,
+    /// The shared counter block (the telemetry's).
+    pub counters: Arc<Counters>,
 }
 
 impl Batcher {
@@ -145,8 +111,8 @@ impl Batcher {
             cap: cap.max(1),
             pool,
             cache,
+            counters: Arc::clone(&telemetry.counters),
             telemetry,
-            counters: BatchCounters::default(),
         }
     }
 
@@ -192,7 +158,7 @@ impl Batcher {
                 ));
             }
             if state.queue.len() >= self.cap {
-                self.counters.shed.fetch_add(1, Ordering::Relaxed);
+                self.counters.batch_shed.fetch_add(1, Ordering::Relaxed);
                 return Err((
                     ErrorKind::Overloaded,
                     format!("batch queue full ({} pending items)", self.cap),
@@ -291,7 +257,7 @@ impl Batcher {
             self.counters.gulps.fetch_add(1, Ordering::Relaxed);
             self.counters.gulp_items.fetch_add(n, Ordering::Relaxed);
             self.counters.max_gulp.fetch_max(n, Ordering::Relaxed);
-            self.telemetry.gulp_size.record(n);
+            self.telemetry.hist.gulp_size.record(n);
         }
         let now = Instant::now();
         let mut live = Vec::with_capacity(batch.len());
@@ -300,7 +266,7 @@ impl Batcher {
             // expirations, and executed members alike — so the histogram's
             // count mirrors the gulp_items counter exactly.
             let wait = now.saturating_duration_since(item.enqueued);
-            self.telemetry.batch_queue_wait.record_duration(wait);
+            self.telemetry.hist.batch_queue_wait.record_duration(wait);
             if item.deadline <= now {
                 self.telemetry.span_at(
                     item.request_id,
@@ -321,14 +287,14 @@ impl Batcher {
             );
             if let Some(key) = &item.key {
                 if let Some(data) = self.cache.probe(key) {
-                    self.telemetry
-                        .cache_hit_service
-                        .record_duration(item.enqueued.elapsed());
+                    self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    self.record_service("hit", &item);
                     self.telemetry
                         .span(item.request_id, Stage::Cache, now, Outcome::Hit);
                     let _ = item.reply.send(Ok(data));
                     continue;
                 }
+                self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
             }
             live.push(item);
         }
@@ -399,13 +365,24 @@ impl Batcher {
     /// fill is skipped (and counted): the reply channel is likely dead,
     /// and a payload nobody received must not churn the LRU.
     fn fill_from(&self, member: &Pending, data: &ReplyData) {
-        if let Some(key) = &member.key {
-            if member.deadline <= Instant::now() {
-                self.cache.skip_fill();
-            } else {
-                self.cache.fill(*key, data);
-            }
+        let Some(key) = &member.key else { return };
+        if member.deadline <= Instant::now() {
+            self.counters
+                .cache_fill_skips
+                .fetch_add(1, Ordering::Relaxed);
+        } else if let Some(evicted) = self.cache.fill(*key, data) {
+            self.counters.cache_inserts.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .cache_evictions
+                .fetch_add(evicted, Ordering::Relaxed);
         }
+    }
+
+    /// Records a drained item's submit-to-reply service time under its
+    /// cache result (`"hit"` or `"miss"`).
+    fn record_service(&self, result: &str, item: &Pending) {
+        self.telemetry.hist.cache_service[label_index(&CACHE_RESULTS, result)]
+            .record_duration(item.enqueued.elapsed());
     }
 
     fn run_eval_group(
@@ -417,7 +394,7 @@ impl Batcher {
         let exec_start = Instant::now();
         let outputs = version.ddnn.forward_decoupled_batch_in(&self.pool, pairs);
         let exec = exec_start.elapsed();
-        self.telemetry.batch_exec.record_duration(exec);
+        self.telemetry.hist.batch_exec.record_duration(exec);
         self.counters.eval_batches.fetch_add(1, Ordering::Relaxed);
         self.counters
             .eval_points
@@ -440,9 +417,7 @@ impl Batcher {
                 exec,
                 Outcome::Ok,
             );
-            self.telemetry
-                .cache_miss_service
-                .record_duration(member.enqueued.elapsed());
+            self.record_service("miss", member);
             let _ = member.reply.send(Ok(data));
         }
     }
@@ -468,7 +443,7 @@ impl Batcher {
         match result {
             Ok(all_regions) => {
                 let exec = exec_start.elapsed();
-                self.telemetry.batch_exec.record_duration(exec);
+                self.telemetry.hist.batch_exec.record_duration(exec);
                 let mut regions = all_regions.into_iter();
                 for member in members {
                     let Call::LinRegions(polys) = &member.call else {
@@ -485,9 +460,7 @@ impl Batcher {
                         exec,
                         Outcome::Ok,
                     );
-                    self.telemetry
-                        .cache_miss_service
-                        .record_duration(member.enqueued.elapsed());
+                    self.record_service("miss", member);
                     let _ = member.reply.send(Ok(data));
                 }
             }
@@ -531,14 +504,13 @@ impl Batcher {
                     };
                     self.telemetry
                         .span(member.request_id, Stage::BatchExec, exec_start, outcome);
-                    self.telemetry
-                        .cache_miss_service
-                        .record_duration(member.enqueued.elapsed());
+                    self.record_service("miss", member);
                     let _ = member.reply.send(reply);
                 }
                 // The failed batched call still consumed pool time: charge
                 // the whole attempt-plus-rescues window once.
                 self.telemetry
+                    .hist
                     .batch_exec
                     .record_duration(exec_start.elapsed());
             }
@@ -769,10 +741,10 @@ mod tests {
         batcher.drain_once();
         // The second drain answered from the cache: still one pool call.
         assert_eq!(batcher.counters.eval_batches.load(Ordering::Relaxed), 1);
-        let c = &batcher.cache.counters;
-        assert_eq!(c.hits.load(Ordering::Relaxed), 1);
-        assert_eq!(c.misses.load(Ordering::Relaxed), 1);
-        assert_eq!(c.inserts.load(Ordering::Relaxed), 1);
+        let c = &batcher.counters;
+        assert_eq!(c.cache_hits.load(Ordering::Relaxed), 1);
+        assert_eq!(c.cache_misses.load(Ordering::Relaxed), 1);
+        assert_eq!(c.cache_inserts.load(Ordering::Relaxed), 1);
         for rx in [first, second] {
             let ReplyData::Outputs(outputs) = rx.recv().unwrap().unwrap() else {
                 panic!("expected outputs")
@@ -845,11 +817,11 @@ mod tests {
         };
         let from_v1 = eval(&v1);
         let from_v2 = eval(&v2);
-        let c = &batcher.cache.counters;
+        let c = &batcher.counters;
         // The repaired version's eval key differs (value channel changed):
         // both evals were misses, and the answers actually differ.
-        assert_eq!(c.hits.load(Ordering::Relaxed), 0);
-        assert_eq!(c.misses.load(Ordering::Relaxed), 2);
+        assert_eq!(c.cache_hits.load(Ordering::Relaxed), 0);
+        assert_eq!(c.cache_misses.load(Ordering::Relaxed), 2);
         assert_ne!(
             from_v1, from_v2,
             "a stale hit would have returned v1's outputs"
@@ -876,7 +848,7 @@ mod tests {
         let lin_v1 = lin(&v1);
         let lin_v2 = lin(&v2);
         assert_eq!(
-            c.hits.load(Ordering::Relaxed),
+            c.cache_hits.load(Ordering::Relaxed),
             1,
             "v2 shares v1's lin entry"
         );

@@ -43,12 +43,12 @@
 //! replies.  Eviction is strict LRU (probes refresh recency); a payload
 //! larger than the whole budget is simply not inserted.  A budget of 0
 //! disables the cache entirely: probes and fills return without touching
-//! the lock or the counters.
+//! the lock.  The cache keeps no counters: the batcher counts hits,
+//! misses, inserts and evictions from what `probe` and `fill` return.
 
 use crate::batcher::ReplyData;
 use crate::store::ModelVersion;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Default byte budget used by the server when `--cache-bytes` is not
@@ -162,23 +162,6 @@ fn payload_bytes(data: &ReplyData) -> usize {
     }
 }
 
-/// Cache counters, exposed through `stats` and the metrics endpoint.
-#[derive(Debug, Default)]
-pub struct CacheCounters {
-    /// Probes answered from the cache (the pool never ran).
-    pub hits: AtomicU64,
-    /// Probes that missed and fell through to the batched call.
-    pub misses: AtomicU64,
-    /// Payloads inserted.
-    pub inserts: AtomicU64,
-    /// Entries evicted to stay under the byte budget.
-    pub evictions: AtomicU64,
-    /// Fills skipped because the request's deadline had already expired by
-    /// the time its result existed (the reply channel is likely dead; do
-    /// not pay eviction churn for it).
-    pub fill_skips: AtomicU64,
-}
-
 struct Entry {
     data: ReplyData,
     bytes: usize,
@@ -200,13 +183,11 @@ struct Inner {
 pub struct ResultCache {
     budget: usize,
     inner: Mutex<Inner>,
-    /// Hit/miss/insert/eviction/fill-skip counters.
-    pub counters: CacheCounters,
 }
 
 impl ResultCache {
     /// Creates a cache with the given byte budget.  A budget of 0 disables
-    /// caching: every operation is a no-op and every counter stays 0.
+    /// caching: every operation is a no-op.
     pub fn new(budget_bytes: usize) -> Self {
         ResultCache {
             budget: budget_bytes,
@@ -216,7 +197,6 @@ impl ResultCache {
                 bytes: 0,
                 next_tick: 0,
             }),
-            counters: CacheCounters::default(),
         }
     }
 
@@ -261,84 +241,55 @@ impl ResultCache {
         }
         let mut inner = self.lock();
         let inner = &mut *inner;
-        match inner.map.get_mut(key) {
-            Some(entry) => {
-                inner.order.remove(&entry.tick);
-                entry.tick = inner.next_tick;
-                inner.order.insert(entry.tick, *key);
-                inner.next_tick += 1;
-                let data = entry.data.clone();
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                Some(data)
-            }
-            None => {
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let entry = inner.map.get_mut(key)?;
+        inner.order.remove(&entry.tick);
+        entry.tick = inner.next_tick;
+        inner.order.insert(entry.tick, *key);
+        inner.next_tick += 1;
+        Some(entry.data.clone())
     }
 
     /// Inserts a reply payload, evicting least-recently-used entries until
-    /// the budget holds.  Payloads larger than the whole budget are not
-    /// inserted (they would evict everything and then thrash); a key that
-    /// is already present keeps its existing entry (payloads for a key are
-    /// bit-identical by construction, so there is nothing to update).
-    pub fn fill(&self, key: CacheKey, data: &ReplyData) {
-        if !self.is_enabled() {
-            return;
-        }
+    /// the budget holds, and returns how many entries were evicted — or
+    /// `None` if nothing was inserted.  Payloads larger than the whole
+    /// budget are not inserted (they would evict everything and then
+    /// thrash); a key that is already present keeps its existing entry
+    /// (payloads for a key are bit-identical by construction, so there is
+    /// nothing to update).
+    pub fn fill(&self, key: CacheKey, data: &ReplyData) -> Option<u64> {
         let bytes = payload_bytes(data) + ENTRY_OVERHEAD;
-        if bytes > self.budget {
-            return;
+        if !self.is_enabled() || bytes > self.budget {
+            return None;
         }
-        let mut evicted = 0u64;
-        let inserted = {
-            let mut inner = self.lock();
-            if inner.map.contains_key(&key) {
-                false
-            } else {
-                let tick = inner.next_tick;
-                inner.next_tick += 1;
-                inner.map.insert(
-                    key,
-                    Entry {
-                        data: data.clone(),
-                        bytes,
-                        tick,
-                    },
-                );
-                inner.order.insert(tick, key);
-                inner.bytes += bytes;
-                while inner.bytes > self.budget {
-                    let (&oldest_tick, &oldest_key) = inner
-                        .order
-                        .iter()
-                        .next()
-                        .expect("bytes > 0 implies entries");
-                    inner.order.remove(&oldest_tick);
-                    let entry = inner.map.remove(&oldest_key).expect("order/map in sync");
-                    inner.bytes -= entry.bytes;
-                    evicted += 1;
-                }
-                true
-            }
-        };
-        if inserted {
-            self.counters.inserts.fetch_add(1, Ordering::Relaxed);
+        let mut inner = self.lock();
+        if inner.map.contains_key(&key) {
+            return None;
         }
-        if evicted > 0 {
-            self.counters
-                .evictions
-                .fetch_add(evicted, Ordering::Relaxed);
+        let tick = inner.next_tick;
+        inner.next_tick += 1;
+        inner.map.insert(
+            key,
+            Entry {
+                data: data.clone(),
+                bytes,
+                tick,
+            },
+        );
+        inner.order.insert(tick, key);
+        inner.bytes += bytes;
+        let mut evicted = 0;
+        while inner.bytes > self.budget {
+            let (&oldest_tick, &oldest_key) = inner
+                .order
+                .iter()
+                .next()
+                .expect("bytes > 0 implies entries");
+            inner.order.remove(&oldest_tick);
+            let entry = inner.map.remove(&oldest_key).expect("order/map in sync");
+            inner.bytes -= entry.bytes;
+            evicted += 1;
         }
-    }
-
-    /// Records a fill that was skipped because the request's deadline had
-    /// expired by the time its result was computed.
-    pub fn skip_fill(&self) {
-        if self.is_enabled() {
-            self.counters.fill_skips.fetch_add(1, Ordering::Relaxed);
-        }
+        Some(evicted)
     }
 }
 
@@ -368,25 +319,19 @@ mod tests {
             .collect();
 
         for key in &keys[..3] {
-            cache.fill(*key, &outputs(1, 8));
+            assert_eq!(cache.fill(*key, &outputs(1, 8)), Some(0));
         }
         assert_eq!(cache.entries(), 3);
         assert_eq!(cache.bytes(), 3 * per_entry as u64);
 
         // Refresh key 0 so key 1 is now the oldest, then overflow.
         assert!(cache.probe(&keys[0]).is_some());
-        cache.fill(keys[3], &outputs(1, 8));
+        assert_eq!(cache.fill(keys[3], &outputs(1, 8)), Some(1));
         assert_eq!(cache.entries(), 3);
         assert!(cache.probe(&keys[1]).is_none(), "LRU entry must be evicted");
         assert!(cache.probe(&keys[0]).is_some(), "refreshed entry survives");
         assert!(cache.probe(&keys[2]).is_some());
         assert!(cache.probe(&keys[3]).is_some());
-
-        let c = &cache.counters;
-        assert_eq!(c.inserts.load(Ordering::Relaxed), 4);
-        assert_eq!(c.evictions.load(Ordering::Relaxed), 1);
-        assert_eq!(c.hits.load(Ordering::Relaxed), 4);
-        assert_eq!(c.misses.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -396,13 +341,12 @@ mod tests {
         let key = CacheKey::eval(&net, &[vec![1.0]]);
 
         // Larger than the whole budget: rejected outright.
-        cache.fill(key, &outputs(10, 8));
+        assert_eq!(cache.fill(key, &outputs(10, 8)), None);
         assert_eq!(cache.entries(), 0);
 
-        cache.fill(key, &outputs(1, 1));
-        cache.fill(key, &outputs(1, 1));
+        assert_eq!(cache.fill(key, &outputs(1, 1)), Some(0));
+        assert_eq!(cache.fill(key, &outputs(1, 1)), None);
         assert_eq!(cache.entries(), 1);
-        assert_eq!(cache.counters.inserts.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -411,13 +355,10 @@ mod tests {
         assert!(!cache.is_enabled());
         let net = version("m", 1, ddnn("n1"));
         let key = CacheKey::eval(&net, &[vec![1.0]]);
-        cache.fill(key, &outputs(1, 1));
+        assert_eq!(cache.fill(key, &outputs(1, 1)), None);
         assert!(cache.probe(&key).is_none());
         assert_eq!(cache.bytes(), 0);
-        let c = &cache.counters;
-        assert_eq!(c.hits.load(Ordering::Relaxed), 0);
-        assert_eq!(c.misses.load(Ordering::Relaxed), 0);
-        assert_eq!(c.inserts.load(Ordering::Relaxed), 0);
+        assert_eq!(cache.entries(), 0);
     }
 
     fn ddnn(spec: &str) -> DecoupledNetwork {

@@ -33,13 +33,14 @@
 //! once its version would survive a crash — and a durability failure
 //! surfaces as the job's `failed` state, never as a phantom version.
 
+use crate::metrics::Counters;
 use crate::protocol::{ErrorKind, JobState, ModelRef};
 use crate::store::{ModelStore, ModelVersion};
 use crate::telemetry::{self, Outcome, Stage, Telemetry};
 use prdnn_core::{repair_points_ddnn_in, PointSpec, RepairConfig};
 use prdnn_par::PoolRef;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -91,24 +92,6 @@ struct JobsInner {
     shutdown: bool,
 }
 
-/// Counters exposed through the `stats` request.
-#[derive(Debug, Default)]
-pub struct JobCounters {
-    /// Jobs accepted into the queue.
-    pub submitted: AtomicU64,
-    /// Jobs that finished and published a version.
-    pub completed: AtomicU64,
-    /// Jobs that failed.
-    pub failed: AtomicU64,
-    /// Jobs rejected at submission because the FIFO was full (load
-    /// shedding — each one surfaced a typed `overloaded` to its client).
-    pub shed: AtomicU64,
-    /// Total simplex pivots across all completed repairs' LP solves.
-    pub lp_pivots: AtomicU64,
-    /// Total basis refactorisations across all completed repairs.
-    pub lp_refactorizations: AtomicU64,
-}
-
 /// The bounded FIFO repair queue; see the module docs.
 pub struct JobQueue {
     inner: Mutex<JobsInner>,
@@ -117,8 +100,8 @@ pub struct JobQueue {
     store: Arc<ModelStore>,
     pool: Arc<PoolRef>,
     telemetry: Arc<Telemetry>,
-    /// Job counters.
-    pub counters: JobCounters,
+    /// The shared counter block (the telemetry's).
+    pub counters: Arc<Counters>,
 }
 
 impl JobQueue {
@@ -133,7 +116,7 @@ impl JobQueue {
     }
 
     /// Creates a queue holding at most `cap` waiting jobs, recording
-    /// queue-wait / LP-solve telemetry into `telemetry`.
+    /// counters and queue-wait / repair telemetry into `telemetry`.
     pub fn new(
         store: Arc<ModelStore>,
         pool: Arc<PoolRef>,
@@ -153,8 +136,8 @@ impl JobQueue {
             cap: cap.max(1),
             store,
             pool,
+            counters: Arc::clone(&telemetry.counters),
             telemetry,
-            counters: JobCounters::default(),
         }
     }
 
@@ -187,7 +170,7 @@ impl JobQueue {
                 ));
             }
             if inner.queue.len() >= self.cap {
-                self.counters.shed.fetch_add(1, Ordering::Relaxed);
+                self.counters.jobs_shed.fetch_add(1, Ordering::Relaxed);
                 return Err((
                     ErrorKind::Overloaded,
                     format!("repair queue full ({} pending jobs)", self.cap),
@@ -207,7 +190,7 @@ impl JobQueue {
             });
             id
         };
-        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        self.counters.jobs_submitted.fetch_add(1, Ordering::Relaxed);
         self.cv.notify_one();
         Ok(id)
     }
@@ -276,7 +259,7 @@ impl JobQueue {
             };
             let Some(job) = job else { return };
             let wait = job.submitted.elapsed();
-            self.telemetry.job_queue_wait.record_duration(wait);
+            self.telemetry.hist.job_queue_wait.record_duration(wait);
             self.telemetry.span_at(
                 job.request_id,
                 Stage::JobQueue,
@@ -292,8 +275,10 @@ impl JobQueue {
                         message: "repair panicked (internal error)".to_owned(),
                     });
             match &state {
-                JobState::Done { .. } => self.counters.completed.fetch_add(1, Ordering::Relaxed),
-                _ => self.counters.failed.fetch_add(1, Ordering::Relaxed),
+                JobState::Done { .. } => {
+                    self.counters.jobs_completed.fetch_add(1, Ordering::Relaxed)
+                }
+                _ => self.counters.jobs_failed.fetch_add(1, Ordering::Relaxed),
             };
             {
                 let mut inner = self.lock_inner();
@@ -338,11 +323,13 @@ impl JobQueue {
         // The publish path (store -> version log -> WAL) has no id
         // parameter; the thread-local scope attributes its spans.
         let _scope = telemetry::enter_request(job.request_id);
+        // The `lp_solve` histogram and span time the whole repair call:
+        // Jacobians, LP build and solve, and applying the delta.
         let solve_start = Instant::now();
         let solved =
             repair_points_ddnn_in(&self.pool, &head.ddnn, job.layer, &job.spec, &job.config);
         let solve = solve_start.elapsed();
-        self.telemetry.lp_solve.record_duration(solve);
+        self.telemetry.hist.lp_solve.record_duration(solve);
         self.telemetry.span_at(
             job.request_id,
             Stage::LpSolve,
@@ -513,8 +500,8 @@ mod tests {
             })
             .collect();
         let deadline = std::time::Instant::now() + Duration::from_secs(60);
-        while jobs.counters.completed.load(Ordering::Relaxed)
-            + jobs.counters.failed.load(Ordering::Relaxed)
+        while jobs.counters.jobs_completed.load(Ordering::Relaxed)
+            + jobs.counters.jobs_failed.load(Ordering::Relaxed)
             < repairs as u64
         {
             assert!(std::time::Instant::now() < deadline, "repairs stuck");
@@ -525,7 +512,7 @@ mod tests {
             w.join().unwrap();
         }
         assert_eq!(
-            jobs.counters.completed.load(Ordering::Relaxed),
+            jobs.counters.jobs_completed.load(Ordering::Relaxed),
             u64::from(repairs)
         );
 
@@ -538,12 +525,12 @@ mod tests {
             assert_eq!(v.source, format!("repair of n1@v{}", v.version - 1));
         }
         // LP accounting: the queue's totals equal the sum over published
-        // provenances (zero pivots is legitimate — tiny LPs route to the
-        // uninstrumented dense backend — but the sums must agree).
+        // provenances, and these tiny LPs' dense-tableau pivots count too.
         let expected: u64 = versions[1..]
             .iter()
             .map(|v| v.provenance.as_ref().unwrap().lp_pivots)
             .sum();
+        assert!(expected > 0);
         assert_eq!(jobs.counters.lp_pivots.load(Ordering::Relaxed), expected);
     }
 

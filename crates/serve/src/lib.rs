@@ -73,6 +73,9 @@
 //!
 //! # Observability
 //!
+//! [`metrics`] is the registry: every counter, gauge and histogram family
+//! is declared there once, and the shared counter block, the `stats`
+//! reply, and the `metrics` exposition are generated from it.
 //! [`telemetry`] is the hand-rolled observability layer: lock-free
 //! log-linear latency histograms at every stage boundary (request
 //! end-to-end per kind, batcher queue-wait vs execution, gulp size,
@@ -110,6 +113,7 @@ pub mod chaos;
 pub mod client;
 pub mod faults;
 pub mod jobs;
+pub mod metrics;
 pub mod protocol;
 pub mod retry;
 pub mod server;

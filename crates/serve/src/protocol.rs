@@ -18,6 +18,8 @@ use serde::json::Value;
 use std::io::{self, Read, Write};
 use std::time::Instant;
 
+pub use crate::metrics::ServerStats;
+
 /// Upper bound on a frame's payload length (16 MiB): far above any
 /// legitimate request, far below an allocation-of-death.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
@@ -314,28 +316,6 @@ pub enum Request {
     Shutdown,
 }
 
-impl Request {
-    /// The request's wire tag, used as its telemetry kind.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Request::Ping => "ping",
-            Request::LoadGenerator { .. } => "load_generator",
-            Request::LoadNetwork { .. } => "load_network",
-            Request::Eval { .. } => "eval",
-            Request::LinRegions { .. } => "lin_regions",
-            Request::Repair { .. } => "repair",
-            Request::JobStatus { .. } => "job_status",
-            Request::GetNetwork { .. } => "get_network",
-            Request::ListModels => "list_models",
-            Request::ListVersions { .. } => "list_versions",
-            Request::Stats => "stats",
-            Request::Metrics => "metrics",
-            Request::Trace => "trace",
-            Request::Shutdown => "shutdown",
-        }
-    }
-}
-
 /// One linear region on the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionWire {
@@ -391,341 +371,6 @@ pub enum JobState {
     },
 }
 
-/// Server request/batch counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServerStats {
-    /// `eval` requests answered through the batcher.
-    pub eval_requests: u64,
-    /// Batched forward calls actually executed.
-    pub eval_batches: u64,
-    /// Input points pushed through those calls.
-    pub eval_points: u64,
-    /// `lin_regions` requests answered through the batcher.
-    pub lin_requests: u64,
-    /// Batched `lin_regions` calls actually executed.
-    pub lin_batches: u64,
-    /// Polytopes pushed through those calls.
-    pub lin_polytopes: u64,
-    /// Non-empty queue drains ("gulps") the batch worker performed.
-    pub gulps: u64,
-    /// Items drained across all gulps; `gulp_items / gulps` is the mean
-    /// coalescing factor the server actually achieved.
-    pub gulp_items: u64,
-    /// Largest single gulp observed.
-    pub max_gulp: u64,
-    /// Repair jobs accepted into the queue.
-    pub jobs_submitted: u64,
-    /// Repair jobs finished successfully.
-    pub jobs_completed: u64,
-    /// Repair jobs that failed.
-    pub jobs_failed: u64,
-    /// Repair jobs currently waiting in the queue (a gauge).
-    pub repair_queue_depth: u64,
-    /// Repair jobs currently being executed by workers (a gauge).
-    pub repair_in_flight: u64,
-    /// Version-log records appended (and fsynced) to the WAL; zero under
-    /// the in-memory backend.
-    pub wal_appends: u64,
-    /// Bytes appended to the WAL, frame headers included.
-    pub wal_bytes: u64,
-    /// Snapshot/compaction cycles completed.
-    pub snapshots: u64,
-    /// Versions reconstructed at cold start (snapshot + WAL tail).
-    pub recovered_versions: u64,
-    /// WAL-tail records replayed at cold start (subset of the above).
-    pub recovered_wal_records: u64,
-    /// Bytes dropped from the WAL tail during recovery (torn/corrupt
-    /// final records).
-    pub torn_tail_bytes: u64,
-    /// WAL appends that failed and were rolled back (the publish surfaced
-    /// a typed `unavailable` error); zero under the in-memory backend.
-    pub wal_failed_appends: u64,
-    /// Connections accepted into a handler.
-    pub conns_opened: u64,
-    /// Connections rejected at the cap with a typed `overloaded` frame.
-    pub conns_rejected: u64,
-    /// Connections currently open (a gauge, not a counter).
-    pub open_connections: u64,
-    /// Connections closed because a socket read/write timed out (stalled
-    /// peer / slowloris).
-    pub io_timeouts: u64,
-    /// Batch requests shed with `overloaded` because the batch queue was
-    /// full.
-    pub batch_shed: u64,
-    /// Repair jobs shed with `overloaded` because the job queue was full.
-    pub jobs_shed: u64,
-    /// Result-cache probes answered from the cache.
-    pub cache_hits: u64,
-    /// Result-cache probes that missed (the request ran on the pool).
-    pub cache_misses: u64,
-    /// Payloads inserted into the result cache.
-    pub cache_inserts: u64,
-    /// Entries evicted to stay inside the cache's byte budget.
-    pub cache_evictions: u64,
-    /// Cache fills skipped because the request's deadline had already
-    /// expired when its batch finished.
-    pub cache_fill_skips: u64,
-    /// Bytes of payload currently held by the result cache (a gauge).
-    pub cache_bytes: u64,
-    /// Entries currently resident in the result cache (a gauge).
-    pub cache_entries: u64,
-    /// Requests that expired before their batch (or group) executed.
-    pub deadline_expired: u64,
-    /// Per-polytope `lin_regions` re-runs after a batched call failed
-    /// (isolation rescue).
-    pub lin_rescue_calls: u64,
-    /// Simplex pivots across all completed repairs' LP solves.
-    pub lp_pivots: u64,
-    /// Basis refactorisations across all completed repairs' LP solves.
-    pub lp_refactorizations: u64,
-}
-
-impl ServerStats {
-    /// Every metric as `(name, help, is_gauge, value)` — the single table
-    /// behind both [`Self::to_prometheus`] and the exhaustiveness test, so
-    /// a counter added to the struct cannot silently miss the endpoint.
-    fn metric_table(&self) -> Vec<(&'static str, &'static str, bool, u64)> {
-        vec![
-            (
-                "eval_requests",
-                "eval requests answered",
-                false,
-                self.eval_requests,
-            ),
-            (
-                "eval_batches",
-                "batched forward calls executed",
-                false,
-                self.eval_batches,
-            ),
-            (
-                "eval_points",
-                "input points evaluated",
-                false,
-                self.eval_points,
-            ),
-            (
-                "lin_requests",
-                "lin_regions requests answered",
-                false,
-                self.lin_requests,
-            ),
-            (
-                "lin_batches",
-                "batched lin_regions calls executed",
-                false,
-                self.lin_batches,
-            ),
-            (
-                "lin_polytopes",
-                "polytopes decomposed",
-                false,
-                self.lin_polytopes,
-            ),
-            ("gulps", "non-empty batch queue drains", false, self.gulps),
-            (
-                "gulp_items",
-                "items drained across all gulps",
-                false,
-                self.gulp_items,
-            ),
-            (
-                "max_gulp",
-                "largest single gulp observed",
-                false,
-                self.max_gulp,
-            ),
-            (
-                "jobs_submitted",
-                "repair jobs accepted",
-                false,
-                self.jobs_submitted,
-            ),
-            (
-                "jobs_completed",
-                "repair jobs completed",
-                false,
-                self.jobs_completed,
-            ),
-            ("jobs_failed", "repair jobs failed", false, self.jobs_failed),
-            (
-                "repair_queue_depth",
-                "repair jobs currently queued",
-                true,
-                self.repair_queue_depth,
-            ),
-            (
-                "repair_in_flight",
-                "repair jobs currently executing",
-                true,
-                self.repair_in_flight,
-            ),
-            (
-                "wal_appends",
-                "WAL records appended and fsynced",
-                false,
-                self.wal_appends,
-            ),
-            (
-                "wal_bytes",
-                "bytes appended to the WAL",
-                false,
-                self.wal_bytes,
-            ),
-            (
-                "snapshots",
-                "snapshot/compaction cycles",
-                false,
-                self.snapshots,
-            ),
-            (
-                "recovered_versions",
-                "versions recovered at cold start",
-                false,
-                self.recovered_versions,
-            ),
-            (
-                "recovered_wal_records",
-                "WAL tail records replayed at cold start",
-                false,
-                self.recovered_wal_records,
-            ),
-            (
-                "torn_tail_bytes",
-                "WAL tail bytes dropped during recovery",
-                false,
-                self.torn_tail_bytes,
-            ),
-            (
-                "wal_failed_appends",
-                "WAL appends that failed and rolled back",
-                false,
-                self.wal_failed_appends,
-            ),
-            (
-                "conns_opened",
-                "connections accepted",
-                false,
-                self.conns_opened,
-            ),
-            (
-                "conns_rejected",
-                "connections rejected at the cap",
-                false,
-                self.conns_rejected,
-            ),
-            (
-                "open_connections",
-                "connections currently open",
-                true,
-                self.open_connections,
-            ),
-            (
-                "io_timeouts",
-                "connections closed on socket timeout",
-                false,
-                self.io_timeouts,
-            ),
-            (
-                "batch_shed",
-                "batch requests shed as overloaded",
-                false,
-                self.batch_shed,
-            ),
-            (
-                "jobs_shed",
-                "repair jobs shed as overloaded",
-                false,
-                self.jobs_shed,
-            ),
-            ("cache_hits", "result cache hits", false, self.cache_hits),
-            (
-                "cache_misses",
-                "result cache misses",
-                false,
-                self.cache_misses,
-            ),
-            (
-                "cache_inserts",
-                "result cache inserts",
-                false,
-                self.cache_inserts,
-            ),
-            (
-                "cache_evictions",
-                "result cache evictions",
-                false,
-                self.cache_evictions,
-            ),
-            (
-                "cache_fill_skips",
-                "cache fills skipped for expired deadlines",
-                false,
-                self.cache_fill_skips,
-            ),
-            (
-                "cache_bytes",
-                "payload bytes held by the result cache",
-                true,
-                self.cache_bytes,
-            ),
-            (
-                "cache_entries",
-                "entries resident in the result cache",
-                true,
-                self.cache_entries,
-            ),
-            (
-                "deadline_expired",
-                "requests expired before execution",
-                false,
-                self.deadline_expired,
-            ),
-            (
-                "lin_rescue_calls",
-                "per-polytope lin_regions rescue re-runs",
-                false,
-                self.lin_rescue_calls,
-            ),
-            (
-                "lp_pivots",
-                "simplex pivots across completed repairs",
-                false,
-                self.lp_pivots,
-            ),
-            (
-                "lp_refactorizations",
-                "LP basis refactorisations across completed repairs",
-                false,
-                self.lp_refactorizations,
-            ),
-        ]
-    }
-
-    /// Renders every counter in Prometheus text exposition format:
-    /// `# HELP` / `# TYPE` / sample, one triple per metric, all names
-    /// prefixed `prdnn_`.  Counters are cumulative since server start and
-    /// carry the conventional `_total` suffix; point-in-time values
-    /// (`open_connections`, `cache_bytes`, `cache_entries`,
-    /// `repair_queue_depth`, `repair_in_flight`) are gauges and keep
-    /// their bare names.
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (name, help, gauge, value) in self.metric_table() {
-            let (kind, suffix) = if gauge {
-                ("gauge", "")
-            } else {
-                ("counter", "_total")
-            };
-            let _ = writeln!(out, "# HELP prdnn_{name}{suffix} {help}");
-            let _ = writeln!(out, "# TYPE prdnn_{name}{suffix} {kind}");
-            let _ = writeln!(out, "prdnn_{name}{suffix} {value}");
-        }
-        out
-    }
-}
-
 /// Machine-readable error categories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorKind {
@@ -748,37 +393,6 @@ pub enum ErrorKind {
     Unavailable,
     /// Unexpected server-side failure.
     Internal,
-}
-
-impl ErrorKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            ErrorKind::UnknownModel => "unknown_model",
-            ErrorKind::UnknownVersion => "unknown_version",
-            ErrorKind::UnknownJob => "unknown_job",
-            ErrorKind::BadRequest => "bad_request",
-            ErrorKind::Overloaded => "overloaded",
-            ErrorKind::DeadlineExceeded => "deadline_exceeded",
-            ErrorKind::ShuttingDown => "shutting_down",
-            ErrorKind::Unavailable => "unavailable",
-            ErrorKind::Internal => "internal",
-        }
-    }
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        Ok(match s {
-            "unknown_model" => ErrorKind::UnknownModel,
-            "unknown_version" => ErrorKind::UnknownVersion,
-            "unknown_job" => ErrorKind::UnknownJob,
-            "bad_request" => ErrorKind::BadRequest,
-            "overloaded" => ErrorKind::Overloaded,
-            "deadline_exceeded" => ErrorKind::DeadlineExceeded,
-            "shutting_down" => ErrorKind::ShuttingDown,
-            "unavailable" => ErrorKind::Unavailable,
-            "internal" => ErrorKind::Internal,
-            other => return Err(format!("unknown error kind {other:?}")),
-        })
-    }
 }
 
 /// A server response.
@@ -827,7 +441,7 @@ pub enum Response {
     Stats(ServerStats),
     /// Reply to [`Request::Metrics`]: Prometheus text exposition.
     Metrics {
-        /// The rendered metrics document (see [`ServerStats::to_prometheus`]).
+        /// The rendered metrics document (see [`crate::metrics::exposition`]).
         text: String,
     },
     /// Reply to [`Request::Trace`]: recent slow-request span chains.
@@ -881,795 +495,365 @@ impl Response {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn tagged(tag: &'static str, mut fields: Vec<(&'static str, Value)>) -> Value {
-    let mut pairs = vec![("type", Value::Str(tag.to_owned()))];
-    pairs.append(&mut fields);
-    Value::obj(pairs)
-}
-
-fn points_to_value(points: &[Vec<f64>]) -> Value {
-    Value::Arr(points.iter().map(|p| Value::num_array(p)).collect())
-}
-
-fn points_from_value(v: &Value, what: &str) -> Result<Vec<Vec<f64>>, String> {
-    v.as_arr()
-        .ok_or_else(|| format!("{what}: expected an array"))?
-        .iter()
-        .map(|p| {
-            p.as_f64_vec()
-                .ok_or_else(|| format!("{what}: expected arrays of numbers"))
-        })
-        .collect()
-}
-
-fn spec_to_value(spec: &PointSpec) -> Value {
-    Value::obj([
-        ("points", points_to_value(&spec.points)),
-        (
-            "constraints",
-            Value::Arr(
-                spec.constraints
-                    .iter()
-                    .map(|c| {
-                        Value::obj([
-                            ("rows", Value::Num(c.a.rows() as f64)),
-                            ("cols", Value::Num(c.a.cols() as f64)),
-                            ("a", Value::num_array(c.a.as_slice())),
-                            ("b", Value::num_array(&c.b)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn spec_from_value(v: &Value) -> Result<PointSpec, String> {
-    let points = points_from_value(v.get("points").ok_or("spec: missing \"points\"")?, "points")?;
-    let constraints = v
-        .get("constraints")
-        .and_then(Value::as_arr)
-        .ok_or("spec: missing \"constraints\" array")?
-        .iter()
-        .map(|c| {
-            let rows = c
-                .get("rows")
-                .and_then(Value::as_usize)
-                .ok_or("constraint: missing \"rows\"")?;
-            let cols = c
-                .get("cols")
-                .and_then(Value::as_usize)
-                .ok_or("constraint: missing \"cols\"")?;
-            let a = c
-                .get("a")
-                .and_then(Value::as_f64_vec)
-                .ok_or("constraint: missing \"a\"")?;
-            let b = c
-                .get("b")
-                .and_then(Value::as_f64_vec)
-                .ok_or("constraint: missing \"b\"")?;
-            // Checked: crafted documents with huge dims must be rejected,
-            // not wrapped past the size check in release builds.
-            if Some(a.len()) != rows.checked_mul(cols) {
-                return Err(format!(
-                    "constraint: {} entries in \"a\" do not match rows {rows} × cols {cols}",
-                    a.len()
-                ));
-            }
-            if b.len() != rows {
-                return Err(format!(
-                    "constraint: {} entries in \"b\" but rows = {rows}",
-                    b.len()
-                ));
-            }
-            Ok(OutputPolytope::new(Matrix::from_flat(rows, cols, a), b))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    if points.len() != constraints.len() {
-        return Err(format!(
-            "spec: {} points but {} constraints",
-            points.len(),
-            constraints.len()
-        ));
+/// A value carried in one named field of a wire message.
+pub(crate) trait Field: Sized {
+    /// The field's JSON value.
+    fn encode(&self) -> Value;
+    /// Decodes a present field; the error says what is wrong with it.
+    fn decode(v: &Value) -> Result<Self, String>;
+    /// Decodes an absent field: an error unless the field is optional.
+    fn absent() -> Result<Self, String> {
+        Err("missing".to_owned())
     }
-    Ok(PointSpec {
-        points,
-        constraints,
-    })
+}
+
+/// A value whose fields sit directly in the enclosing JSON object: the
+/// tagged messages below and the `stats` counters.
+pub(crate) trait Fields: Sized {
+    /// The `(key, value)` pairs, in wire order.
+    fn encode_fields(&self) -> Vec<(&'static str, Value)>;
+    /// Decodes from the enclosing object.
+    fn decode_fields(v: &Value) -> Result<Self, String>;
+}
+
+/// Decodes field `key` of the object `v`.
+pub(crate) fn field<T: Field>(v: &Value, key: &str) -> Result<T, String> {
+    match v.get(key) {
+        Some(x) => T::decode(x),
+        None => T::absent(),
+    }
+    .map_err(|e| format!("\"{key}\": {e}"))
+}
+
+/// Generates the codecs of the wire vocabulary, one table per type:
+///
+/// * `enum T by "key" { "tag" => Variant BODY, .. }` — a message tagged
+///   under `key`.  `BODY` is `{ a, b }` (named fields, each under its own
+///   name; `{}` for a unit variant), `(name)` (a single tuple field under
+///   `name`), or `(..name)` (a single tuple field whose own [`Fields`] are
+///   spread into the message).  Generates `kind`, `to_value`, `from_value`
+///   and the [`Fields`] impl;
+/// * `struct T { a, b }` — an object with one key per field;
+/// * `enum T as str { Variant = "text", .. }` — a unit enum sent as a
+///   string.
+macro_rules! wire {
+    (@pat $ty:ident $variant:ident { $($f:ident),* }) => { $ty::$variant { $($f),* } };
+    (@pat $ty:ident $variant:ident ($(..)? $f:ident)) => { $ty::$variant($f) };
+    (@encode { $($f:ident),* }) => { vec![$((stringify!($f), $f.encode())),*] };
+    (@encode (.. $f:ident)) => { $f.encode_fields() };
+    (@encode ($f:ident)) => { vec![(stringify!($f), $f.encode())] };
+    (@decode $ty:ident $variant:ident $v:ident { $($f:ident),* }) => {
+        $ty::$variant { $($f: field($v, stringify!($f))?),* }
+    };
+    (@decode $ty:ident $variant:ident $v:ident (.. $f:ident)) => {
+        $ty::$variant(Fields::decode_fields($v)?)
+    };
+    (@decode $ty:ident $variant:ident $v:ident ($f:ident)) => {
+        $ty::$variant(field($v, stringify!($f))?)
+    };
+    (enum $ty:ident by $key:literal { $($tag:literal => $variant:ident $body:tt),* $(,)? }) => {
+        impl $ty {
+            /// The variant's wire tag.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $($ty::$variant { .. } => $tag,)*
+                }
+            }
+
+            /// Encodes as a JSON document.
+            pub fn to_value(&self) -> Value {
+                Value::obj(self.encode_fields())
+            }
+
+            /// Decodes from a JSON document.
+            ///
+            /// # Errors
+            ///
+            /// Returns a message describing the first malformed field.
+            pub fn from_value(v: &Value) -> Result<Self, String> {
+                Self::decode_fields(v)
+            }
+        }
+
+        impl Fields for $ty {
+            fn encode_fields(&self) -> Vec<(&'static str, Value)> {
+                let mut fields = vec![($key, Value::Str(self.kind().to_owned()))];
+                fields.extend(match self {
+                    $(wire!(@pat $ty $variant $body) => wire!(@encode $body),)*
+                });
+                fields
+            }
+
+            fn decode_fields(v: &Value) -> Result<Self, String> {
+                let tag: String = field(v, $key).map_err(|e| format!("{}: {e}", stringify!($ty)))?;
+                let decode = || {
+                    Ok(match tag.as_str() {
+                        $($tag => wire!(@decode $ty $variant v $body),)*
+                        _ => return Err(concat!("unknown ", $key).to_owned()),
+                    })
+                };
+                decode().map_err(|e: String| format!("{} {tag:?}: {e}", stringify!($ty)))
+            }
+        }
+    };
+    (struct $ty:ident { $($f:ident),* $(,)? }) => {
+        impl Field for $ty {
+            fn encode(&self) -> Value {
+                Value::obj([$((stringify!($f), self.$f.encode())),*])
+            }
+
+            fn decode(v: &Value) -> Result<Self, String> {
+                Ok($ty { $($f: field(v, stringify!($f))?),* })
+            }
+        }
+    };
+    (enum $ty:ident as str { $($variant:ident = $text:literal),* $(,)? }) => {
+        impl Field for $ty {
+            fn encode(&self) -> Value {
+                Value::Str(match self { $($ty::$variant => $text,)* }.to_owned())
+            }
+
+            fn decode(v: &Value) -> Result<Self, String> {
+                match String::decode(v)?.as_str() {
+                    $($text => Ok($ty::$variant),)*
+                    other => Err(format!("unknown {} {other:?}", stringify!($ty))),
+                }
+            }
+        }
+    };
+}
+
+wire! {
+    enum Request by "type" {
+        "ping" => Ping {},
+        "load_generator" => LoadGenerator { name, generator },
+        "load_network" => LoadNetwork { name, network },
+        "eval" => Eval { model, inputs, deadline_ms },
+        "lin_regions" => LinRegions { model, polytopes, deadline_ms },
+        "repair" => Repair { model, layer, spec, config },
+        "job_status" => JobStatus { job },
+        "get_network" => GetNetwork { model },
+        "list_models" => ListModels {},
+        "list_versions" => ListVersions { name },
+        "stats" => Stats {},
+        "metrics" => Metrics {},
+        "trace" => Trace {},
+        "shutdown" => Shutdown {},
+    }
+}
+
+wire! {
+    enum Response by "type" {
+        "pong" => Pong {},
+        "loaded" => Loaded { name, version },
+        "outputs" => Outputs(outputs),
+        "regions" => Regions(regions),
+        "job_queued" => JobQueued { job },
+        "job" => Job(..state),
+        "network" => Network { name, version, source, activation, value, provenance },
+        "models" => Models(models),
+        "versions" => Versions(versions),
+        "stats" => Stats(..stats),
+        "metrics" => Metrics { text },
+        "trace" => Trace { slow },
+        "shutting_down" => ShuttingDown {},
+        "error" => Error { kind, message, retry_after_ms },
+    }
+}
+
+wire! {
+    enum JobState by "state" {
+        "queued" => Queued {},
+        "running" => Running {},
+        "done" => Done { model, version, delta_l1, delta_linf, lp_pivots, lp_refactorizations },
+        "failed" => Failed { message },
+    }
+}
+
+wire! { struct RegionWire { vertices, interior } }
+
+wire! { struct VersionInfo { version, source, spec_hash, delta_l1, delta_linf, layer } }
+
+wire! {
+    enum ErrorKind as str {
+        UnknownModel = "unknown_model",
+        UnknownVersion = "unknown_version",
+        UnknownJob = "unknown_job",
+        BadRequest = "bad_request",
+        Overloaded = "overloaded",
+        DeadlineExceeded = "deadline_exceeded",
+        ShuttingDown = "shutting_down",
+        Unavailable = "unavailable",
+        Internal = "internal",
+    }
+}
+
+impl Field for String {
+    fn encode(&self) -> Value {
+        Value::Str(self.clone())
+    }
+
+    fn decode(v: &Value) -> Result<Self, String> {
+        v.as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| "expected a string".to_owned())
+    }
+}
+
+impl Field for f64 {
+    fn encode(&self) -> Value {
+        Value::Num(*self)
+    }
+
+    fn decode(v: &Value) -> Result<Self, String> {
+        v.as_f64().ok_or_else(|| "expected a number".to_owned())
+    }
+}
+
+macro_rules! integer_field {
+    ($($ty:ty),*) => {$(
+        impl Field for $ty {
+            fn encode(&self) -> Value {
+                Value::Num(*self as f64)
+            }
+
+            fn decode(v: &Value) -> Result<Self, String> {
+                v.as_usize()
+                    .and_then(|n| <$ty>::try_from(n).ok())
+                    .ok_or_else(|| concat!("expected a non-negative integer (", stringify!($ty), ")").to_owned())
+            }
+        }
+    )*};
+}
+
+integer_field!(u32, u64, usize);
+
+/// Arbitrary JSON documents (networks, provenance, traces) pass through.
+impl Field for Value {
+    fn encode(&self) -> Value {
+        self.clone()
+    }
+
+    fn decode(v: &Value) -> Result<Self, String> {
+        Ok(v.clone())
+    }
+}
+
+/// Optional fields are sent as `null` and may also be left out.
+impl<T: Field> Field for Option<T> {
+    fn encode(&self) -> Value {
+        self.as_ref().map_or(Value::Null, Field::encode)
+    }
+
+    fn decode(v: &Value) -> Result<Self, String> {
+        match v {
+            Value::Null => Ok(None),
+            v => T::decode(v).map(Some),
+        }
+    }
+
+    fn absent() -> Result<Self, String> {
+        Ok(None)
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn encode(&self) -> Value {
+        Value::Arr(self.iter().map(Field::encode).collect())
+    }
+
+    fn decode(v: &Value) -> Result<Self, String> {
+        v.as_arr()
+            .ok_or_else(|| "expected an array".to_owned())?
+            .iter()
+            .map(T::decode)
+            .collect()
+    }
+}
+
+impl Field for ModelRef {
+    fn encode(&self) -> Value {
+        Value::Str(self.to_string())
+    }
+
+    fn decode(v: &Value) -> Result<Self, String> {
+        ModelRef::parse(&String::decode(v)?)
+    }
+}
+
+/// One `(name, latest version)` entry of the `models` reply.
+impl Field for (String, u32) {
+    fn encode(&self) -> Value {
+        Value::obj([("name", self.0.encode()), ("latest", self.1.encode())])
+    }
+
+    fn decode(v: &Value) -> Result<Self, String> {
+        Ok((field(v, "name")?, field(v, "latest")?))
+    }
 }
 
 // The repair-config document format is owned by `prdnn_core` (it is shared
 // with the durable version log's on-disk records); the wire simply embeds
 // it.
-fn config_to_value(config: &RepairConfig) -> Value {
-    config.to_json()
-}
+impl Field for RepairConfig {
+    fn encode(&self) -> Value {
+        self.to_json()
+    }
 
-fn config_from_value(v: &Value) -> Result<RepairConfig, String> {
-    RepairConfig::from_json(v)
-}
-
-fn deadline_to_value(deadline_ms: Option<u64>) -> Value {
-    deadline_ms.map_or(Value::Null, |ms| Value::Num(ms as f64))
-}
-
-fn deadline_from_value(v: &Value) -> Result<Option<u64>, String> {
-    match v.get("deadline_ms") {
-        None | Some(Value::Null) => Ok(None),
-        Some(ms) => ms
-            .as_usize()
-            .map(|ms| Some(ms as u64))
-            .ok_or_else(|| "deadline_ms must be a non-negative integer".to_owned()),
+    fn decode(v: &Value) -> Result<Self, String> {
+        RepairConfig::from_json(v)
     }
 }
 
-impl Request {
-    /// Encodes the request as a JSON document.
-    pub fn to_value(&self) -> Value {
-        match self {
-            Request::Ping => tagged("ping", vec![]),
-            Request::LoadGenerator { name, generator } => tagged(
-                "load_generator",
-                vec![
-                    ("name", Value::Str(name.clone())),
-                    ("generator", Value::Str(generator.clone())),
-                ],
-            ),
-            Request::LoadNetwork { name, network } => tagged(
-                "load_network",
-                vec![
-                    ("name", Value::Str(name.clone())),
-                    ("network", network.clone()),
-                ],
-            ),
-            Request::Eval {
-                model,
-                inputs,
-                deadline_ms,
-            } => tagged(
-                "eval",
-                vec![
-                    ("model", Value::Str(model.to_string())),
-                    ("inputs", points_to_value(inputs)),
-                    ("deadline_ms", deadline_to_value(*deadline_ms)),
-                ],
-            ),
-            Request::LinRegions {
-                model,
-                polytopes,
-                deadline_ms,
-            } => tagged(
-                "lin_regions",
-                vec![
-                    ("model", Value::Str(model.to_string())),
-                    (
-                        "polytopes",
-                        Value::Arr(polytopes.iter().map(|p| points_to_value(p)).collect()),
-                    ),
-                    ("deadline_ms", deadline_to_value(*deadline_ms)),
-                ],
-            ),
-            Request::Repair {
-                model,
-                layer,
-                spec,
-                config,
-            } => tagged(
-                "repair",
-                vec![
-                    ("model", Value::Str(model.to_string())),
-                    ("layer", Value::Num(*layer as f64)),
-                    ("spec", spec_to_value(spec)),
-                    ("config", config_to_value(config)),
-                ],
-            ),
-            Request::JobStatus { job } => {
-                tagged("job_status", vec![("job", Value::Num(*job as f64))])
-            }
-            Request::GetNetwork { model } => tagged(
-                "get_network",
-                vec![("model", Value::Str(model.to_string()))],
-            ),
-            Request::ListModels => tagged("list_models", vec![]),
-            Request::ListVersions { name } => {
-                tagged("list_versions", vec![("name", Value::Str(name.clone()))])
-            }
-            Request::Stats => tagged("stats", vec![]),
-            Request::Metrics => tagged("metrics", vec![]),
-            Request::Trace => tagged("trace", vec![]),
-            Request::Shutdown => tagged("shutdown", vec![]),
+impl Field for OutputPolytope {
+    fn encode(&self) -> Value {
+        Value::obj([
+            ("rows", self.a.rows().encode()),
+            ("cols", self.a.cols().encode()),
+            ("a", Value::num_array(self.a.as_slice())),
+            ("b", self.b.encode()),
+        ])
+    }
+
+    fn decode(v: &Value) -> Result<Self, String> {
+        let (rows, cols): (usize, usize) = (field(v, "rows")?, field(v, "cols")?);
+        let (a, b): (Vec<f64>, Vec<f64>) = (field(v, "a")?, field(v, "b")?);
+        // Checked: crafted documents with huge dims must be rejected, not
+        // wrapped past the size check in release builds.
+        if Some(a.len()) != rows.checked_mul(cols) {
+            return Err(format!(
+                "{} entries in \"a\" do not match rows {rows} × cols {cols}",
+                a.len()
+            ));
         }
+        if b.len() != rows {
+            return Err(format!("{} entries in \"b\" but rows = {rows}", b.len()));
+        }
+        Ok(OutputPolytope::new(Matrix::from_flat(rows, cols, a), b))
+    }
+}
+
+impl Field for PointSpec {
+    fn encode(&self) -> Value {
+        Value::obj([
+            ("points", self.points.encode()),
+            ("constraints", self.constraints.encode()),
+        ])
     }
 
-    /// Decodes a request from a JSON document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the first malformed field.
-    pub fn from_value(v: &Value) -> Result<Request, String> {
-        let tag = v
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or("request: missing \"type\"")?;
-        let model_ref = || -> Result<ModelRef, String> {
-            ModelRef::parse(
-                v.get("model")
-                    .and_then(Value::as_str)
-                    .ok_or("request: missing \"model\"")?,
-            )
+    fn decode(v: &Value) -> Result<Self, String> {
+        let spec = PointSpec {
+            points: field(v, "points")?,
+            constraints: field(v, "constraints")?,
         };
-        let name = || -> Result<String, String> {
-            Ok(v.get("name")
-                .and_then(Value::as_str)
-                .ok_or("request: missing \"name\"")?
-                .to_owned())
-        };
-        match tag {
-            "ping" => Ok(Request::Ping),
-            "load_generator" => Ok(Request::LoadGenerator {
-                name: name()?,
-                generator: v
-                    .get("generator")
-                    .and_then(Value::as_str)
-                    .ok_or("load_generator: missing \"generator\"")?
-                    .to_owned(),
-            }),
-            "load_network" => Ok(Request::LoadNetwork {
-                name: name()?,
-                network: v
-                    .get("network")
-                    .ok_or("load_network: missing \"network\"")?
-                    .clone(),
-            }),
-            "eval" => Ok(Request::Eval {
-                model: model_ref()?,
-                inputs: points_from_value(
-                    v.get("inputs").ok_or("eval: missing \"inputs\"")?,
-                    "inputs",
-                )?,
-                deadline_ms: deadline_from_value(v)?,
-            }),
-            "lin_regions" => Ok(Request::LinRegions {
-                model: model_ref()?,
-                polytopes: v
-                    .get("polytopes")
-                    .and_then(Value::as_arr)
-                    .ok_or("lin_regions: missing \"polytopes\"")?
-                    .iter()
-                    .map(|p| points_from_value(p, "polytope"))
-                    .collect::<Result<_, _>>()?,
-                deadline_ms: deadline_from_value(v)?,
-            }),
-            "repair" => Ok(Request::Repair {
-                model: model_ref()?,
-                layer: v
-                    .get("layer")
-                    .and_then(Value::as_usize)
-                    .ok_or("repair: missing \"layer\"")?,
-                spec: spec_from_value(v.get("spec").ok_or("repair: missing \"spec\"")?)?,
-                config: config_from_value(v.get("config").ok_or("repair: missing \"config\"")?)?,
-            }),
-            "job_status" => Ok(Request::JobStatus {
-                job: v
-                    .get("job")
-                    .and_then(Value::as_usize)
-                    .ok_or("job_status: missing \"job\"")? as u64,
-            }),
-            "get_network" => Ok(Request::GetNetwork {
-                model: model_ref()?,
-            }),
-            "list_models" => Ok(Request::ListModels),
-            "list_versions" => Ok(Request::ListVersions { name: name()? }),
-            "stats" => Ok(Request::Stats),
-            "metrics" => Ok(Request::Metrics),
-            "trace" => Ok(Request::Trace),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown request type {other:?}")),
+        if spec.points.len() != spec.constraints.len() {
+            return Err(format!(
+                "{} points but {} constraints",
+                spec.points.len(),
+                spec.constraints.len()
+            ));
         }
-    }
-}
-
-fn opt_num(v: Option<f64>) -> Value {
-    v.map_or(Value::Null, Value::Num)
-}
-
-impl Response {
-    /// Encodes the response as a JSON document.
-    pub fn to_value(&self) -> Value {
-        match self {
-            Response::Pong => tagged("pong", vec![]),
-            Response::Loaded { name, version } => tagged(
-                "loaded",
-                vec![
-                    ("name", Value::Str(name.clone())),
-                    ("version", Value::Num(*version as f64)),
-                ],
-            ),
-            Response::Outputs(outputs) => {
-                tagged("outputs", vec![("outputs", points_to_value(outputs))])
-            }
-            Response::Regions(per_polytope) => tagged(
-                "regions",
-                vec![(
-                    "regions",
-                    Value::Arr(
-                        per_polytope
-                            .iter()
-                            .map(|regions| {
-                                Value::Arr(
-                                    regions
-                                        .iter()
-                                        .map(|r| {
-                                            Value::obj([
-                                                ("vertices", points_to_value(&r.vertices)),
-                                                ("interior", Value::num_array(&r.interior)),
-                                            ])
-                                        })
-                                        .collect(),
-                                )
-                            })
-                            .collect(),
-                    ),
-                )],
-            ),
-            Response::JobQueued { job } => {
-                tagged("job_queued", vec![("job", Value::Num(*job as f64))])
-            }
-            Response::Job(state) => {
-                let (state_tag, mut fields) = match state {
-                    JobState::Queued => ("queued", vec![]),
-                    JobState::Running => ("running", vec![]),
-                    JobState::Done {
-                        model,
-                        version,
-                        delta_l1,
-                        delta_linf,
-                        lp_pivots,
-                        lp_refactorizations,
-                    } => (
-                        "done",
-                        vec![
-                            ("model", Value::Str(model.clone())),
-                            ("version", Value::Num(*version as f64)),
-                            ("delta_l1", Value::Num(*delta_l1)),
-                            ("delta_linf", Value::Num(*delta_linf)),
-                            ("lp_pivots", Value::Num(*lp_pivots as f64)),
-                            (
-                                "lp_refactorizations",
-                                Value::Num(*lp_refactorizations as f64),
-                            ),
-                        ],
-                    ),
-                    JobState::Failed { message } => {
-                        ("failed", vec![("message", Value::Str(message.clone()))])
-                    }
-                };
-                let mut all = vec![("state", Value::Str(state_tag.to_owned()))];
-                all.append(&mut fields);
-                tagged("job", all)
-            }
-            Response::Network {
-                name,
-                version,
-                source,
-                activation,
-                value,
-                provenance,
-            } => tagged(
-                "network",
-                vec![
-                    ("name", Value::Str(name.clone())),
-                    ("version", Value::Num(*version as f64)),
-                    ("source", Value::Str(source.clone())),
-                    ("activation", activation.clone()),
-                    ("value", value.clone()),
-                    ("provenance", provenance.clone().unwrap_or(Value::Null)),
-                ],
-            ),
-            Response::Models(models) => tagged(
-                "models",
-                vec![(
-                    "models",
-                    Value::Arr(
-                        models
-                            .iter()
-                            .map(|(name, latest)| {
-                                Value::obj([
-                                    ("name", Value::Str(name.clone())),
-                                    ("latest", Value::Num(*latest as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                )],
-            ),
-            Response::Versions(versions) => tagged(
-                "versions",
-                vec![(
-                    "versions",
-                    Value::Arr(
-                        versions
-                            .iter()
-                            .map(|info| {
-                                Value::obj([
-                                    ("version", Value::Num(info.version as f64)),
-                                    ("source", Value::Str(info.source.clone())),
-                                    (
-                                        "spec_hash",
-                                        info.spec_hash.clone().map_or(Value::Null, Value::Str),
-                                    ),
-                                    ("delta_l1", opt_num(info.delta_l1)),
-                                    ("delta_linf", opt_num(info.delta_linf)),
-                                    (
-                                        "layer",
-                                        info.layer.map_or(Value::Null, |l| Value::Num(l as f64)),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                )],
-            ),
-            Response::Stats(stats) => tagged(
-                "stats",
-                vec![
-                    ("eval_requests", Value::Num(stats.eval_requests as f64)),
-                    ("eval_batches", Value::Num(stats.eval_batches as f64)),
-                    ("eval_points", Value::Num(stats.eval_points as f64)),
-                    ("lin_requests", Value::Num(stats.lin_requests as f64)),
-                    ("lin_batches", Value::Num(stats.lin_batches as f64)),
-                    ("lin_polytopes", Value::Num(stats.lin_polytopes as f64)),
-                    ("gulps", Value::Num(stats.gulps as f64)),
-                    ("gulp_items", Value::Num(stats.gulp_items as f64)),
-                    ("max_gulp", Value::Num(stats.max_gulp as f64)),
-                    ("jobs_submitted", Value::Num(stats.jobs_submitted as f64)),
-                    ("jobs_completed", Value::Num(stats.jobs_completed as f64)),
-                    ("jobs_failed", Value::Num(stats.jobs_failed as f64)),
-                    (
-                        "repair_queue_depth",
-                        Value::Num(stats.repair_queue_depth as f64),
-                    ),
-                    (
-                        "repair_in_flight",
-                        Value::Num(stats.repair_in_flight as f64),
-                    ),
-                    ("wal_appends", Value::Num(stats.wal_appends as f64)),
-                    ("wal_bytes", Value::Num(stats.wal_bytes as f64)),
-                    ("snapshots", Value::Num(stats.snapshots as f64)),
-                    (
-                        "recovered_versions",
-                        Value::Num(stats.recovered_versions as f64),
-                    ),
-                    (
-                        "recovered_wal_records",
-                        Value::Num(stats.recovered_wal_records as f64),
-                    ),
-                    ("torn_tail_bytes", Value::Num(stats.torn_tail_bytes as f64)),
-                    (
-                        "wal_failed_appends",
-                        Value::Num(stats.wal_failed_appends as f64),
-                    ),
-                    ("conns_opened", Value::Num(stats.conns_opened as f64)),
-                    ("conns_rejected", Value::Num(stats.conns_rejected as f64)),
-                    (
-                        "open_connections",
-                        Value::Num(stats.open_connections as f64),
-                    ),
-                    ("io_timeouts", Value::Num(stats.io_timeouts as f64)),
-                    ("batch_shed", Value::Num(stats.batch_shed as f64)),
-                    ("jobs_shed", Value::Num(stats.jobs_shed as f64)),
-                    ("cache_hits", Value::Num(stats.cache_hits as f64)),
-                    ("cache_misses", Value::Num(stats.cache_misses as f64)),
-                    ("cache_inserts", Value::Num(stats.cache_inserts as f64)),
-                    ("cache_evictions", Value::Num(stats.cache_evictions as f64)),
-                    (
-                        "cache_fill_skips",
-                        Value::Num(stats.cache_fill_skips as f64),
-                    ),
-                    ("cache_bytes", Value::Num(stats.cache_bytes as f64)),
-                    ("cache_entries", Value::Num(stats.cache_entries as f64)),
-                    (
-                        "deadline_expired",
-                        Value::Num(stats.deadline_expired as f64),
-                    ),
-                    (
-                        "lin_rescue_calls",
-                        Value::Num(stats.lin_rescue_calls as f64),
-                    ),
-                    ("lp_pivots", Value::Num(stats.lp_pivots as f64)),
-                    (
-                        "lp_refactorizations",
-                        Value::Num(stats.lp_refactorizations as f64),
-                    ),
-                ],
-            ),
-            Response::Metrics { text } => {
-                tagged("metrics", vec![("text", Value::Str(text.clone()))])
-            }
-            Response::Trace { slow } => tagged("trace", vec![("slow", slow.clone())]),
-            Response::ShuttingDown => tagged("shutting_down", vec![]),
-            Response::Error {
-                kind,
-                message,
-                retry_after_ms,
-            } => tagged(
-                "error",
-                vec![
-                    ("kind", Value::Str(kind.as_str().to_owned())),
-                    ("message", Value::Str(message.clone())),
-                    (
-                        "retry_after_ms",
-                        retry_after_ms.map_or(Value::Null, |ms| Value::Num(ms as f64)),
-                    ),
-                ],
-            ),
-        }
-    }
-
-    /// Decodes a response from a JSON document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the first malformed field.
-    pub fn from_value(v: &Value) -> Result<Response, String> {
-        let tag = v
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or("response: missing \"type\"")?;
-        match tag {
-            "pong" => Ok(Response::Pong),
-            "loaded" => Ok(Response::Loaded {
-                name: v
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or("loaded: missing \"name\"")?
-                    .to_owned(),
-                version: v
-                    .get("version")
-                    .and_then(Value::as_usize)
-                    .ok_or("loaded: missing \"version\"")? as u32,
-            }),
-            "outputs" => Ok(Response::Outputs(points_from_value(
-                v.get("outputs").ok_or("outputs: missing \"outputs\"")?,
-                "outputs",
-            )?)),
-            "regions" => Ok(Response::Regions(
-                v.get("regions")
-                    .and_then(Value::as_arr)
-                    .ok_or("regions: missing \"regions\"")?
-                    .iter()
-                    .map(|regions| {
-                        regions
-                            .as_arr()
-                            .ok_or("regions: expected arrays of regions")?
-                            .iter()
-                            .map(|r| {
-                                Ok(RegionWire {
-                                    vertices: points_from_value(
-                                        r.get("vertices").ok_or("region: missing \"vertices\"")?,
-                                        "vertices",
-                                    )?,
-                                    interior: r
-                                        .get("interior")
-                                        .and_then(Value::as_f64_vec)
-                                        .ok_or("region: missing \"interior\"")?,
-                                })
-                            })
-                            .collect::<Result<Vec<_>, String>>()
-                    })
-                    .collect::<Result<Vec<_>, String>>()?,
-            )),
-            "job_queued" => Ok(Response::JobQueued {
-                job: v
-                    .get("job")
-                    .and_then(Value::as_usize)
-                    .ok_or("job_queued: missing \"job\"")? as u64,
-            }),
-            "job" => {
-                let state = v
-                    .get("state")
-                    .and_then(Value::as_str)
-                    .ok_or("job: missing \"state\"")?;
-                Ok(Response::Job(match state {
-                    "queued" => JobState::Queued,
-                    "running" => JobState::Running,
-                    "done" => JobState::Done {
-                        model: v
-                            .get("model")
-                            .and_then(Value::as_str)
-                            .ok_or("job: missing \"model\"")?
-                            .to_owned(),
-                        version: v
-                            .get("version")
-                            .and_then(Value::as_usize)
-                            .ok_or("job: missing \"version\"")?
-                            as u32,
-                        delta_l1: v
-                            .get("delta_l1")
-                            .and_then(Value::as_f64)
-                            .ok_or("job: missing \"delta_l1\"")?,
-                        delta_linf: v
-                            .get("delta_linf")
-                            .and_then(Value::as_f64)
-                            .ok_or("job: missing \"delta_linf\"")?,
-                        lp_pivots: v
-                            .get("lp_pivots")
-                            .and_then(Value::as_usize)
-                            .ok_or("job: missing \"lp_pivots\"")?
-                            as u64,
-                        lp_refactorizations: v
-                            .get("lp_refactorizations")
-                            .and_then(Value::as_usize)
-                            .ok_or("job: missing \"lp_refactorizations\"")?
-                            as u64,
-                    },
-                    "failed" => JobState::Failed {
-                        message: v
-                            .get("message")
-                            .and_then(Value::as_str)
-                            .ok_or("job: missing \"message\"")?
-                            .to_owned(),
-                    },
-                    other => return Err(format!("job: unknown state {other:?}")),
-                }))
-            }
-            "network" => Ok(Response::Network {
-                name: v
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or("network: missing \"name\"")?
-                    .to_owned(),
-                version: v
-                    .get("version")
-                    .and_then(Value::as_usize)
-                    .ok_or("network: missing \"version\"")? as u32,
-                source: v
-                    .get("source")
-                    .and_then(Value::as_str)
-                    .ok_or("network: missing \"source\"")?
-                    .to_owned(),
-                activation: v
-                    .get("activation")
-                    .ok_or("network: missing \"activation\"")?
-                    .clone(),
-                value: v.get("value").ok_or("network: missing \"value\"")?.clone(),
-                provenance: match v.get("provenance") {
-                    None | Some(Value::Null) => None,
-                    Some(p) => Some(p.clone()),
-                },
-            }),
-            "models" => Ok(Response::Models(
-                v.get("models")
-                    .and_then(Value::as_arr)
-                    .ok_or("models: missing \"models\"")?
-                    .iter()
-                    .map(|m| {
-                        Ok((
-                            m.get("name")
-                                .and_then(Value::as_str)
-                                .ok_or("models: missing \"name\"")?
-                                .to_owned(),
-                            m.get("latest")
-                                .and_then(Value::as_usize)
-                                .ok_or("models: missing \"latest\"")?
-                                as u32,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, String>>()?,
-            )),
-            "versions" => Ok(Response::Versions(
-                v.get("versions")
-                    .and_then(Value::as_arr)
-                    .ok_or("versions: missing \"versions\"")?
-                    .iter()
-                    .map(|info| {
-                        Ok(VersionInfo {
-                            version: info
-                                .get("version")
-                                .and_then(Value::as_usize)
-                                .ok_or("versions: missing \"version\"")?
-                                as u32,
-                            source: info
-                                .get("source")
-                                .and_then(Value::as_str)
-                                .ok_or("versions: missing \"source\"")?
-                                .to_owned(),
-                            spec_hash: match info.get("spec_hash") {
-                                None | Some(Value::Null) => None,
-                                Some(h) => Some(
-                                    h.as_str()
-                                        .ok_or("versions: spec_hash must be a string")?
-                                        .to_owned(),
-                                ),
-                            },
-                            delta_l1: info.get("delta_l1").and_then(Value::as_f64),
-                            delta_linf: info.get("delta_linf").and_then(Value::as_f64),
-                            layer: info.get("layer").and_then(Value::as_usize),
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?,
-            )),
-            "stats" => {
-                let counter = |key: &str| -> Result<u64, String> {
-                    Ok(v.get(key)
-                        .and_then(Value::as_usize)
-                        .ok_or_else(|| format!("stats: missing \"{key}\""))?
-                        as u64)
-                };
-                Ok(Response::Stats(ServerStats {
-                    eval_requests: counter("eval_requests")?,
-                    eval_batches: counter("eval_batches")?,
-                    eval_points: counter("eval_points")?,
-                    lin_requests: counter("lin_requests")?,
-                    lin_batches: counter("lin_batches")?,
-                    lin_polytopes: counter("lin_polytopes")?,
-                    gulps: counter("gulps")?,
-                    gulp_items: counter("gulp_items")?,
-                    max_gulp: counter("max_gulp")?,
-                    jobs_submitted: counter("jobs_submitted")?,
-                    jobs_completed: counter("jobs_completed")?,
-                    jobs_failed: counter("jobs_failed")?,
-                    repair_queue_depth: counter("repair_queue_depth")?,
-                    repair_in_flight: counter("repair_in_flight")?,
-                    wal_appends: counter("wal_appends")?,
-                    wal_bytes: counter("wal_bytes")?,
-                    snapshots: counter("snapshots")?,
-                    recovered_versions: counter("recovered_versions")?,
-                    recovered_wal_records: counter("recovered_wal_records")?,
-                    torn_tail_bytes: counter("torn_tail_bytes")?,
-                    wal_failed_appends: counter("wal_failed_appends")?,
-                    conns_opened: counter("conns_opened")?,
-                    conns_rejected: counter("conns_rejected")?,
-                    open_connections: counter("open_connections")?,
-                    io_timeouts: counter("io_timeouts")?,
-                    batch_shed: counter("batch_shed")?,
-                    jobs_shed: counter("jobs_shed")?,
-                    cache_hits: counter("cache_hits")?,
-                    cache_misses: counter("cache_misses")?,
-                    cache_inserts: counter("cache_inserts")?,
-                    cache_evictions: counter("cache_evictions")?,
-                    cache_fill_skips: counter("cache_fill_skips")?,
-                    cache_bytes: counter("cache_bytes")?,
-                    cache_entries: counter("cache_entries")?,
-                    deadline_expired: counter("deadline_expired")?,
-                    lin_rescue_calls: counter("lin_rescue_calls")?,
-                    lp_pivots: counter("lp_pivots")?,
-                    lp_refactorizations: counter("lp_refactorizations")?,
-                }))
-            }
-            "metrics" => Ok(Response::Metrics {
-                text: v
-                    .get("text")
-                    .and_then(Value::as_str)
-                    .ok_or("metrics: missing \"text\"")?
-                    .to_owned(),
-            }),
-            "trace" => Ok(Response::Trace {
-                slow: v.get("slow").ok_or("trace: missing \"slow\"")?.clone(),
-            }),
-            "shutting_down" => Ok(Response::ShuttingDown),
-            "error" => Ok(Response::Error {
-                kind: ErrorKind::from_str(
-                    v.get("kind")
-                        .and_then(Value::as_str)
-                        .ok_or("error: missing \"kind\"")?,
-                )?,
-                message: v
-                    .get("message")
-                    .and_then(Value::as_str)
-                    .ok_or("error: missing \"message\"")?
-                    .to_owned(),
-                retry_after_ms: match v.get("retry_after_ms") {
-                    None | Some(Value::Null) => None,
-                    Some(ms) => Some(
-                        ms.as_usize()
-                            .ok_or("error: retry_after_ms must be a non-negative integer")?
-                            as u64,
-                    ),
-                },
-            }),
-            other => Err(format!("unknown response type {other:?}")),
-        }
+        Ok(spec)
     }
 }
 
@@ -1732,7 +916,7 @@ mod tests {
     #[test]
     fn prometheus_rendering_covers_every_stats_field() {
         // Give every field a distinct value so a transposed entry in the
-        // metric table cannot cancel out.
+        // registry cannot cancel out.
         let mut stats = ServerStats::default();
         let doc = Response::Stats(stats).to_value();
         let Value::Obj(fields) = &doc else {
@@ -1826,6 +1010,62 @@ mod tests {
         assert_eq!(request_id_of(&junk), None);
         let frac = Value::obj([("request_id", Value::Num(1.5))]);
         assert_eq!(request_id_of(&frac), None);
+    }
+
+    #[test]
+    fn decoding_rejects_missing_fields_wrong_types_and_shape_mismatches() {
+        let request = |text: &str| Request::from_value(&Value::parse(text).unwrap());
+        let response = |text: &str| Response::from_value(&Value::parse(text).unwrap());
+        let repair = |constraints: &str| {
+            request(&format!(
+                r#"{{"type":"repair","model":"m","layer":0,"config":{{}},
+                    "spec":{{"points":[[0.5]],"constraints":{constraints}}}}}"#
+            ))
+        };
+        // The well-formed baselines the rejected documents deviate from.
+        assert!(repair(r#"[{"rows":2,"cols":1,"a":[1,-1],"b":[0,0.2]}]"#).is_ok());
+        assert!(response(r#"{"type":"loaded","name":"m","version":1}"#).is_ok());
+        for bad in [
+            "{}",
+            r#"{"type":7}"#,
+            r#"{"type":"nope"}"#,
+            r#"{"type":"eval","model":"m"}"#,
+            r#"{"type":"eval","model":"m","inputs":"x"}"#,
+            r#"{"type":"eval","model":"m","inputs":[[1,"a"]]}"#,
+            r#"{"type":"eval","model":"m@v0","inputs":[]}"#,
+            r#"{"type":"eval","model":"m","inputs":[],"deadline_ms":-1}"#,
+            r#"{"type":"job_status","job":1.5}"#,
+            r#"{"type":"load_network","name":"m"}"#,
+            r#"{"type":"repair","model":"m","layer":0,"spec":{"points":[],"constraints":[]}}"#,
+        ] {
+            assert!(request(bad).is_err(), "accepted request {bad}");
+        }
+        for constraints in [
+            // rows × cols overflows usize: the checked multiply must reject it.
+            r#"[{"rows":4294967296,"cols":4294967296,"a":[],"b":[]}]"#,
+            r#"[{"rows":2,"cols":1,"a":[1,-1,3],"b":[0,0.2]}]"#,
+            r#"[{"rows":2,"cols":1,"a":[1,-1],"b":[0]}]"#,
+            r#"[{"rows":2,"a":[1,-1],"b":[0,0.2]}]"#,
+            // Two constraints for one point.
+            r#"[{"rows":1,"cols":1,"a":[1],"b":[0]},{"rows":1,"cols":1,"a":[1],"b":[0]}]"#,
+        ] {
+            assert!(repair(constraints).is_err(), "accepted spec {constraints}");
+        }
+        for bad in [
+            r#"{"type":"loaded","name":"m","version":"1"}"#,
+            r#"{"type":"job"}"#,
+            r#"{"type":"job","state":"paused"}"#,
+            r#"{"type":"job","state":"done","model":"m","version":2}"#,
+            r#"{"type":"error","kind":"nope","message":"x"}"#,
+            r#"{"type":"error","kind":"internal","message":"x","retry_after_ms":-5}"#,
+            r#"{"type":"stats","eval_requests":1}"#,
+            r#"{"type":"versions","versions":[{"version":1,"source":"s","spec_hash":5}]}"#,
+            r#"{"type":"models","models":[{"name":"m"}]}"#,
+            r#"{"type":"regions","regions":[[{"vertices":[[0]]}]]}"#,
+            r#"{"type":"network","name":"m","version":1,"source":"s","value":{}}"#,
+        ] {
+            assert!(response(bad).is_err(), "accepted response {bad}");
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@
 use crate::batcher::{Batcher, Call, ReplyData};
 use crate::cache::{ResultCache, DEFAULT_CACHE_BYTES};
 use crate::jobs::JobQueue;
+use crate::metrics::{label_index, REQUEST_KINDS};
 use crate::protocol::{
     embed_request_id, read_frame_timed, request_id_of, write_frame, ErrorKind, FrameError,
     RegionWire, Request, Response, ServerStats, VersionInfo,
@@ -32,7 +33,7 @@ use prdnn_core::DecoupledNetwork;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -120,13 +121,9 @@ struct Shared {
     telemetry: Arc<Telemetry>,
     shutdown: AtomicBool,
     addr: SocketAddr,
-    conn_count: AtomicUsize,
     next_conn_id: AtomicU64,
     /// Server-assigned request ids start at 1 (0 means "untracked").
     next_request_id: AtomicU64,
-    conns_opened: AtomicU64,
-    conns_rejected: AtomicU64,
-    io_timeouts: AtomicU64,
     /// Stream clones of live connections, so shutdown can unblock their
     /// handler threads' reads.
     conns: Mutex<HashMap<u64, TcpStream>>,
@@ -149,51 +146,17 @@ impl Shared {
         }
     }
 
+    /// Snapshots the counter block, sampling the values other structures
+    /// own: queue depth and in-flight repairs, cache residency, and the
+    /// version log's totals.
     fn stats(&self) -> ServerStats {
-        let b = &self.batcher.counters;
-        let c = &self.cache.counters;
-        let j = &self.jobs.counters;
-        let l = self.store.log_stats();
-        ServerStats {
-            eval_requests: b.eval_requests.load(Ordering::Relaxed),
-            eval_batches: b.eval_batches.load(Ordering::Relaxed),
-            eval_points: b.eval_points.load(Ordering::Relaxed),
-            lin_requests: b.lin_requests.load(Ordering::Relaxed),
-            lin_batches: b.lin_batches.load(Ordering::Relaxed),
-            lin_polytopes: b.lin_polytopes.load(Ordering::Relaxed),
-            gulps: b.gulps.load(Ordering::Relaxed),
-            gulp_items: b.gulp_items.load(Ordering::Relaxed),
-            max_gulp: b.max_gulp.load(Ordering::Relaxed),
-            jobs_submitted: j.submitted.load(Ordering::Relaxed),
-            jobs_completed: j.completed.load(Ordering::Relaxed),
-            jobs_failed: j.failed.load(Ordering::Relaxed),
-            repair_queue_depth: self.jobs.queue_depth(),
-            repair_in_flight: self.jobs.in_flight(),
-            wal_appends: l.wal_appends,
-            wal_bytes: l.wal_bytes,
-            snapshots: l.snapshots,
-            recovered_versions: l.recovered_versions,
-            recovered_wal_records: l.recovered_wal_records,
-            torn_tail_bytes: l.torn_tail_bytes,
-            wal_failed_appends: l.wal_failed_appends,
-            conns_opened: self.conns_opened.load(Ordering::Relaxed),
-            conns_rejected: self.conns_rejected.load(Ordering::Relaxed),
-            open_connections: self.conn_count.load(Ordering::SeqCst) as u64,
-            io_timeouts: self.io_timeouts.load(Ordering::Relaxed),
-            batch_shed: b.shed.load(Ordering::Relaxed),
-            jobs_shed: j.shed.load(Ordering::Relaxed),
-            cache_hits: c.hits.load(Ordering::Relaxed),
-            cache_misses: c.misses.load(Ordering::Relaxed),
-            cache_inserts: c.inserts.load(Ordering::Relaxed),
-            cache_evictions: c.evictions.load(Ordering::Relaxed),
-            cache_fill_skips: c.fill_skips.load(Ordering::Relaxed),
-            cache_bytes: self.cache.bytes(),
-            cache_entries: self.cache.entries(),
-            deadline_expired: b.deadline_expired.load(Ordering::Relaxed),
-            lin_rescue_calls: b.lin_rescue_calls.load(Ordering::Relaxed),
-            lp_pivots: j.lp_pivots.load(Ordering::Relaxed),
-            lp_refactorizations: j.lp_refactorizations.load(Ordering::Relaxed),
-        }
+        let mut stats = self.telemetry.counters.snapshot();
+        stats.repair_queue_depth = self.jobs.queue_depth();
+        stats.repair_in_flight = self.jobs.in_flight();
+        stats.cache_bytes = self.cache.bytes();
+        stats.cache_entries = self.cache.entries();
+        stats.set_log_stats(self.store.log_stats());
+        stats
     }
 }
 
@@ -335,12 +298,8 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         telemetry,
         shutdown: AtomicBool::new(false),
         addr,
-        conn_count: AtomicUsize::new(0),
         next_conn_id: AtomicU64::new(0),
         next_request_id: AtomicU64::new(1),
-        conns_opened: AtomicU64::new(0),
-        conns_rejected: AtomicU64::new(0),
-        io_timeouts: AtomicU64::new(0),
         conns: Mutex::new(HashMap::new()),
         handler_threads: Mutex::new(Vec::new()),
     });
@@ -410,9 +369,12 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             );
             return;
         }
-        // Admission: cap concurrent connections.
-        if shared.conn_count.load(Ordering::SeqCst) >= shared.config.max_connections {
-            shared.conns_rejected.fetch_add(1, Ordering::Relaxed);
+        // Admission: cap concurrent connections.  The open-connections
+        // gauge doubles as the admission count.
+        let counters = &shared.telemetry.counters;
+        if counters.open_connections.load(Ordering::SeqCst) >= shared.config.max_connections as u64
+        {
+            counters.conns_rejected.fetch_add(1, Ordering::Relaxed);
             let mut s = stream;
             let _ = write_frame(
                 &mut s,
@@ -440,8 +402,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             let _ = stream.set_read_timeout(timeout);
             let _ = stream.set_write_timeout(timeout);
         }
-        shared.conn_count.fetch_add(1, Ordering::SeqCst);
-        shared.conns_opened.fetch_add(1, Ordering::Relaxed);
+        counters.open_connections.fetch_add(1, Ordering::SeqCst);
+        counters.conns_opened.fetch_add(1, Ordering::Relaxed);
         let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
             lock_recover(&shared.conns).insert(conn_id, clone);
@@ -458,7 +420,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                         handle_connection(&shared, stream)
                     }));
                     lock_recover(&shared.conns).remove(&conn_id);
-                    shared.conn_count.fetch_sub(1, Ordering::SeqCst);
+                    let open = &shared.telemetry.counters.open_connections;
+                    open.fetch_sub(1, Ordering::SeqCst);
                 })
         };
         match handler {
@@ -474,7 +437,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             }
             Err(_) => {
                 lock_recover(&shared.conns).remove(&conn_id);
-                shared.conn_count.fetch_sub(1, Ordering::SeqCst);
+                counters.open_connections.fetch_sub(1, Ordering::SeqCst);
             }
         }
     }
@@ -490,7 +453,8 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                 // The peer stalled mid-frame past the socket timeout: shed
                 // the connection so its cap slot frees, telling the peer
                 // why on the off chance it is still reading.
-                shared.io_timeouts.fetch_add(1, Ordering::Relaxed);
+                let counters = &shared.telemetry.counters;
+                counters.io_timeouts.fetch_add(1, Ordering::Relaxed);
                 let _ = write_frame(
                     &mut stream,
                     &Response::error(
@@ -560,7 +524,8 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                 );
             } else if crate::protocol::is_timeout(&e) {
                 // The peer stopped draining our response.
-                shared.io_timeouts.fetch_add(1, Ordering::Relaxed);
+                let counters = &shared.telemetry.counters;
+                counters.io_timeouts.fetch_add(1, Ordering::Relaxed);
             }
             return;
         }
@@ -570,9 +535,9 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
         // boundary instead (so their counts match the request counters);
         // other kinds are recorded here, covering every request.
         let total = received.elapsed();
-        if telemetry::request_kind_index(kind) >= 2 {
-            shared.telemetry.request_e2e[telemetry::request_kind_index(kind)]
-                .record_duration(total);
+        let kind_index = label_index(&REQUEST_KINDS, kind);
+        if kind_index >= 2 {
+            shared.telemetry.hist.request_e2e[kind_index].record_duration(total);
         }
         shared
             .telemetry
@@ -840,10 +805,13 @@ fn submit_and_wait(
     received: Instant,
     request_id: u64,
 ) -> Response {
-    let kind_index = telemetry::request_kind_index(match call {
-        Call::Eval(_) => "eval",
-        Call::LinRegions(_) => "lin_regions",
-    });
+    let kind_index = label_index(
+        &REQUEST_KINDS,
+        match call {
+            Call::Eval(_) => "eval",
+            Call::LinRegions(_) => "lin_regions",
+        },
+    );
     let budget = Duration::from_millis(
         deadline_ms
             .unwrap_or(shared.config.default_deadline_ms)
@@ -865,7 +833,7 @@ fn submit_and_wait(
     // what keeps `prdnn_request_seconds_count{kind="eval"}` equal to
     // `prdnn_eval_requests_total` at quiesce (shed/invalid requests never
     // reach either).
-    shared.telemetry.request_e2e[kind_index].record_duration(received.elapsed());
+    shared.telemetry.hist.request_e2e[kind_index].record_duration(received.elapsed());
     match reply {
         Ok(Ok(ReplyData::Outputs(outputs))) => Response::Outputs(outputs),
         Ok(Ok(ReplyData::Regions(regions))) => Response::Regions(

@@ -30,7 +30,7 @@
 //! discipline (odd = write in progress) so a reader never observes a torn
 //! span; a span overwritten mid-read is simply skipped.
 
-use crate::protocol::ServerStats;
+use crate::metrics::{self, Counters, Histograms, ServerStats};
 use serde::json::Value;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -50,15 +50,6 @@ pub const N_BUCKETS: usize = SUB_COUNT + OCTAVES * SUB_COUNT;
 pub const MAX_TRACKED: u64 = (1u64 << (SUB_BITS + OCTAVES as u32)) - 1;
 /// Independent recording shards per histogram.
 pub const N_SHARDS: usize = 8;
-
-/// One exported histogram family:
-/// `(family name, help, unit is seconds, [(label or "", histogram)])`.
-type Family<'a> = (
-    &'static str,
-    &'static str,
-    bool,
-    Vec<(String, &'a Histogram)>,
-);
 
 /// Retained slow-request traces (older entries are evicted FIFO).
 const SLOW_LOG_CAP: usize = 64;
@@ -236,7 +227,8 @@ pub enum Stage {
     Cache,
     /// Wait in the repair job queue from submit to worker pop.
     JobQueue,
-    /// The LP repair solve (`repair_points` on the worker).
+    /// The repair on the worker (`repair_points_ddnn_in`: Jacobians, LP
+    /// build and solve, and applying the delta).
     LpSolve,
     /// WAL append + fsync for a publish triggered by this request.
     WalAppend,
@@ -431,17 +423,6 @@ pub struct SlowTrace {
     pub spans: Vec<Span>,
 }
 
-/// Request kinds tracked by the end-to-end latency histogram family.
-pub const REQUEST_KINDS: [&str; 4] = ["eval", "lin_regions", "repair", "other"];
-
-/// Index into [`REQUEST_KINDS`] / `Telemetry::request_e2e`.
-pub fn request_kind_index(kind: &str) -> usize {
-    REQUEST_KINDS
-        .iter()
-        .position(|k| *k == kind)
-        .unwrap_or(REQUEST_KINDS.len() - 1)
-}
-
 thread_local! {
     /// The request id the current thread is working on (0 = none).
     /// Lets deep layers (WAL appends under `ModelStore`) attribute spans
@@ -472,21 +453,16 @@ pub fn current_request() -> u64 {
     CURRENT_REQUEST.with(|c| c.get())
 }
 
-/// All serve-stack telemetry: stage histograms, the span ring, and the
-/// retained slow-log. One per server; shared via `Arc` by every layer.
+/// All serve-stack telemetry: the registry's counters and stage
+/// histograms (see [`crate::metrics`]), the span ring, and the retained
+/// slow-log. One per server; shared via `Arc` by every layer.
 pub struct Telemetry {
     epoch: Instant,
     slow_threshold_us: u64,
-    /// End-to-end latency per request kind, indexed by [`REQUEST_KINDS`].
-    pub request_e2e: [Histogram; 4],
-    pub batch_queue_wait: Histogram,
-    pub batch_exec: Histogram,
-    pub gulp_size: Histogram,
-    pub job_queue_wait: Histogram,
-    pub lp_solve: Histogram,
-    pub wal_fsync: Histogram,
-    pub cache_hit_service: Histogram,
-    pub cache_miss_service: Histogram,
+    /// The shared counter block.
+    pub counters: Arc<Counters>,
+    /// The stage histograms.
+    pub hist: Histograms,
     ring: SpanRing,
     slow: Mutex<VecDeque<SlowTrace>>,
 }
@@ -498,20 +474,8 @@ impl Telemetry {
         Arc::new(Telemetry {
             epoch: Instant::now(),
             slow_threshold_us: slow_ms.saturating_mul(1000),
-            request_e2e: [
-                Histogram::new(),
-                Histogram::new(),
-                Histogram::new(),
-                Histogram::new(),
-            ],
-            batch_queue_wait: Histogram::new(),
-            batch_exec: Histogram::new(),
-            gulp_size: Histogram::new(),
-            job_queue_wait: Histogram::new(),
-            lp_solve: Histogram::new(),
-            wal_fsync: Histogram::new(),
-            cache_hit_service: Histogram::new(),
-            cache_miss_service: Histogram::new(),
+            counters: Arc::default(),
+            hist: Histograms::default(),
             ring: SpanRing::new(SPAN_RING_CAP),
             slow: Mutex::new(VecDeque::new()),
         })
@@ -627,148 +591,10 @@ impl Telemetry {
         )
     }
 
-    /// Every exported histogram family:
-    /// `(family name, help, unit is seconds, [(label or "", histogram)])`.
-    fn families(&self) -> Vec<Family<'_>> {
-        vec![
-            (
-                "prdnn_request_seconds",
-                "End-to-end server time per request, by request kind.",
-                true,
-                REQUEST_KINDS
-                    .iter()
-                    .zip(&self.request_e2e)
-                    .map(|(k, h)| (format!("kind=\"{k}\""), h))
-                    .collect(),
-            ),
-            (
-                "prdnn_batch_queue_wait_seconds",
-                "Time a batched call waited in the batcher queue before its gulp.",
-                true,
-                vec![(String::new(), &self.batch_queue_wait)],
-            ),
-            (
-                "prdnn_batch_exec_seconds",
-                "Pool execution time of one (is_eval, version) batch group.",
-                true,
-                vec![(String::new(), &self.batch_exec)],
-            ),
-            (
-                "prdnn_gulp_size",
-                "Queued calls taken per batcher gulp.",
-                false,
-                vec![(String::new(), &self.gulp_size)],
-            ),
-            (
-                "prdnn_job_queue_wait_seconds",
-                "Time a repair job waited in the job queue before a worker picked it up.",
-                true,
-                vec![(String::new(), &self.job_queue_wait)],
-            ),
-            (
-                "prdnn_lp_solve_seconds",
-                "LP repair solve time per job attempt.",
-                true,
-                vec![(String::new(), &self.lp_solve)],
-            ),
-            (
-                "prdnn_wal_fsync_seconds",
-                "WAL append + fsync time per appended version record.",
-                true,
-                vec![(String::new(), &self.wal_fsync)],
-            ),
-            (
-                "prdnn_cache_service_seconds",
-                "Submit-to-reply service time of batched calls, by cache result.",
-                true,
-                vec![
-                    ("result=\"hit\"".to_owned(), &self.cache_hit_service),
-                    ("result=\"miss\"".to_owned(), &self.cache_miss_service),
-                ],
-            ),
-        ]
-    }
-
-    /// Renders every histogram family in Prometheus text exposition
-    /// format. Only non-empty buckets are emitted (cumulative counts at
-    /// their upper bounds, plus the mandatory `+Inf`), keeping scrapes
-    /// proportional to occupied resolution rather than 1056 lines per
-    /// family.
-    pub fn render_histograms(&self, out: &mut String) {
-        use std::fmt::Write;
-        for (name, help, seconds, series) in self.families() {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            for (labels, hist) in series {
-                let snap = hist.snapshot();
-                let mut cum = 0u64;
-                for (i, b) in snap.buckets.iter().enumerate() {
-                    if *b == 0 {
-                        continue;
-                    }
-                    cum += b;
-                    let upper = bucket_upper(i);
-                    let le = if seconds {
-                        format!("{}", upper as f64 / 1e6)
-                    } else {
-                        format!("{upper}")
-                    };
-                    let _ = if labels.is_empty() {
-                        writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cum}")
-                    } else {
-                        writeln!(out, "{name}_bucket{{{labels},le=\"{le}\"}} {cum}")
-                    };
-                }
-                let (lb, rb) = if labels.is_empty() {
-                    ("{".to_owned(), "}".to_owned())
-                } else {
-                    (format!("{{{labels},"), "}".to_owned())
-                };
-                let _ = writeln!(out, "{name}_bucket{lb}le=\"+Inf\"{rb} {}", snap.count);
-                let sum = if seconds {
-                    format!("{}", snap.sum as f64 / 1e6)
-                } else {
-                    format!("{}", snap.sum)
-                };
-                let suffix = if labels.is_empty() {
-                    String::new()
-                } else {
-                    format!("{{{labels}}}")
-                };
-                let _ = writeln!(out, "{name}_sum{suffix} {sum}");
-                let _ = writeln!(out, "{name}_count{suffix} {}", snap.count);
-            }
-        }
-    }
-
-    /// Renders process-level info: build version and uptime.
-    pub fn render_process_metrics(&self, out: &mut String) {
-        use std::fmt::Write;
-        let _ = writeln!(
-            out,
-            "# HELP prdnn_build_info Constant 1, labeled with the server build version."
-        );
-        let _ = writeln!(out, "# TYPE prdnn_build_info gauge");
-        let _ = writeln!(
-            out,
-            "prdnn_build_info{{version=\"{}\"}} 1",
-            env!("CARGO_PKG_VERSION")
-        );
-        let _ = writeln!(
-            out,
-            "# HELP prdnn_uptime_seconds Seconds since the server started."
-        );
-        let _ = writeln!(out, "# TYPE prdnn_uptime_seconds gauge");
-        let _ = writeln!(out, "prdnn_uptime_seconds {}", self.uptime_seconds());
-    }
-
-    /// The full `metrics` exposition: counters + gauges from `stats`,
-    /// histogram families, and process info.
+    /// The full `metrics` exposition for a snapshot of the counters (see
+    /// [`metrics::exposition`]).
     pub fn render_prometheus(&self, stats: &ServerStats) -> String {
-        let mut out = stats.to_prometheus();
-        self.render_histograms(&mut out);
-        self.render_process_metrics(&mut out);
-        out
+        metrics::exposition(stats, &self.hist, self.uptime_seconds())
     }
 }
 
@@ -913,8 +739,8 @@ mod tests {
         t.span(9, Stage::Request, Instant::now(), Outcome::Ok);
         t.maybe_promote(9, "eval", Duration::from_secs(10));
         assert!(t.slow_traces().is_empty());
-        t.request_e2e[0].record(100);
-        assert_eq!(t.request_e2e[0].snapshot().count, 1);
+        t.hist.request_e2e[0].record(100);
+        assert_eq!(t.hist.request_e2e[0].snapshot().count, 1);
     }
 
     #[test]

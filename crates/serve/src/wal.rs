@@ -631,7 +631,7 @@ impl VersionLog for WalLog {
         }
         if let Some(t) = self.telemetry.get() {
             let took = start.elapsed();
-            t.wal_fsync.record_duration(took);
+            t.hist.wal_fsync.record_duration(took);
             t.span_at(
                 telemetry::current_request(),
                 Stage::WalAppend,

@@ -132,6 +132,17 @@ fn request() -> impl Strategy<Value = Request> {
         name().prop_map(|n| Request::ListVersions { name: n }),
         Just(Request::Stats),
         Just(Request::Shutdown),
+        (name(), wire_f64()).prop_map(|(n, w)| Request::LoadNetwork {
+            name: n.clone(),
+            // Any JSON document rides this field; the codec passes it
+            // through untouched.
+            network: serde::json::Value::obj([
+                ("layers", serde::json::Value::num_array(&[w, -w])),
+                ("kind", serde::json::Value::Str(n)),
+            ]),
+        }),
+        Just(Request::Metrics),
+        Just(Request::Trace),
     ]
 }
 
@@ -283,6 +294,15 @@ fn response() -> impl Strategy<Value = Response> {
         network,
         Just(Response::ShuttingDown),
         error,
+        name().prop_map(|text| Response::Metrics { text }),
+        (0u64..1000, wire_f64()).prop_map(|(id, ms)| Response::Trace {
+            slow: serde::json::Value::Arr(vec![serde::json::Value::obj([
+                ("request_id", serde::json::Value::Num(id as f64)),
+                ("kind", serde::json::Value::Str("eval".to_owned())),
+                ("total_ms", serde::json::Value::Num(ms.abs())),
+                ("spans", serde::json::Value::Arr(vec![])),
+            ])]),
+        }),
     ]
 }
 
