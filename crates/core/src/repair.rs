@@ -28,18 +28,21 @@ pub struct RepairConfig {
     pub param_bound: Option<f64>,
     /// Iteration limit handed to the simplex solver.
     pub max_lp_iterations: usize,
-    /// Which simplex backend solves the repair LP.  The default (`Auto`)
-    /// routes the wide, block-sparse LPs this encoding produces to the
-    /// sparse revised simplex and small ones to the dense tableau.
+    /// Which simplex backend solves the repair LP.  Every repair LP
+    /// minimises a norm over inequality rows, so under the default (`Auto`)
+    /// and under `RevisedSparse` it is solved by the dual simplex from the
+    /// slack basis; only `DenseTableau` pins the flat tableau.  The primal
+    /// backends still take an LP on which the dual breaks down.
     pub lp_backend: LpBackend,
-    /// Entering-column pricing rule for the revised simplex backend.
+    /// Entering-column pricing rule for the primal revised simplex backend.
     ///
-    /// Precedence mirrors `threads`: an explicit `Dantzig`/`Devex` wins
-    /// over the `PRDNN_LP_PRICING` environment variable (the bench
+    /// It no longer affects any repair LP, since the dual simplex solves
+    /// them all; only an LP on which the dual breaks down reaches the
+    /// primal revised backend.  Deleting it (with `lp_backend`) is ROADMAP
+    /// item 4.  Precedence mirrors `threads`: an explicit `Dantzig`/`Devex`
+    /// wins over the `PRDNN_LP_PRICING` environment variable (the bench
     /// binaries' `--pricing` flag sets it); `Auto` defers to the variable
-    /// and then to Devex.  The pricing rule only affects which optimal
-    /// vertex the LP walk visits and how fast — repair feasibility, the
-    /// minimal norm, and the guarantees are identical for every setting.
+    /// and then to Devex.
     pub lp_pricing: PricingRule,
     /// Thread count for the parallel hot paths (`LinRegions` and the
     /// per-key-point Jacobians).

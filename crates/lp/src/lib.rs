@@ -7,20 +7,24 @@
 //!
 //! * [`LpProblem`] — a small modelling layer: free or non-negative variables,
 //!   `≤` / `≥` / `=` constraints, linear or norm-minimisation objectives.
-//! * [`solve`] — a two-phase simplex solve that returns an optimal
-//!   solution, or reports that the program is [infeasible](LpError::Infeasible)
-//!   (the paper's `⊥`: no single-layer repair exists) or unbounded.
+//! * [`solve`] — a simplex solve that returns an optimal solution, or
+//!   reports that the program is [infeasible](LpError::Infeasible) (the
+//!   paper's `⊥`: no single-layer repair exists) or unbounded.
 //!
-//! Two backends implement the simplex method: a sparse *revised* simplex
-//! with a Markowitz-ordered LU-factorised, eta-updated basis (the default
-//! for the wide, block-sparse repair LPs) and the dense flat-tableau solver
-//! it superseded (kept as the small-problem fallback and
-//! differential-testing oracle).  The revised backend prices entering
-//! columns with Devex reference weights over a partial-pricing candidate
-//! list by default; [`PricingRule`] pins Dantzig or Devex explicitly (or
-//! via the `PRDNN_LP_PRICING` environment variable).
-//! [`SolveOptions`]/[`LpBackend`] select explicitly; [`solve`] picks
-//! automatically per problem.
+//! Every repair LP minimises a norm over inequality rows, so its all-slack
+//! basis is dual feasible, and a *dual simplex* started there solves it
+//! with no phase 1, pivoting only on the rows the unrepaired network
+//! violates.  It shares the sparse revised machinery — a Markowitz-ordered
+//! LU-factorised, eta-updated basis over CSR/CSC columns — with the
+//! two-phase primal *revised* simplex, which takes every other program
+//! (negative costs, equality rows) and any program the dual breaks down
+//! on.  The dense flat-tableau two-phase simplex is the primal backend's
+//! own numerical fallback and the differential-testing oracle.  The primal
+//! revised backend prices entering columns with Devex reference weights
+//! over a partial-pricing candidate list by default; [`PricingRule`] pins
+//! Dantzig or Devex explicitly (or via the `PRDNN_LP_PRICING` environment
+//! variable).  [`SolveOptions`]/[`LpBackend`] select explicitly; [`solve`]
+//! picks automatically per problem.
 //!
 //! # Example
 //!
@@ -43,6 +47,7 @@
 //! ```
 
 mod basis;
+mod dual;
 mod problem;
 mod revised;
 mod simplex;

@@ -14,9 +14,12 @@
 //!    values; the pivot itself becomes one product-form eta.
 //!
 //! Per-iteration cost is `O(nnz + m²)` instead of `O(m·n)`, which is the
-//! win on the paper's wide repair LPs (`n ≫ m`, block-sparse rows — one
-//! block per key point).  Tolerances and phase structure mirror the dense
-//! oracle so the two backends classify problems identically.
+//! win on wide, block-sparse programs (`n ≫ m`).  Tolerances and phase
+//! structure mirror the dense oracle so the two backends classify problems
+//! identically.  The repair LPs themselves go to the dual simplex
+//! ([`crate::dual`]), which shares this module's basis machinery; this
+//! primal backend takes the programs whose slack basis is not dual
+//! feasible, and any the dual breaks down on.
 //!
 //! # Pricing rules
 //!
@@ -25,7 +28,7 @@
 //! * **Dantzig** — full pricing, most negative reduced cost.  One sparse
 //!   dot per nonbasic column per pivot; simple, and the historical
 //!   behaviour of this backend.
-//! * **Devex** ([`Pricing::Devex`], the default for the wide repair LPs) —
+//! * **Devex** ([`Pricing::Devex`], the default) —
 //!   reference-framework Devex weights (Forrest–Goldfarb) combined with
 //!   *candidate-list partial pricing* in the major/minor ("multiple
 //!   pricing") style: a major full scan keeps the best few dozen improving
@@ -53,8 +56,9 @@ use crate::simplex::{
 };
 use crate::sparse::{CscMatrix, SparseStandardForm};
 
-/// Consecutive degenerate pivots before switching to Bland's rule.
-const BLAND_THRESHOLD: usize = 40;
+/// Consecutive degenerate pivots before switching to Bland's rule (the
+/// dual simplex uses the same streak for its smallest-index fallback).
+pub(crate) const BLAND_THRESHOLD: usize = 40;
 
 /// Candidate-list size kept by a Devex major pricing scan (the best K
 /// improving columns by Devex score); minor iterations re-price only these.
@@ -100,7 +104,7 @@ pub(crate) struct RevisedStats {
 
 /// Columns of the phase-1 working matrix `[A | I_artificials]` without ever
 /// materialising the artificial block.
-struct ColumnSource<'a> {
+pub(crate) struct ColumnSource<'a> {
     csc: &'a CscMatrix,
     /// Row of the unit entry of each artificial column, in column order.
     artificial_rows: &'a [usize],
@@ -108,7 +112,16 @@ struct ColumnSource<'a> {
     n: usize,
 }
 
-impl ColumnSource<'_> {
+impl<'a> ColumnSource<'a> {
+    /// The structural columns alone (no artificials).
+    pub(crate) fn structural(csc: &'a CscMatrix) -> Self {
+        ColumnSource {
+            csc,
+            artificial_rows: &[],
+            n: csc.ncols(),
+        }
+    }
+
     fn dot(&self, j: usize, y: &[f64]) -> f64 {
         if j < self.n {
             self.csc.col_dot(j, y)
@@ -129,7 +142,7 @@ impl ColumnSource<'_> {
 
 /// Rebuilds the dense basis matrix from the current basic column set and
 /// factorises it.  `None` signals numerical breakdown (singular basis).
-fn refactorize(cols: &ColumnSource<'_>, basis_cols: &[usize]) -> Option<Basis> {
+pub(crate) fn refactorize(cols: &ColumnSource<'_>, basis_cols: &[usize]) -> Option<Basis> {
     let m = basis_cols.len();
     let mut mat = vec![0.0; m * m];
     let mut col_buf = vec![0.0; m];

@@ -50,12 +50,13 @@ pub(crate) fn solve_unconstrained(n: usize, c: &[f64]) -> SimplexOutcome {
     }
 }
 
-/// The ready-basis scan shared by both backends: a column usable as an
-/// initial basic variable for its row must be a singleton with coefficient
-/// (approximately) `+1` and (tolerance-consistent) zero cost — the slack
-/// columns the standard-form conversion arranges.  Rows left `None` need an
-/// artificial variable.  `entries` yields every stored `(row, col, value)`
-/// of the constraint matrix, in any order.
+/// The ready-basis scan shared by both primal backends: a column usable as
+/// an initial basic variable for its row must be a singleton with
+/// coefficient (approximately) `+1` and (tolerance-consistent) zero cost —
+/// the slack columns the standard-form conversion arranges.  Rows left
+/// `None` need an artificial variable.  `entries` yields every stored
+/// `(row, col, value)` of the constraint matrix, in any order.  The dual
+/// simplex runs the same scan on the absolute values.
 ///
 /// Both backends *must* seed identically for the differential tests'
 /// "identical classification" guarantee to hold, which is why this lives in

@@ -2,25 +2,36 @@
 //!
 //! The conversion produces a *sparse* standard form straight from the
 //! (already sparse) modelling constraints; the solver then routes it to one
-//! of two simplex backends:
+//! of three simplex implementations:
 //!
-//! * [`LpBackend::RevisedSparse`] — the revised simplex over CSR/CSC
-//!   columns with a Markowitz-ordered LU-factorised, eta-updated basis
-//!   ([`crate::revised`]).  `O(nnz + m²)` per pivot; the default for the
-//!   wide, block-sparse repair LPs.  [`PricingRule`] picks its
-//!   entering-column rule (Devex partial pricing by default).
+//! * the dual simplex ([`crate::dual`]) from the all-slack basis, for every
+//!   program where that basis is dual feasible: every cost `≥ 0` and a
+//!   singleton ±1 zero-cost column in every row.  Every ℓ1 and ℓ∞ repair
+//!   LP qualifies, with or without `param_bound` boxes.  No phase 1, and
+//!   it pivots only on violated rows.
+//! * [`LpBackend::RevisedSparse`] — the two-phase primal revised simplex
+//!   over CSR/CSC columns with a Markowitz-ordered LU-factorised,
+//!   eta-updated basis ([`crate::revised`]).  `O(nnz + m²)` per pivot.
+//!   [`PricingRule`] picks its entering-column rule (Devex partial pricing
+//!   by default).
 //! * [`LpBackend::DenseTableau`] — the flat-tableau two-phase simplex
 //!   ([`crate::simplex`]).  `O(m·n)` per pivot but with a small constant;
 //!   kept as the small-problem fallback and as the differential-testing
-//!   oracle for the revised backend.
+//!   oracle for the other two.
 //!
-//! [`LpBackend::Auto`] (the default used by [`solve`] / [`solve_with_limit`])
-//! compares the estimated per-pivot work of the two backends — `m·n` cells
-//! for the tableau against `nnz + 2m²` for pricing plus the BTRAN/FTRAN
-//! triangular solves — and picks the cheaper one.  If the revised backend
-//! ever hits a numerical breakdown (singular basis refactorisation), the
-//! solve transparently re-runs on the dense oracle.
+//! Under [`LpBackend::Auto`] (the default used by [`solve`] /
+//! [`solve_with_limit`]) and [`LpBackend::RevisedSparse`] alike, a program
+//! with a dual-feasible slack basis goes to the dual; only an explicit
+//! `DenseTableau` bypasses it.  Every other program, and one on which the
+//! dual breaks down numerically, takes the primal path: `RevisedSparse`
+//! runs the primal revised backend, and `Auto` compares the estimated
+//! per-pivot work of the two primal backends — `m·n` cells for the tableau
+//! against `nnz + 2m²` for pricing plus the BTRAN/FTRAN triangular solves —
+//! and picks the cheaper one.  If the primal revised backend hits a
+//! numerical breakdown (singular basis refactorisation), the solve
+//! transparently re-runs on the dense oracle.
 
+use crate::dual;
 use crate::problem::{ConstraintOp, LpProblem, Objective, VarKind};
 use crate::revised::{solve_standard_sparse_with_stats, Pricing, RevisedStats};
 use crate::simplex::{solve_standard, SimplexOutcome};
@@ -38,22 +49,38 @@ pub struct Solution {
 
 /// Work counters from one solve, surfaced by [`solve_with_stats`].
 ///
-/// Both backends fill the counters.  The dense tableau counts every pivot
-/// (phase 1, driving artificials out, phase 2) and never refactorises,
-/// since it keeps no factorised basis; after a numerical breakdown of the
-/// revised backend, the dense fallback's counts are reported.  ℓ∞
-/// objectives are lowered to a single augmented solve, whose counters carry
-/// through unchanged.
+/// Every backend fills the counters.  The dual simplex counts its pivots,
+/// its dual-degenerate ones and those under its smallest-index fallback.
+/// The dense tableau counts every pivot (phase 1, driving artificials out,
+/// phase 2) and never refactorises, since it keeps no factorised basis.
+/// When one backend breaks down numerically and another takes over, the
+/// counters of both attempts are summed, except that a breakdown of the
+/// primal revised backend reports only the dense fallback's counts.  ℓ∞
+/// objectives are lowered to a single augmented solve, whose counters
+/// carry through unchanged.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LpStats {
     /// Total simplex pivots across both phases.
     pub pivots: u64,
-    /// Pivots taken under the Bland anti-cycling fallback.
+    /// Pivots taken under the smallest-index (Bland) anti-cycling fallback.
     pub bland_pivots: u64,
     /// Mid-solve basis refactorisations.
     pub refactorizations: u64,
-    /// Degenerate (zero-step) pivots.
+    /// Degenerate (zero-step) pivots: no primal step in the primal
+    /// backends, no dual step in the dual simplex.
     pub degenerate_pivots: u64,
+}
+
+impl LpStats {
+    /// The counters of two attempts at one solve, summed.
+    fn plus(self, other: LpStats) -> LpStats {
+        LpStats {
+            pivots: self.pivots + other.pivots,
+            bland_pivots: self.bland_pivots + other.bland_pivots,
+            refactorizations: self.refactorizations + other.refactorizations,
+            degenerate_pivots: self.degenerate_pivots + other.degenerate_pivots,
+        }
+    }
 }
 
 impl From<RevisedStats> for LpStats {
@@ -75,14 +102,17 @@ pub enum LpBackend {
     Auto,
     /// Always use the dense flat-tableau simplex.
     DenseTableau,
-    /// Always use the sparse revised simplex (falls back to the dense
-    /// tableau on numerical breakdown).
+    /// Always use the sparse revised machinery: the dual simplex when the
+    /// slack basis is dual feasible, the primal revised simplex otherwise
+    /// (falling back to the dense tableau on numerical breakdown).
     RevisedSparse,
 }
 
-/// Entering-column pricing rule for the revised simplex backend (the dense
-/// tableau always full-prices its reduced-cost row; both rules fall back to
-/// Bland's anti-cycling rule on degenerate stalls).
+/// Entering-column pricing rule for the primal revised simplex backend (the
+/// dense tableau always full-prices its reduced-cost row, and the dual
+/// simplex, which solves every program with a dual-feasible slack basis,
+/// always uses dual steepest edge; both rules fall back to Bland's
+/// anti-cycling rule on degenerate stalls).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PricingRule {
     /// Resolve from the `PRDNN_LP_PRICING` environment variable (`dantzig`
@@ -153,7 +183,7 @@ pub struct SolveOptions {
     pub backend: LpBackend,
     /// Simplex iteration budget (shared across both phases).
     pub max_iters: usize,
-    /// Entering-column pricing rule for the revised backend.
+    /// Entering-column pricing rule for the primal revised backend.
     pub pricing: PricingRule,
 }
 
@@ -218,8 +248,18 @@ pub fn solve_with_stats(
     problem: &LpProblem,
     options: &SolveOptions,
 ) -> Result<(Solution, LpStats), LpError> {
-    // ℓ∞ objectives are lowered to a plain linear objective over an
-    // augmented problem with one extra bound variable `t ≥ |x_i|`.
+    solve_via(problem, &mut |sf| route(sf, options))
+}
+
+/// Lowers `problem` to sparse standard form, solves that with `engine`, and
+/// maps the outcome back to the modelling variables.
+///
+/// ℓ∞ objectives are first lowered to a plain linear objective over an
+/// augmented problem with one extra bound variable `t ≥ |x_i|`.
+pub(crate) fn solve_via(
+    problem: &LpProblem,
+    engine: &mut dyn FnMut(&SparseStandardForm) -> (SimplexOutcome, LpStats),
+) -> Result<(Solution, LpStats), LpError> {
     if let Objective::MinimizeLinf(vars) = &problem.objective {
         let mut augmented = problem.clone();
         let t = augmented.add_var(VarKind::NonNegative);
@@ -228,7 +268,7 @@ pub fn solve_with_stats(
             augmented.add_constraint(&[(*v, -1.0), (t, -1.0)], ConstraintOp::Le, 0.0);
         }
         augmented.set_objective_linear(&[(t, 1.0)]);
-        let (mut solution, stats) = solve_with_stats(&augmented, options)?;
+        let (mut solution, stats) = solve_via(&augmented, engine)?;
         let objective = solution.values[t.index()];
         solution.values.truncate(problem.num_vars());
         return Ok((
@@ -241,20 +281,7 @@ pub fn solve_with_stats(
     }
 
     let (sf, mapping) = to_standard_form(problem);
-    let use_revised = match options.backend {
-        LpBackend::DenseTableau => false,
-        LpBackend::RevisedSparse => true,
-        LpBackend::Auto => auto_prefers_revised(&sf),
-    };
-    let (outcome, stats) = if use_revised {
-        // `None` is a numerical breakdown in the revised backend; the dense
-        // tableau is the robust fallback, and its counts are reported.
-        solve_standard_sparse_with_stats(&sf, options.max_iters, options.pricing.resolve())
-            .map(|(outcome, stats)| (outcome, LpStats::from(stats)))
-            .unwrap_or_else(|| solve_standard(&sf.to_dense(), options.max_iters))
-    } else {
-        solve_standard(&sf.to_dense(), options.max_iters)
-    };
+    let (outcome, stats) = engine(&sf);
     match outcome {
         SimplexOutcome::Optimal { x, objective } => {
             let values = mapping.recover(problem, &x);
@@ -264,6 +291,42 @@ pub fn solve_with_stats(
         SimplexOutcome::Unbounded => Err(LpError::Unbounded),
         SimplexOutcome::IterationLimit => Err(LpError::IterationLimit),
     }
+}
+
+/// The backend policy on one standard-form program.
+///
+/// Unless the dense tableau is requested explicitly, a program whose
+/// all-slack basis is dual feasible goes to the dual simplex.  Every other
+/// program, and one on which the dual breaks down numerically, takes the
+/// primal path: the revised backend (under `Auto`, only when
+/// [`auto_prefers_revised`]), which itself falls back to the dense tableau
+/// on a breakdown.  A broken-down dual's counters are added to the primal
+/// path's.
+fn route(sf: &SparseStandardForm, options: &SolveOptions) -> (SimplexOutcome, LpStats) {
+    let mut spent = LpStats::default();
+    if options.backend != LpBackend::DenseTableau {
+        if let Some(slacks) = dual::dual_feasible_slack_basis(sf) {
+            match dual::solve(sf, slacks, options.max_iters) {
+                Ok((outcome, stats)) => return (outcome, stats.into()),
+                Err(stats) => spent = stats.into(),
+            }
+        }
+    }
+    let use_revised = match options.backend {
+        LpBackend::DenseTableau => false,
+        LpBackend::RevisedSparse => true,
+        LpBackend::Auto => auto_prefers_revised(sf),
+    };
+    let (outcome, stats) = if use_revised {
+        // `None` is a numerical breakdown in the revised backend; the dense
+        // tableau is the robust fallback, and its counts are reported.
+        solve_standard_sparse_with_stats(sf, options.max_iters, options.pricing.resolve())
+            .map(|(outcome, stats)| (outcome, LpStats::from(stats)))
+            .unwrap_or_else(|| solve_standard(&sf.to_dense(), options.max_iters))
+    } else {
+        solve_standard(&sf.to_dense(), options.max_iters)
+    };
+    (outcome, stats.plus(spent))
 }
 
 /// `Auto` policy: estimated per-pivot work of the revised backend
@@ -282,7 +345,7 @@ fn auto_prefers_revised(sf: &SparseStandardForm) -> bool {
 }
 
 /// How each problem variable maps onto standard-form columns.
-struct VarMapping {
+pub(crate) struct VarMapping {
     /// `(positive_col, Option<negative_col>)` per problem variable; free
     /// variables are split `x = x⁺ − x⁻`.
     cols: Vec<(usize, Option<usize>)>,
@@ -300,7 +363,7 @@ impl VarMapping {
 }
 
 /// Converts a modelling-form problem into sparse standard simplex form.
-fn to_standard_form(problem: &LpProblem) -> (SparseStandardForm, VarMapping) {
+pub(crate) fn to_standard_form(problem: &LpProblem) -> (SparseStandardForm, VarMapping) {
     // Assign columns to variables.
     let mut cols: Vec<(usize, Option<usize>)> = Vec::with_capacity(problem.num_vars());
     let mut next = 0usize;
@@ -633,8 +696,48 @@ mod tests {
     }
 
     #[test]
+    fn dual_feasible_programs_take_the_dual_unless_dense_is_pinned() {
+        // A chain of 8 rows, all violated at the origin, with an ℓ1
+        // objective.  The dual fixes two rows per pivot; the two-phase
+        // tableau starts with an artificial on every row.
+        let mut lp = LpProblem::new();
+        let x = lp.add_vars(9, VarKind::Free);
+        for i in 0..8 {
+            let rhs = 1.0 + i as f64 * 0.1;
+            lp.add_constraint(&[(x[i], 1.0), (x[i + 1], 1.0)], ConstraintOp::Ge, rhs);
+        }
+        lp.minimize_l1_of(&x);
+        let (_, dual_stats) = solve_via(&lp, &mut |sf| {
+            let slacks = dual::dual_feasible_slack_basis(sf).expect("dual feasible");
+            let (outcome, stats) =
+                dual::solve(sf, slacks, DEFAULT_MAX_ITERS).expect("no breakdown");
+            (outcome, stats.into())
+        })
+        .unwrap();
+        assert_eq!(dual_stats.pivots, 4, "{dual_stats:?}");
+        for backend in [LpBackend::Auto, LpBackend::RevisedSparse] {
+            let options = SolveOptions {
+                backend,
+                ..SolveOptions::default()
+            };
+            let (solution, stats) = solve_with_stats(&lp, &options).unwrap();
+            assert_eq!(stats, dual_stats, "{backend:?}");
+            assert!((solution.objective - 5.6).abs() < 1e-9);
+        }
+        let dense = SolveOptions {
+            backend: LpBackend::DenseTableau,
+            ..SolveOptions::default()
+        };
+        let (solution, stats) = solve_with_stats(&lp, &dense).unwrap();
+        assert!(stats.pivots >= 8, "{stats:?}");
+        assert!((solution.objective - 5.6).abs() < 1e-9);
+    }
+
+    #[test]
     fn solve_with_stats_counts_pivots_on_both_backends() {
-        // A wide block-sparse program the revised backend must pivot on.
+        // A wide block-sparse program with every row violated at the
+        // origin: its slack basis is dual feasible, so the revised backend
+        // solves it with the dual simplex, one pivot per violated row.
         let mut wide = LpProblem::new();
         let vars = wide.add_vars(128, VarKind::Free);
         for block in 0..16 {
@@ -648,7 +751,31 @@ mod tests {
         };
         let (solution, stats) = solve_with_stats(&wide, &revised).unwrap();
         assert!((solution.objective - 16.0).abs() < 1e-6);
-        assert!(stats.pivots > 0, "revised solve must report pivot work");
+        assert_eq!(stats.pivots, 16, "{stats:?}");
+
+        // The same rows satisfied at the origin: the slack basis is already
+        // optimal, and the dual reports no work.
+        let mut satisfied = LpProblem::new();
+        let vars = satisfied.add_vars(128, VarKind::Free);
+        for block in 0..16 {
+            let terms: Vec<_> = (0..8).map(|k| (vars[block * 8 + k], 1.0)).collect();
+            satisfied.add_constraint(&terms, ConstraintOp::Ge, -1.0);
+        }
+        satisfied.minimize_l1_of(&vars);
+        let (satisfied_solution, satisfied_stats) = solve_with_stats(&satisfied, &revised).unwrap();
+        assert_eq!(satisfied_solution.objective, 0.0);
+        assert_eq!(satisfied_stats, LpStats::default());
+
+        // A negative cost takes the primal revised path, which pivots too.
+        let mut primal = wide.clone();
+        let cost: Vec<_> = vars.iter().map(|&v| (v, -1.0)).collect();
+        primal.set_objective_linear(&cost);
+        for &v in &vars {
+            primal.add_constraint(&[(v, 1.0)], ConstraintOp::Le, 1.0);
+        }
+        let (primal_solution, primal_stats) = solve_with_stats(&primal, &revised).unwrap();
+        assert!((primal_solution.objective + 128.0).abs() < 1e-6);
+        assert!(primal_stats.pivots > 0, "{primal_stats:?}");
 
         // The dense tableau reaches the same optimum and counts its work:
         // each of the 16 `≥` rows starts on an artificial, which only a
@@ -679,9 +806,8 @@ mod tests {
         .unwrap();
         assert!((linf_solution.objective - 0.5).abs() < 1e-7);
         assert!(linf_stats.pivots > 0);
-        // `Auto` sends this small program to the dense tableau, whose
-        // pivots are reported too.
+        // `Auto` routes it to the dual as well, whatever its size.
         let (_, auto_stats) = solve_with_stats(&linf, &SolveOptions::default()).unwrap();
-        assert!(auto_stats.pivots > 0, "{auto_stats:?}");
+        assert_eq!(auto_stats, linf_stats);
     }
 }

@@ -2,11 +2,16 @@
 //! historically trip simplex implementations, pinned to terminate at the
 //! right answer under every backend × pricing combination.
 //!
-//! The Bland-fallback mechanics themselves (that a degenerate streak really
-//! switches the rule) are pinned by unit tests inside `revised.rs`, which
-//! can see the internal pivot counters; these integration tests pin the
-//! user-visible contract: degenerate programs terminate, classify
-//! correctly, and agree across configurations.
+//! Programs with a dual-feasible slack basis (every cost `≥ 0`, every row
+//! an inequality) take the dual simplex under both revised configurations,
+//! so the primal revised backend sees only the others here: the negative
+//! costs of Beale's example and the zero-RHS chain, and equality rows.
+//!
+//! The fallback mechanics themselves (that a degenerate streak really
+//! switches to the smallest-index rule) are pinned by unit tests inside
+//! `revised.rs` and `dual.rs`, which can see the internal pivot counters;
+//! these integration tests pin the user-visible contract: degenerate
+//! programs terminate, classify correctly, and agree across configurations.
 
 use prdnn_lp::{
     solve_with_options, ConstraintOp, LpBackend, LpProblem, PricingRule, SolveOptions, VarKind,
@@ -168,4 +173,56 @@ fn negative_rhs_fixtures_hold_under_all_configurations() {
     // a = -1.5 fixed; rows 1–2 only force b ≥ -0.5, so the ℓ1-minimal
     // choice is b = 0 and the objective is |a| = 1.5.
     assert!((objective - 1.5).abs() < 1e-7, "expected |a| = 1.5");
+}
+
+/// Lowered ℓ∞ prices every original column at zero (only the bound `t`
+/// costs), so the dual simplex starts fully dual-degenerate: every pivot
+/// until `t` enters is a zero step.
+#[test]
+fn linf_objectives_start_fully_dual_degenerate() {
+    // Sixty independent violated rows `x_i ≥ 1`, one coupling row that
+    // holds at the optimum: max |x_i| = 1.
+    let mut rows = LpProblem::new();
+    let x = rows.add_vars(60, VarKind::Free);
+    for v in &x {
+        rows.add_constraint(&[(*v, 1.0)], ConstraintOp::Ge, 1.0);
+    }
+    let all: Vec<_> = x.iter().map(|&v| (v, 1.0)).collect();
+    rows.add_constraint(&all, ConstraintOp::Le, 90.0);
+    rows.minimize_linf_of(&x);
+    let objective = solve_all_and_agree(&rows);
+    assert!(
+        (objective - 1.0).abs() < 1e-7,
+        "expected 1, got {objective}"
+    );
+
+    // The repair shape: dense rows over shared parameters, violated at
+    // Δ = 0 (negative right-hand sides on `≤` rows, positive ones on `≥`
+    // rows), under a `param_bound`-style box.  Every row asks for
+    // `Σ_k w_ik Δ_k ≤ −r_i` with weights `w_ik ∈ [1, 2)`, half of them
+    // written negated as `≥` rows.
+    let mut repair = LpProblem::new();
+    let delta = repair.add_vars(12, VarKind::Free);
+    for i in 0..24 {
+        let r = 1.0 + (i % 5) as f64 * 0.1;
+        let weights = delta
+            .iter()
+            .enumerate()
+            .map(|(k, &v)| (v, 1.0 + ((i + k) % 12) as f64 / 12.0));
+        if i % 2 == 0 {
+            repair.add_constraint(&weights.collect::<Vec<_>>(), ConstraintOp::Le, -r);
+        } else {
+            let negated: Vec<_> = weights.map(|(v, w)| (v, -w)).collect();
+            repair.add_constraint(&negated, ConstraintOp::Ge, r);
+        }
+    }
+    for &v in &delta {
+        repair.add_constraint(&[(v, 1.0)], ConstraintOp::Le, 2.0);
+        repair.add_constraint(&[(v, 1.0)], ConstraintOp::Ge, -2.0);
+    }
+    repair.minimize_linf_of(&delta);
+    let objective = solve_all_and_agree(&repair);
+    // Δ = −c·1 is feasible once c·Σ_k w_ik ≥ r_i, and Σ_k w_ik = 17.5 on
+    // every row, so the optimum is at most 1.4 / 17.5 = 0.08.
+    assert!(objective > 0.0 && objective <= 0.08 + 1e-9, "{objective}");
 }
