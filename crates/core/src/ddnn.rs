@@ -320,57 +320,12 @@ impl DecoupledNetwork {
         layer: usize,
         pairs: &[(&[f64], &[f64])],
     ) -> Vec<Matrix> {
-        assert!(
-            layer < self.num_layers(),
-            "layer index {layer} out of bounds"
-        );
-        // Batched forward pass: record every layer's activation-channel
-        // linearisations (they fix the backward pass) and the value-channel
-        // inputs of the repaired layer.  The value channel only needs to be
-        // propagated *up to* the repaired layer — beyond it the Jacobian
-        // depends on the activation channel alone.
-        let (mut v_act, mut v_val) = channel_batches(self.input_dim(), pairs);
-        let mut lins_per_layer: Vec<Vec<prdnn_nn::ActivationLinearization>> =
-            Vec::with_capacity(self.num_layers());
-        let mut repaired_layer_inputs = FlatBatch::default();
-        for i in 0..self.num_layers() {
-            let layer_a = self.activation.layer(i);
-            let z_act = layer_a.preactivation_batch_flat(&v_act);
-            let lins = layer_a.linearize_activation_batch_flat(&z_act);
-            if i == layer {
-                repaired_layer_inputs = std::mem::take(&mut v_val);
-            } else if i < layer {
-                let layer_v = self.value.layer(i);
-                let z_val = layer_v.preactivation_batch_flat(&v_val);
-                v_val = apply_lins_flat(&lins, &z_val, layer_a.output_dim());
-            }
-            v_act = layer_a.activate_batch_flat(&z_act);
-            lins_per_layer.push(lins);
-        }
-
-        // Backward accumulation per point (see `value_param_jacobian`).
-        let out_dim = self.output_dim();
-        (0..pairs.len())
-            .map(|p| {
-                let mut m = Matrix::identity(out_dim);
-                for j in (layer + 1..self.num_layers()).rev() {
-                    let dz = lins_per_layer[j][p].vjp(&m);
-                    m = self.value.layer(j).preact_input_vjp(&dz);
-                }
-                let dz = lins_per_layer[layer][p].vjp(&m);
-                self.value
-                    .layer(layer)
-                    .preact_param_vjp(&dz, repaired_layer_inputs.row(p))
-            })
-            .collect()
+        self.jacobian_batch(layer, pairs, false).0
     }
 
     /// [`Self::value_param_jacobian_batch`] fanned across a thread pool,
     /// chunk results spliced back in input order (bit-identical for every
     /// thread count).
-    ///
-    /// This is the entry point the repair loop uses: Algorithm 1 computes
-    /// one Jacobian per key point, and the key points are independent.
     pub fn value_param_jacobian_batch_in(
         &self,
         pool: &prdnn_par::ThreadPool,
@@ -384,6 +339,96 @@ impl DecoupledNetwork {
         .into_iter()
         .flatten()
         .collect()
+    }
+
+    /// One pass for the repair loop: the Jacobians of
+    /// [`Self::value_param_jacobian_batch_in`] together with the outputs of
+    /// [`Self::forward_decoupled_batch_in`], bit-identical to both, from a
+    /// single forward pass that carries the value channel through to the
+    /// output.  Algorithm 1 needs both per key point, and the key points
+    /// are independent, so the chunks fan across the pool.
+    pub(crate) fn jacobians_and_outputs_batch_in(
+        &self,
+        pool: &prdnn_par::ThreadPool,
+        layer: usize,
+        pairs: &[(&[f64], &[f64])],
+    ) -> (Vec<Matrix>, Vec<Vec<f64>>) {
+        let chunk_size = pool.even_chunk_size(pairs.len());
+        let chunks = pool.par_chunks(pairs, chunk_size, |chunk| {
+            self.jacobian_batch(layer, chunk, true)
+        });
+        let mut jacobians = Vec::with_capacity(pairs.len());
+        let mut outputs = Vec::with_capacity(pairs.len());
+        for (chunk_jacobians, chunk_outputs) in chunks {
+            jacobians.extend(chunk_jacobians);
+            outputs.extend(chunk_outputs.to_rows());
+        }
+        (jacobians, outputs)
+    }
+
+    /// The shared batched Jacobian pass.  A batched forward pass records
+    /// every layer's activation-channel linearisations (they fix the
+    /// backward pass) and the value-channel inputs of the repaired layer;
+    /// the backward accumulation then runs per point.  The value channel is
+    /// propagated up to the repaired layer — beyond it the Jacobian depends
+    /// on the activation channel alone — or, with `with_outputs`, through
+    /// to the output, which is returned as the second element (empty
+    /// otherwise).
+    fn jacobian_batch(
+        &self,
+        layer: usize,
+        pairs: &[(&[f64], &[f64])],
+        with_outputs: bool,
+    ) -> (Vec<Matrix>, FlatBatch) {
+        assert!(
+            layer < self.num_layers(),
+            "layer index {layer} out of bounds"
+        );
+        let (mut v_act, mut v_val) = channel_batches(self.input_dim(), pairs);
+        let mut lins_per_layer: Vec<Vec<prdnn_nn::ActivationLinearization>> =
+            Vec::with_capacity(self.num_layers());
+        let mut repaired_layer_inputs = FlatBatch::default();
+        for i in 0..self.num_layers() {
+            let layer_a = self.activation.layer(i);
+            let z_act = layer_a.preactivation_batch_flat(&v_act);
+            let lins = layer_a.linearize_activation_batch_flat(&z_act);
+            if i == layer {
+                repaired_layer_inputs = if with_outputs {
+                    v_val.clone()
+                } else {
+                    std::mem::take(&mut v_val)
+                };
+            }
+            if i < layer || with_outputs {
+                let layer_v = self.value.layer(i);
+                let z_val = layer_v.preactivation_batch_flat(&v_val);
+                v_val = apply_lins_flat(&lins, &z_val, layer_a.output_dim());
+            }
+            v_act = layer_a.activate_batch_flat(&z_act);
+            lins_per_layer.push(lins);
+        }
+
+        // Backward accumulation per point (see `value_param_jacobian`).
+        let out_dim = self.output_dim();
+        let jacobians = (0..pairs.len())
+            .map(|p| {
+                let mut m = Matrix::identity(out_dim);
+                for j in (layer + 1..self.num_layers()).rev() {
+                    let dz = lins_per_layer[j][p].vjp(&m);
+                    m = self.value.layer(j).preact_input_vjp(&dz);
+                }
+                let dz = lins_per_layer[layer][p].vjp(&m);
+                self.value
+                    .layer(layer)
+                    .preact_param_vjp(&dz, repaired_layer_inputs.row(p))
+            })
+            .collect();
+        let outputs = if with_outputs {
+            v_val
+        } else {
+            FlatBatch::default()
+        };
+        (jacobians, outputs)
     }
 
     /// Converts the DDNN back to a plain [`Network`] **when the two channels
@@ -415,6 +460,7 @@ mod tests {
     use super::*;
     use prdnn_linalg::approx_eq_slice;
     use prdnn_nn::Activation;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -567,6 +613,17 @@ mod tests {
                     expected_jac,
                     "jacobian, layer {layer}, threads = {threads}"
                 );
+                // The repair loop's fused pass: both channels from one pass.
+                let (jacobians, outputs) =
+                    ddnn.jacobians_and_outputs_batch_in(&pool, layer, &pairs);
+                assert_eq!(
+                    jacobians, expected_jac,
+                    "fused jacobian, layer {layer}, threads = {threads}"
+                );
+                assert_eq!(
+                    outputs, expected_fwd,
+                    "fused output, layer {layer}, threads = {threads}"
+                );
             }
         }
     }
@@ -608,6 +665,49 @@ mod tests {
             .map(|(a, v)| ddnn.value_param_jacobian(1, a, v))
             .collect();
         assert_eq!(ddnn.value_param_jacobian_batch(1, &pairs), expected_jac);
+        for threads in [1, 2, 4] {
+            let pool = prdnn_par::ThreadPool::new(threads);
+            let (jacobians, outputs) = ddnn.jacobians_and_outputs_batch_in(&pool, 1, &pairs);
+            assert_eq!(jacobians, expected_jac, "threads = {threads}");
+            assert_eq!(outputs, expected, "threads = {threads}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The fused pass on random networks: for every layer and thread
+        /// count, its Jacobians and outputs are bit-identical to the two
+        /// separate batched entry points it replaces in the repair loop.
+        #[test]
+        fn fused_pass_is_bit_identical_to_the_separate_channels(
+            seed in 0u64..10_000,
+            depth in 1usize..4,
+            width in 4usize..12,
+            batch in 1usize..14,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut sizes = vec![3];
+            sizes.extend(std::iter::repeat_n(width, depth));
+            sizes.push(3);
+            let ddnn = DecoupledNetwork::from_network(&Network::mlp(&sizes, Activation::Relu, &mut rng));
+            let acts = random_points(&mut rng, 3, batch);
+            let vals = random_points(&mut rng, 3, batch);
+            let pairs: Vec<(&[f64], &[f64])> = acts
+                .iter()
+                .zip(&vals)
+                .map(|(a, v)| (a.as_slice(), v.as_slice()))
+                .collect();
+            for threads in [1, 2, 4] {
+                let pool = prdnn_par::ThreadPool::new(threads);
+                let expected_outputs = ddnn.forward_decoupled_batch_in(&pool, &pairs);
+                for layer in 0..ddnn.num_layers() {
+                    let (jacobians, outputs) = ddnn.jacobians_and_outputs_batch_in(&pool, layer, &pairs);
+                    prop_assert_eq!(&jacobians, &ddnn.value_param_jacobian_batch_in(&pool, layer, &pairs));
+                    prop_assert_eq!(&outputs, &expected_outputs);
+                }
+            }
+        }
     }
 
     #[test]

@@ -74,11 +74,14 @@ impl Default for RepairConfig {
 pub struct RepairTiming {
     /// Time spent computing `LinRegions` (polytope repair only).
     pub lin_regions: Duration,
-    /// Time spent computing parameter Jacobians.
+    /// Time spent in the key points' batched forward and Jacobian pass.
     pub jacobians: Duration,
-    /// Time spent inside the LP solver.
+    /// Time spent in the LP solve call: the standard-form conversion, the
+    /// basis factorisations and the simplex pivots.
     pub lp: Duration,
-    /// Everything else (constraint encoding, applying the delta, ...).
+    /// Everything else: encoding the key-point constraints into the LP,
+    /// applying the delta to a copy of the network, and the repair's own
+    /// bookkeeping.
     pub other: Duration,
 }
 
@@ -523,38 +526,46 @@ pub(crate) fn repair_key_points(
 
     // Line 5 of Algorithm 1, batched: the Jacobian of the DDNN output with
     // respect to the repaired layer's value parameters, one per key point
-    // (exact by Theorem 4.5).  Key points are independent, so both channels
-    // fan across the thread pool; results come back in key-point order, so
-    // the LP rows — and hence the repair — are identical for every thread
-    // count.
+    // (exact by Theorem 4.5), and the output itself, from one forward pass.
+    // Key points are independent, so they fan across the thread pool;
+    // results come back in key-point order, so the LP rows — and hence the
+    // repair — are identical for every thread count.
     let pairs: Vec<(&[f64], &[f64])> = key_points
         .iter()
         .map(|kp| (kp.activation_point.as_slice(), kp.point.as_slice()))
         .collect();
     let jac_start = Instant::now();
-    let jacobians = ddnn.value_param_jacobian_batch_in(pool, layer, &pairs);
-    let bases = ddnn.forward_decoupled_batch_in(pool, &pairs);
+    let (jacobians, bases) = ddnn.jacobians_and_outputs_batch_in(pool, layer, &pairs);
     let jacobian_time = jac_start.elapsed();
 
+    let mut a_j_row = vec![0.0; num_params];
+    let mut coeffs: Vec<(prdnn_lp::VarId, f64)> = Vec::with_capacity(num_params);
     for (kp, (jacobian, base)) in key_points.iter().zip(jacobians.iter().zip(&bases)) {
         // Line 6: encode A (base + J Δ) ≤ b as (A J) Δ ≤ b − A base.
-        let a_j = kp.constraint.a.matmul(jacobian);
-        let a_base = kp.constraint.a.matvec(base);
-        for row in 0..kp.constraint.num_faces() {
-            let coeffs: Vec<(prdnn_lp::VarId, f64)> = delta_vars
-                .iter()
-                .enumerate()
-                .filter_map(|(p, var)| {
-                    let c = a_j[(row, p)];
-                    if c == 0.0 {
-                        None
-                    } else {
-                        Some((*var, c))
+        let a = &kp.constraint.a;
+        let a_base = a.matvec(base);
+        for (row, (&b, &a_base)) in kp.constraint.b.iter().zip(&a_base).enumerate() {
+            // Row `row` of A·J from the Jacobian rows the face weights (two
+            // for a classification face), added in ascending order: the
+            // GEMM's summation order, and a skipped zero weight adds only
+            // a zero, so every non-zero coefficient has the GEMM's bits.
+            a_j_row.fill(0.0);
+            for (k, &weight) in a.row(row).iter().enumerate() {
+                if weight != 0.0 {
+                    for (acc, &j) in a_j_row.iter_mut().zip(jacobian.row(k)) {
+                        *acc += weight * j;
                     }
-                })
-                .collect();
-            let rhs = kp.constraint.b[row] - a_base[row];
-            lp.add_constraint(&coeffs, ConstraintOp::Le, rhs);
+                }
+            }
+            coeffs.clear();
+            coeffs.extend(
+                delta_vars
+                    .iter()
+                    .zip(&a_j_row)
+                    .filter(|&(_, &c)| c != 0.0)
+                    .map(|(&var, &c)| (var, c)),
+            );
+            lp.add_constraint(&coeffs, ConstraintOp::Le, b - a_base);
             num_constraints += 1;
         }
     }

@@ -26,8 +26,13 @@
 //!    largest `|α_q|` within it.  No column with `α_j < 0` proves the
 //!    program infeasible: row `r` reads `x_p + Σ α_j x_j = x_r < 0` with
 //!    every `α_j ≥ 0` and `x ≥ 0`.
-//! 4. **Update** — FTRAN the entering column and `τ = B⁻¹ ρ` (for the
+//! 4. **Update** — FTRAN the entering column (looked up row by row in the
+//!    CSR, the only layout of `A` the dual reads) and `τ = B⁻¹ ρ` (for the
 //!    weights), move `d` and `x_B`, and append one eta to the basis.
+//!
+//! The slack columns are the basis's unit columns ([`crate::basis`]), so
+//! the starting basis factorises in `O(m)` and a refactorisation after `k`
+//! structural pivots factorises only a `k × k` kernel.
 //!
 //! After a streak of `BLAND_THRESHOLD` dual-degenerate pivots (the
 //! entering reduced cost was zero, so the dual objective did not move) both
@@ -52,12 +57,11 @@
 //! Only the optimality check has tolerances of its own.
 
 use crate::basis::{Basis, UpdateOutcome};
-use crate::revised::{refactorize, ColumnSource, RevisedStats, BLAND_THRESHOLD};
-use crate::simplex::{
-    seed_basis_from_unit_columns, solve_unconstrained, SimplexOutcome, COST_EPS, FEAS_EPS,
-    PIVOT_EPS,
-};
-use crate::sparse::{CscMatrix, SparseStandardForm};
+use crate::revised::{RevisedStats, BLAND_THRESHOLD};
+#[cfg(test)]
+use crate::simplex::seed_basis_from_unit_columns;
+use crate::simplex::{solve_unconstrained, SimplexOutcome, COST_EPS, FEAS_EPS, PIVOT_EPS};
+use crate::sparse::{CsrMatrix, SparseStandardForm};
 
 /// Relative disagreement between two computations of one quantity that
 /// marks the eta file as drifted: the pivot element from the pivot row and
@@ -74,6 +78,10 @@ const DUAL_CHECK_TOL: f64 = 1e-7;
 /// The all-slack basis, when it is dual feasible: every cost is `≥ 0`, and
 /// every row has a singleton ±1 column of zero cost (its slack).  `None`
 /// sends the program down the primal path.
+///
+/// The oracle for [`SparseStandardForm::dual_slacks`], which the
+/// conversion records without this second pass over every entry.
+#[cfg(test)]
 pub(crate) fn dual_feasible_slack_basis(sf: &SparseStandardForm) -> Option<Vec<usize>> {
     if sf.c.iter().any(|&c| c < 0.0) {
         return None;
@@ -90,7 +98,7 @@ pub(crate) fn dual_feasible_slack_basis(sf: &SparseStandardForm) -> Option<Vec<u
 }
 
 /// Dual simplex on a standard-form program from the dual-feasible basis
-/// `slacks` (one column per row, from [`dual_feasible_slack_basis`]).
+/// `slacks` (one column per row, [`SparseStandardForm::dual_slacks`]).
 ///
 /// `Err` is a numerical breakdown (a singular refactorisation, or an
 /// optimality check that fails on a fresh factorisation); it carries the
@@ -98,25 +106,29 @@ pub(crate) fn dual_feasible_slack_basis(sf: &SparseStandardForm) -> Option<Vec<u
 /// the objective below by 0.
 pub(crate) fn solve(
     sf: &SparseStandardForm,
-    slacks: Vec<usize>,
+    slacks: &[usize],
     max_iters: usize,
 ) -> Result<(SimplexOutcome, RevisedStats), RevisedStats> {
     let (m, n) = (sf.num_rows(), sf.num_cols());
     if m == 0 {
         return Ok((solve_unconstrained(n, &sf.c), RevisedStats::default()));
     }
-    let csc = sf.a.to_csc();
-    let Some(basis) = refactorize(&ColumnSource::structural(&csc), &slacks) else {
+    // Each slack is a singleton column: a unit column of the basis.
+    let mut unit = vec![None; n];
+    for (i, &j) in slacks.iter().enumerate() {
+        unit[j] = Some((i, sf.a.get(i, j)));
+    }
+    let Some(basis) = factorize(&sf.a, &unit, slacks) else {
         return Err(RevisedStats::default());
     };
     let mut in_basis = vec![false; n];
-    for &j in &slacks {
+    for &j in slacks {
         in_basis[j] = true;
     }
     let mut dual = Dual {
         sf,
-        csc,
-        basis_cols: slacks,
+        unit,
+        basis_cols: slacks.to_vec(),
         in_basis,
         basis,
         x_b: vec![0.0; m],
@@ -132,12 +144,23 @@ pub(crate) fn solve(
     }
 }
 
+/// Factorises the basis `basis_cols`: the slacks are unit columns, and
+/// each structural column is looked up row by row in the CSR.
+fn factorize(a: &CsrMatrix, unit: &[Option<(usize, f64)>], basis_cols: &[usize]) -> Option<Basis> {
+    Basis::factorize(
+        basis_cols.len(),
+        |r| unit[basis_cols[r]],
+        |r, out| out.extend(a.col(basis_cols[r])),
+    )
+}
+
 /// A numerical breakdown of the dual loop.
 struct Breakdown;
 
 struct Dual<'a> {
     sf: &'a SparseStandardForm,
-    csc: CscMatrix,
+    /// `(row, value)` of each slack column's one entry, by column.
+    unit: Vec<Option<(usize, f64)>>,
     /// Basic column per row.
     basis_cols: Vec<usize>,
     in_basis: Vec<bool>,
@@ -197,7 +220,7 @@ impl Dual<'_> {
                 continue;
             };
 
-            self.csc.scatter_col(q, &mut w);
+            self.scatter_column(q, &mut w);
             self.basis.ftran(&mut w);
             let pivot = w[r];
             // The row-wise and column-wise views of the pivot element must
@@ -274,11 +297,24 @@ impl Dual<'_> {
     /// on the basis, not on how it was factorised.
     fn refactorize_mid_solve(&mut self) -> Result<(), Breakdown> {
         self.stats.refactorizations += 1;
-        let cols = ColumnSource::structural(&self.csc);
-        self.basis = refactorize(&cols, &self.basis_cols).ok_or(Breakdown)?;
+        self.basis = factorize(&self.sf.a, &self.unit, &self.basis_cols).ok_or(Breakdown)?;
         self.recompute_values();
         self.fresh = true;
         Ok(())
+    }
+
+    /// Scatters column `j` of `A` into the dense buffer `out`: a slack from
+    /// its one entry, any other column row by row.
+    fn scatter_column(&self, j: usize, out: &mut [f64]) {
+        out.fill(0.0);
+        match self.unit[j] {
+            Some((i, v)) => out[i] = v,
+            None => {
+                for (i, v) in self.sf.a.col(j) {
+                    out[i] = v;
+                }
+            }
+        }
     }
 
     /// `x_B = B⁻¹ b` and the reduced costs from the current factorisation.
@@ -288,19 +324,31 @@ impl Dual<'_> {
         self.recompute_reduced_costs();
     }
 
-    /// `d_j = c_j − y · A_j` with `y = B⁻ᵀ c_B` from a fresh BTRAN, priced
-    /// from the CSC columns; a split pair `x⁺, x⁻` (exact column negations)
-    /// shares one dot product.
+    /// `d_j = c_j − y · A_j` with `y = B⁻ᵀ c_B` from a fresh BTRAN.  The
+    /// products `y · A_j` are accumulated from the CSR rows of `y`'s
+    /// non-zeros in ascending row order, the order a column dot product
+    /// adds in, so they carry the same bits; a split pair `x⁺, x⁻` (exact
+    /// column negations) is priced from `x⁺`'s sum.
     fn recompute_reduced_costs(&mut self) {
         let c = &self.sf.c;
         let mut y: Vec<f64> = self.basis_cols.iter().map(|&j| c[j]).collect();
         self.basis.btran(&mut y);
+        let dots = &mut self.d;
+        dots.fill(0.0);
+        for (i, &y_i) in y.iter().enumerate() {
+            if y_i != 0.0 {
+                let (cols, vals) = self.sf.a.row(i);
+                for (&j, &v) in cols.iter().zip(vals) {
+                    dots[j] += y_i * v;
+                }
+            }
+        }
         let mut j = 0;
         while j < c.len() {
-            let dot = self.csc.col_dot(j, &y);
-            self.d[j] = c[j] - dot;
+            let dot = dots[j];
+            dots[j] = c[j] - dot;
             if self.sf.mirror[j] == Some(j + 1) {
-                self.d[j + 1] = c[j + 1] + dot;
+                dots[j + 1] = c[j + 1] + dot;
                 j += 1;
             }
             j += 1;
@@ -433,7 +481,10 @@ mod tests {
     }
 
     fn dual(sf: &SparseStandardForm) -> (SimplexOutcome, LpStats) {
-        let slacks = dual_feasible_slack_basis(sf).expect("a dual-feasible slack basis");
+        let slacks = sf
+            .dual_slacks
+            .as_ref()
+            .expect("a dual-feasible slack basis");
         let Ok((outcome, stats)) = solve(sf, slacks, ITERS) else {
             panic!("dual breakdown");
         };
@@ -583,9 +634,9 @@ mod tests {
         }
         lp.minimize_l1_of(&x);
         let (sf, _) = crate::solver::to_standard_form(&lp);
-        let slacks = dual_feasible_slack_basis(&sf).unwrap();
+        let slacks = sf.dual_slacks.clone().unwrap();
         assert!(matches!(
-            solve(&sf, slacks, 2),
+            solve(&sf, &slacks, 2),
             Ok((
                 SimplexOutcome::IterationLimit,
                 RevisedStats { pivots: 2, .. }
@@ -614,6 +665,34 @@ mod tests {
         assert!((solution.objective - 1.0).abs() < 1e-9);
         assert!(lp.is_feasible(&solution.values, 1e-9));
         assert_eq!(four_way(&lp), Ok(solution.objective));
+    }
+
+    #[test]
+    fn refactorises_mid_solve_with_slack_and_structural_columns_basic() {
+        // Sixty violated coupled rows `x_i + 0.3 x_{i+1} ≥ 1 + i/100` need
+        // more pivots than the eta file holds, so the basis is refactorised
+        // mid-solve; the satisfied rows `x_i − x_{i+1} ≤ 5` keep their
+        // slacks basic, and the structural columns have entries on those
+        // unit rows, which the kernel solves substitute through.
+        let mut lp = LpProblem::new();
+        let x = lp.add_vars(61, VarKind::Free);
+        for i in 0..60 {
+            let rhs = 1.0 + i as f64 / 100.0;
+            lp.add_constraint(&[(x[i], 1.0), (x[i + 1], 0.3)], ConstraintOp::Ge, rhs);
+            lp.add_constraint(&[(x[i], 1.0), (x[i + 1], -1.0)], ConstraintOp::Le, 5.0);
+        }
+        lp.minimize_l1_of(&x);
+        let (solution, stats) = solve_dual(&lp).unwrap();
+        assert!(stats.refactorizations >= 1, "{stats:?}");
+        assert!(lp.is_feasible(&solution.values, 1e-9));
+        let (dense, _) = solve_via(&lp, &mut dense).unwrap();
+        assert!(
+            (solution.objective - dense.objective).abs() <= 1e-9 * dense.objective,
+            "dual {} vs dense {}",
+            solution.objective,
+            dense.objective
+        );
+        assert_eq!(four_way(&lp), Ok(dense.objective));
     }
 
     /// A random dual-feasible program: every row an inequality, every cost

@@ -14,11 +14,12 @@
 //! Every repair LP minimises a norm over inequality rows, so its all-slack
 //! basis is dual feasible, and a *dual simplex* started there solves it
 //! with no phase 1, pivoting only on the rows the unrepaired network
-//! violates.  It shares the sparse revised machinery — a Markowitz-ordered
-//! LU-factorised, eta-updated basis over CSR/CSC columns — with the
-//! two-phase primal *revised* simplex, which takes every other program
-//! (negative costs, equality rows) and any program the dual breaks down
-//! on.  The dense flat-tableau two-phase simplex is the primal backend's
+//! violates.  It reads the constraint rows in the one CSR layout the
+//! standard-form conversion writes, and shares an eta-updated basis with
+//! the two-phase primal *revised* simplex (which takes every other program
+//! — negative costs, equality rows — and any program the dual breaks down
+//! on): the slack and artificial columns are placed without elimination,
+//! and only the structural kernel is LU-factorised.  The dense flat-tableau two-phase simplex is the primal backend's
 //! own numerical fallback and the differential-testing oracle.  The primal
 //! revised backend prices entering columns with Devex reference weights
 //! over a partial-pricing candidate list by default; [`PricingRule`] pins

@@ -49,10 +49,11 @@ pub enum Objective {
     MinimizeLinf(Vec<VarId>),
 }
 
-/// A single dense linear constraint `coeffs · x (≤ | ≥ | =) rhs`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Constraint {
-    pub(crate) coeffs: Vec<(VarId, f64)>,
+/// One constraint `terms · x (≤ | ≥ | =) rhs`: its terms are
+/// `LpProblem::terms[previous row's end..end]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Row {
+    pub(crate) end: usize,
     pub(crate) op: ConstraintOp,
     pub(crate) rhs: f64,
 }
@@ -77,7 +78,9 @@ pub struct Constraint {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LpProblem {
     pub(crate) kinds: Vec<VarKind>,
-    pub(crate) constraints: Vec<Constraint>,
+    /// The terms of every constraint, back to back, in insertion order.
+    pub(crate) terms: Vec<(VarId, f64)>,
+    pub(crate) rows: Vec<Row>,
     pub(crate) objective: Objective,
 }
 
@@ -92,7 +95,8 @@ impl LpProblem {
     pub fn new() -> Self {
         LpProblem {
             kinds: Vec::new(),
-            constraints: Vec::new(),
+            terms: Vec::new(),
+            rows: Vec::new(),
             objective: Objective::Feasibility,
         }
     }
@@ -115,7 +119,18 @@ impl LpProblem {
 
     /// Number of constraints added so far.
     pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
+        self.rows.len()
+    }
+
+    /// Every constraint as `(terms, op, rhs)`, in insertion order.
+    pub(crate) fn constraints(
+        &self,
+    ) -> impl Iterator<Item = (&[(VarId, f64)], ConstraintOp, f64)> + '_ {
+        self.rows.iter().scan(0, |start, row| {
+            let terms = &self.terms[*start..row.end];
+            *start = row.end;
+            Some((terms, row.op, row.rhs))
+        })
     }
 
     /// Adds the constraint `Σ coeffs_i · x_i  op  rhs`.
@@ -134,8 +149,9 @@ impl LpProblem {
                 v
             );
         }
-        self.constraints.push(Constraint {
-            coeffs: coeffs.to_vec(),
+        self.terms.extend_from_slice(coeffs);
+        self.rows.push(Row {
+            end: self.terms.len(),
             op,
             rhs,
         });
@@ -215,12 +231,12 @@ impl LpProblem {
                 return false;
             }
         }
-        self.constraints.iter().all(|c| {
-            let lhs: f64 = c.coeffs.iter().map(|(v, a)| a * x[v.0]).sum();
-            match c.op {
-                ConstraintOp::Le => lhs <= c.rhs + tol,
-                ConstraintOp::Ge => lhs >= c.rhs - tol,
-                ConstraintOp::Eq => (lhs - c.rhs).abs() <= tol,
+        self.constraints().all(|(terms, op, rhs)| {
+            let lhs: f64 = terms.iter().map(|(v, a)| a * x[v.0]).sum();
+            match op {
+                ConstraintOp::Le => lhs <= rhs + tol,
+                ConstraintOp::Ge => lhs >= rhs - tol,
+                ConstraintOp::Eq => (lhs - rhs).abs() <= tol,
             }
         })
     }

@@ -3,8 +3,9 @@
 //! Where the flat-tableau solver ([`crate::simplex`]) updates every cell of
 //! an `(m+1) × (n+1)` tableau per pivot — `O(m·n)` no matter how sparse the
 //! constraints are — the revised method keeps only the basis factorisation
-//! ([`crate::basis::Basis`]: LU + eta file) and reconstructs what it needs
-//! each iteration:
+//! ([`crate::basis::Basis`]: the slacks and artificials placed as unit
+//! columns, an LU of the structural kernel, and an eta file) and
+//! reconstructs what it needs each iteration:
 //!
 //! 1. **BTRAN** `y = B⁻ᵀ c_B`, then price every nonbasic column with a
 //!    sparse dot product `d_j = c_j − y · A_j` — `O(nnz)` total over the
@@ -17,9 +18,10 @@
 //! win on wide, block-sparse programs (`n ≫ m`).  Tolerances and phase
 //! structure mirror the dense oracle so the two backends classify problems
 //! identically.  The repair LPs themselves go to the dual simplex
-//! ([`crate::dual`]), which shares this module's basis machinery; this
-//! primal backend takes the programs whose slack basis is not dual
-//! feasible, and any the dual breaks down on.
+//! ([`crate::dual`]), which shares the basis and reads the CSR rows only;
+//! this primal backend, the one reader of the CSC columns, takes the
+//! programs whose slack basis is not dual feasible, and any the dual breaks
+//! down on.
 //!
 //! # Pricing rules
 //!
@@ -104,7 +106,7 @@ pub(crate) struct RevisedStats {
 
 /// Columns of the phase-1 working matrix `[A | I_artificials]` without ever
 /// materialising the artificial block.
-pub(crate) struct ColumnSource<'a> {
+struct ColumnSource<'a> {
     csc: &'a CscMatrix,
     /// Row of the unit entry of each artificial column, in column order.
     artificial_rows: &'a [usize],
@@ -112,13 +114,17 @@ pub(crate) struct ColumnSource<'a> {
     n: usize,
 }
 
-impl<'a> ColumnSource<'a> {
-    /// The structural columns alone (no artificials).
-    pub(crate) fn structural(csc: &'a CscMatrix) -> Self {
-        ColumnSource {
-            csc,
-            artificial_rows: &[],
-            n: csc.ncols(),
+impl ColumnSource<'_> {
+    /// `(row, value)` of column `j`'s one entry when it has exactly one:
+    /// the artificials and the slacks, which the basis places without
+    /// elimination.
+    fn unit(&self, j: usize) -> Option<(usize, f64)> {
+        if j >= self.n {
+            return Some((self.artificial_rows[j - self.n], 1.0));
+        }
+        match self.csc.col(j) {
+            (&[i], &[v]) => Some((i, v)),
+            _ => None,
         }
     }
 
@@ -140,19 +146,18 @@ impl<'a> ColumnSource<'a> {
     }
 }
 
-/// Rebuilds the dense basis matrix from the current basic column set and
-/// factorises it.  `None` signals numerical breakdown (singular basis).
-pub(crate) fn refactorize(cols: &ColumnSource<'_>, basis_cols: &[usize]) -> Option<Basis> {
-    let m = basis_cols.len();
-    let mut mat = vec![0.0; m * m];
-    let mut col_buf = vec![0.0; m];
-    for (r, &j) in basis_cols.iter().enumerate() {
-        cols.scatter(j, &mut col_buf);
-        for (i, &v) in col_buf.iter().enumerate() {
-            mat[i * m + r] = v;
-        }
-    }
-    Basis::factorize(m, &mat)
+/// Factorises the current basic column set: unit columns are placed
+/// directly, the rest form the kernel.  `None` signals numerical breakdown
+/// (singular basis).
+fn refactorize(cols: &ColumnSource<'_>, basis_cols: &[usize]) -> Option<Basis> {
+    Basis::factorize(
+        basis_cols.len(),
+        |r| cols.unit(basis_cols[r]),
+        |r, out| {
+            let (rows, vals) = cols.csc.col(basis_cols[r]);
+            out.extend(rows.iter().copied().zip(vals.iter().copied()));
+        },
+    )
 }
 
 enum PivotRun {
@@ -582,14 +587,17 @@ pub(crate) fn solve_standard_sparse_with_stats(
         artificial_rows: &artificial_rows,
         n,
     };
+    let mut basis = refactorize(&cols, &basis_cols)?;
+    let mut x_b = sf.b.clone();
+    basis.ftran(&mut x_b);
     let mut solver = Solver {
         cols,
         mirror: &sf.mirror,
         rhs: &sf.b,
         basis_cols,
         in_basis,
-        x_b: vec![0.0; m],
-        basis: Basis::factorize(1, &[1.0]).expect("identity factorisation"),
+        x_b,
+        basis,
         pricing,
         weights: vec![1.0; n],
         candidates: Vec::new(),
@@ -597,11 +605,6 @@ pub(crate) fn solve_standard_sparse_with_stats(
         pending: None,
         stats: RevisedStats::default(),
     };
-    if !solver.refactorize_and_recompute() {
-        return None;
-    }
-    // The initial factorisation is not a "re"-factorisation.
-    solver.stats.refactorizations = 0;
 
     let mut iters_left = max_iters;
     if num_artificials > 0 {

@@ -1,8 +1,9 @@
 //! Conversion from modelling form to standard form and backend selection.
 //!
-//! The conversion produces a *sparse* standard form straight from the
-//! (already sparse) modelling constraints; the solver then routes it to one
-//! of three simplex implementations:
+//! The conversion writes a *sparse* standard form straight from the
+//! (already sparse) modelling constraints, once, together with the all-slack
+//! basis when it is dual feasible; the solver then routes it to one of three
+//! simplex implementations:
 //!
 //! * the dual simplex ([`crate::dual`]) from the all-slack basis, for every
 //!   program where that basis is dual feasible: every cost `≥ 0` and a
@@ -10,8 +11,8 @@
 //!   LP qualifies, with or without `param_bound` boxes.  No phase 1, and
 //!   it pivots only on violated rows.
 //! * [`LpBackend::RevisedSparse`] — the two-phase primal revised simplex
-//!   over CSR/CSC columns with a Markowitz-ordered LU-factorised,
-//!   eta-updated basis ([`crate::revised`]).  `O(nnz + m²)` per pivot.
+//!   over CSR/CSC columns with an eta-updated basis that LU-factorises only
+//!   its structural kernel ([`crate::revised`]).  `O(nnz + m²)` per pivot.
 //!   [`PricingRule`] picks its entering-column rule (Devex partial pricing
 //!   by default).
 //! * [`LpBackend::DenseTableau`] — the flat-tableau two-phase simplex
@@ -32,9 +33,9 @@
 //! transparently re-runs on the dense oracle.
 
 use crate::dual;
-use crate::problem::{ConstraintOp, LpProblem, Objective, VarKind};
+use crate::problem::{ConstraintOp, LpProblem, Objective, VarId, VarKind};
 use crate::revised::{solve_standard_sparse_with_stats, Pricing, RevisedStats};
-use crate::simplex::{solve_standard, SimplexOutcome};
+use crate::simplex::{solve_standard, SimplexOutcome, COST_EPS, PIVOT_EPS};
 use crate::sparse::{CsrMatrix, SparseStandardForm};
 use crate::LpError;
 
@@ -261,13 +262,7 @@ pub(crate) fn solve_via(
     engine: &mut dyn FnMut(&SparseStandardForm) -> (SimplexOutcome, LpStats),
 ) -> Result<(Solution, LpStats), LpError> {
     if let Objective::MinimizeLinf(vars) = &problem.objective {
-        let mut augmented = problem.clone();
-        let t = augmented.add_var(VarKind::NonNegative);
-        for v in vars {
-            augmented.add_constraint(&[(*v, 1.0), (t, -1.0)], ConstraintOp::Le, 0.0);
-            augmented.add_constraint(&[(*v, -1.0), (t, -1.0)], ConstraintOp::Le, 0.0);
-        }
-        augmented.set_objective_linear(&[(t, 1.0)]);
+        let (augmented, t) = lower_linf(problem, vars);
         let (mut solution, stats) = solve_via(&augmented, engine)?;
         let objective = solution.values[t.index()];
         solution.values.truncate(problem.num_vars());
@@ -293,6 +288,19 @@ pub(crate) fn solve_via(
     }
 }
 
+/// `problem` with its ℓ∞ objective over `vars` lowered to a linear one: an
+/// extra bound variable `t ≥ |x_i|`, returned beside it, is minimised.
+fn lower_linf(problem: &LpProblem, vars: &[VarId]) -> (LpProblem, VarId) {
+    let mut augmented = problem.clone();
+    let t = augmented.add_var(VarKind::NonNegative);
+    for v in vars {
+        augmented.add_constraint(&[(*v, 1.0), (t, -1.0)], ConstraintOp::Le, 0.0);
+        augmented.add_constraint(&[(*v, -1.0), (t, -1.0)], ConstraintOp::Le, 0.0);
+    }
+    augmented.set_objective_linear(&[(t, 1.0)]);
+    (augmented, t)
+}
+
 /// The backend policy on one standard-form program.
 ///
 /// Unless the dense tableau is requested explicitly, a program whose
@@ -305,7 +313,7 @@ pub(crate) fn solve_via(
 fn route(sf: &SparseStandardForm, options: &SolveOptions) -> (SimplexOutcome, LpStats) {
     let mut spent = LpStats::default();
     if options.backend != LpBackend::DenseTableau {
-        if let Some(slacks) = dual::dual_feasible_slack_basis(sf) {
+        if let Some(slacks) = &sf.dual_slacks {
             match dual::solve(sf, slacks, options.max_iters) {
                 Ok((outcome, stats)) => return (outcome, stats.into()),
                 Err(stats) => spent = stats.into(),
@@ -363,6 +371,14 @@ impl VarMapping {
 }
 
 /// Converts a modelling-form problem into sparse standard simplex form.
+///
+/// Each row is one constraint: a free variable splits into the adjacent
+/// columns `x⁺, x⁻`, a row with a negative right-hand side is negated (its
+/// operator flipped) so that `b ≥ 0`, and an inequality then gets its own
+/// slack column, `+1` for `≤` and `−1` for `≥`.  The CSR arrays are written
+/// once, at their exact size: a row whose variables strictly increase maps
+/// onto strictly increasing columns and is copied as it stands; any other
+/// row is sorted, its repeated columns summed, and exact zeros dropped.
 pub(crate) fn to_standard_form(problem: &LpProblem) -> (SparseStandardForm, VarMapping) {
     // Assign columns to variables.
     let mut cols: Vec<(usize, Option<usize>)> = Vec::with_capacity(problem.num_vars());
@@ -382,59 +398,205 @@ pub(crate) fn to_standard_form(problem: &LpProblem) -> (SparseStandardForm, VarM
     let num_var_cols = next;
     // One slack/surplus column per inequality constraint.
     let num_slacks = problem
-        .constraints
+        .rows
         .iter()
-        .filter(|c| c.op != ConstraintOp::Eq)
+        .filter(|row| row.op != ConstraintOp::Eq)
         .count();
     let num_cols = num_var_cols + num_slacks;
+    let m = problem.num_constraints();
+    let c = standard_costs(problem, &cols, num_cols);
 
-    let mut rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(problem.constraints.len());
-    let mut b: Vec<f64> = Vec::with_capacity(problem.constraints.len());
+    // Pass 1: size every row.  The rows that need sorting are sorted and
+    // merged here, into `merged`, and `merged_len` records each one's length.
+    let mut merged: Vec<(usize, f64)> = Vec::new();
+    let mut merged_len: Vec<Option<usize>> = Vec::with_capacity(m);
+    let mut scratch: Vec<(usize, f64)> = Vec::new();
+    let mut nnz = num_slacks;
     let mut slack_idx = num_var_cols;
-    for constraint in &problem.constraints {
-        let mut row: Vec<(usize, f64)> = Vec::with_capacity(constraint.coeffs.len() * 2 + 1);
-        for (v, coeff) in &constraint.coeffs {
-            let (p, n) = cols[v.0];
-            row.push((p, *coeff));
-            if let Some(n) = n {
-                row.push((n, -*coeff));
+    for (terms, op, rhs) in problem.constraints() {
+        if terms.windows(2).all(|pair| pair[0].0 < pair[1].0) {
+            merged_len.push(None);
+            nnz += terms
+                .iter()
+                .filter(|&&(_, coeff)| coeff != 0.0)
+                .map(|(v, _)| 1 + usize::from(cols[v.0].1.is_some()))
+                .sum::<usize>();
+        } else {
+            let (negate, op, _) = oriented(op, rhs);
+            scratch.clear();
+            for &(v, coeff) in terms {
+                let coeff = if negate { -coeff } else { coeff };
+                let (p, n) = cols[v.0];
+                scratch.push((p, coeff));
+                if let Some(n) = n {
+                    scratch.push((n, -coeff));
+                }
             }
+            if let Some(value) = slack_value(op) {
+                scratch.push((slack_idx, value));
+            }
+            let before = merged.len();
+            push_merged(&mut scratch, &mut merged);
+            merged_len.push(Some(merged.len() - before));
+            nnz += merged.len() - before - usize::from(op != ConstraintOp::Eq);
         }
-        // Standard form needs `b ≥ 0`: negate the row *before* the slack is
-        // assigned, flipping the operator to match, so the slack sign
-        // follows directly from the (flipped) operator.  The previous code
-        // wrote the slack first and then negated it together with the row —
-        // same emitted matrix, but the sign was right only by cancellation;
-        // the `negative_rhs_*` tests below pin the emitted form either way.
-        let mut rhs = constraint.rhs;
-        let mut op = constraint.op;
-        if rhs < 0.0 {
-            for (_, v) in row.iter_mut() {
-                *v = -*v;
-            }
-            rhs = -rhs;
-            op = match op {
-                ConstraintOp::Le => ConstraintOp::Ge,
-                ConstraintOp::Ge => ConstraintOp::Le,
-                ConstraintOp::Eq => ConstraintOp::Eq,
-            };
+        if op != ConstraintOp::Eq {
+            slack_idx += 1;
         }
-        match op {
-            ConstraintOp::Le => {
-                row.push((slack_idx, 1.0));
-                slack_idx += 1;
-            }
-            ConstraintOp::Ge => {
-                row.push((slack_idx, -1.0));
-                slack_idx += 1;
-            }
-            ConstraintOp::Eq => {}
-        }
-        rows.push(row);
-        b.push(rhs);
     }
 
-    // Objective.
+    // The dual's slack basis needs, per zero-cost variable column, its
+    // entry count and last entry; a negative cost rules the basis out.
+    let dual_feasible = c.iter().all(|&cost| cost >= 0.0);
+    let candidate: Vec<bool> = c[..num_var_cols]
+        .iter()
+        .map(|&cost| dual_feasible && cost <= COST_EPS)
+        .collect();
+    let track = candidate.contains(&true);
+    let mut col_entries = vec![(0usize, 0usize, 0.0f64); if track { num_var_cols } else { 0 }];
+    let mut record = |i: usize, j: usize, v: f64| {
+        if track && j < num_var_cols && candidate[j] {
+            let (count, _, _) = col_entries[j];
+            col_entries[j] = (count + 1, i, v);
+        }
+    };
+
+    // Pass 2: write the arrays.
+    let mut indptr = Vec::with_capacity(m + 1);
+    let mut indices = Vec::with_capacity(nnz);
+    let mut values = Vec::with_capacity(nnz);
+    let mut b = Vec::with_capacity(m);
+    let mut row_slack: Vec<Option<usize>> = Vec::with_capacity(m);
+    let mut merged = merged.into_iter();
+    let mut slack_idx = num_var_cols;
+    indptr.push(0);
+    for (i, ((terms, op, rhs), len)) in problem.constraints().zip(merged_len).enumerate() {
+        let (negate, op, rhs) = oriented(op, rhs);
+        match len {
+            None => {
+                for &(v, coeff) in terms {
+                    if coeff != 0.0 {
+                        let coeff = if negate { -coeff } else { coeff };
+                        let (p, n) = cols[v.0];
+                        indices.push(p);
+                        values.push(coeff);
+                        record(i, p, coeff);
+                        if let Some(n) = n {
+                            indices.push(n);
+                            values.push(-coeff);
+                            record(i, n, -coeff);
+                        }
+                    }
+                }
+                if let Some(value) = slack_value(op) {
+                    indices.push(slack_idx);
+                    values.push(value);
+                }
+            }
+            Some(len) => {
+                for (j, v) in merged.by_ref().take(len) {
+                    indices.push(j);
+                    values.push(v);
+                    record(i, j, v);
+                }
+            }
+        }
+        row_slack.push((op != ConstraintOp::Eq).then_some(slack_idx));
+        if op != ConstraintOp::Eq {
+            slack_idx += 1;
+        }
+        indptr.push(indices.len());
+        b.push(rhs);
+    }
+    debug_assert_eq!(indices.len(), nnz);
+
+    // The dual's slack basis: per row, the lowest singleton ±1 column of
+    // zero cost.  Variable columns come first; the row's own slack always
+    // qualifies.
+    let dual_slacks = dual_feasible.then(|| {
+        let mut basis = vec![None; m];
+        for (j, &(count, i, v)) in col_entries.iter().enumerate() {
+            if count == 1 && (v.abs() - 1.0).abs() <= PIVOT_EPS && basis[i].is_none() {
+                basis[i] = Some(j);
+            }
+        }
+        basis
+            .into_iter()
+            .zip(row_slack)
+            .map(|(var_col, slack)| var_col.or(slack))
+            .collect::<Option<Vec<usize>>>()
+    });
+
+    let a = CsrMatrix::from_parts(num_cols, indptr, indices, values);
+    // Record the split pairs: column `n` is the exact negation of `p`, which
+    // lets the revised backend price both with one dot product.
+    let mut mirror = vec![None; num_cols];
+    for &(p, n) in &cols {
+        if let Some(n) = n {
+            mirror[p] = Some(n);
+        }
+    }
+    let sf = SparseStandardForm {
+        a,
+        b,
+        c,
+        mirror,
+        dual_slacks: dual_slacks.flatten(),
+    };
+    (sf, VarMapping { cols })
+}
+
+/// Standard form needs `b ≥ 0`: a row with a negative right-hand side is
+/// negated *before* its slack is assigned, its operator flipped to match,
+/// so the slack sign follows directly from the (flipped) operator.  Returns
+/// whether to negate, and the row's operator and right-hand side after.
+fn oriented(op: ConstraintOp, rhs: f64) -> (bool, ConstraintOp, f64) {
+    if rhs < 0.0 {
+        let flipped = match op {
+            ConstraintOp::Le => ConstraintOp::Ge,
+            ConstraintOp::Ge => ConstraintOp::Le,
+            ConstraintOp::Eq => ConstraintOp::Eq,
+        };
+        (true, flipped, -rhs)
+    } else {
+        (false, op, rhs)
+    }
+}
+
+/// The slack coefficient of an (oriented) row: `+1` for `≤`, `−1` for `≥`.
+fn slack_value(op: ConstraintOp) -> Option<f64> {
+    match op {
+        ConstraintOp::Le => Some(1.0),
+        ConstraintOp::Ge => Some(-1.0),
+        ConstraintOp::Eq => None,
+    }
+}
+
+/// Sorts one row's `(column, value)` entries by column and appends them to
+/// `out` with repeated columns summed and exact zeros dropped.
+fn push_merged(row: &mut [(usize, f64)], out: &mut Vec<(usize, f64)>) {
+    row.sort_unstable_by_key(|&(j, _)| j);
+    let mut k = 0;
+    while k < row.len() {
+        let (j, mut v) = row[k];
+        k += 1;
+        while k < row.len() && row[k].0 == j {
+            v += row[k].1;
+            k += 1;
+        }
+        if v != 0.0 {
+            out.push((j, v));
+        }
+    }
+}
+
+/// The standard-form cost vector: each variable's cost on its columns
+/// (`x⁻` negated), zero on the slacks.
+fn standard_costs(
+    problem: &LpProblem,
+    cols: &[(usize, Option<usize>)],
+    num_cols: usize,
+) -> Vec<f64> {
     let mut c = vec![0.0; num_cols];
     match &problem.objective {
         Objective::Feasibility => {}
@@ -461,23 +623,14 @@ pub(crate) fn to_standard_form(problem: &LpProblem) -> (SparseStandardForm, VarM
         }
         Objective::MinimizeLinf(_) => unreachable!("lowered before conversion"),
     }
-
-    let a = CsrMatrix::from_rows(num_cols, &rows);
-    // Record the split pairs: column `n` is the exact negation of `p`, which
-    // lets the revised backend price both with one dot product.
-    let mut mirror = vec![None; num_cols];
-    for &(p, n) in &cols {
-        if let Some(n) = n {
-            mirror[p] = Some(n);
-        }
-    }
-    (SparseStandardForm { a, b, c, mirror }, VarMapping { cols })
+    c
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{LpProblem, VarKind};
+    use proptest::prelude::*;
 
     /// Runs every test problem through the dense oracle and the revised
     /// backend under both pricing rules, checking all three agree.
@@ -695,6 +848,238 @@ mod tests {
         assert!(auto_prefers_revised(&sf_wide));
     }
 
+    /// The per-row builder `to_standard_form` replaced, kept as its oracle:
+    /// one `Vec` per row, flipped and given its slack, then sorted and
+    /// merged by `CsrMatrix::from_rows`.
+    fn reference_standard_form(problem: &LpProblem) -> SparseStandardForm {
+        let mut cols: Vec<(usize, Option<usize>)> = Vec::with_capacity(problem.num_vars());
+        let mut next = 0usize;
+        for kind in &problem.kinds {
+            match kind {
+                VarKind::NonNegative => {
+                    cols.push((next, None));
+                    next += 1;
+                }
+                VarKind::Free => {
+                    cols.push((next, Some(next + 1)));
+                    next += 2;
+                }
+            }
+        }
+        let num_var_cols = next;
+        let num_slacks = problem
+            .constraints()
+            .filter(|&(_, op, _)| op != ConstraintOp::Eq)
+            .count();
+        let num_cols = num_var_cols + num_slacks;
+
+        let mut rows: Vec<Vec<(usize, f64)>> = Vec::new();
+        let mut b: Vec<f64> = Vec::new();
+        let mut slack_idx = num_var_cols;
+        for (terms, op, rhs) in problem.constraints() {
+            let mut row: Vec<(usize, f64)> = Vec::new();
+            for (v, coeff) in terms {
+                let (p, n) = cols[v.0];
+                row.push((p, *coeff));
+                if let Some(n) = n {
+                    row.push((n, -*coeff));
+                }
+            }
+            let mut rhs = rhs;
+            let mut op = op;
+            if rhs < 0.0 {
+                for (_, v) in row.iter_mut() {
+                    *v = -*v;
+                }
+                rhs = -rhs;
+                op = match op {
+                    ConstraintOp::Le => ConstraintOp::Ge,
+                    ConstraintOp::Ge => ConstraintOp::Le,
+                    ConstraintOp::Eq => ConstraintOp::Eq,
+                };
+            }
+            match op {
+                ConstraintOp::Le => {
+                    row.push((slack_idx, 1.0));
+                    slack_idx += 1;
+                }
+                ConstraintOp::Ge => {
+                    row.push((slack_idx, -1.0));
+                    slack_idx += 1;
+                }
+                ConstraintOp::Eq => {}
+            }
+            rows.push(row);
+            b.push(rhs);
+        }
+        let c = standard_costs(problem, &cols, num_cols);
+        let a = CsrMatrix::from_rows(num_cols, &rows);
+        let mut mirror = vec![None; num_cols];
+        for &(p, n) in &cols {
+            if let Some(n) = n {
+                mirror[p] = Some(n);
+            }
+        }
+        let mut sf = SparseStandardForm {
+            a,
+            b,
+            c,
+            mirror,
+            dual_slacks: None,
+        };
+        sf.dual_slacks = dual::dual_feasible_slack_basis(&sf);
+        sf
+    }
+
+    /// Asserts that `to_standard_form` matches the oracle bit for bit, and
+    /// that its dual slack basis is the one the seeding scan picks.
+    fn assert_conversion_matches_oracle(lp: &LpProblem) {
+        let (sf, _) = to_standard_form(lp);
+        let reference = reference_standard_form(lp);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let ((indptr, indices, values), (ref_indptr, ref_indices, ref_values)) =
+            (sf.a.parts(), reference.a.parts());
+        assert_eq!(sf.a.ncols(), reference.a.ncols());
+        assert_eq!(indptr, ref_indptr, "indptr");
+        assert_eq!(indices, ref_indices, "indices");
+        assert_eq!(bits(values), bits(ref_values), "values");
+        assert_eq!(bits(&sf.b), bits(&reference.b), "b");
+        assert_eq!(bits(&sf.c), bits(&reference.c), "c");
+        assert_eq!(sf.mirror, reference.mirror, "mirror");
+        assert_eq!(sf.dual_slacks, reference.dual_slacks, "dual slack basis");
+    }
+
+    #[test]
+    fn conversion_picks_the_seeding_scans_slack_basis() {
+        // Zero-cost singleton variable columns beat the slack of their row
+        // when within PIVOT_EPS of ±1 (x0 on row 0; x1⁺, at −1 once the
+        // row is flipped, on row 1), not otherwise (x2 on row 2); an
+        // equality row needs one (x3 on row 3).
+        let mut lp = LpProblem::new();
+        let x0 = lp.add_var(VarKind::NonNegative);
+        let x1 = lp.add_var(VarKind::Free);
+        let x2 = lp.add_var(VarKind::NonNegative);
+        let x3 = lp.add_var(VarKind::NonNegative);
+        let y = lp.add_var(VarKind::Free);
+        lp.add_constraint(&[(x0, 1.0 + 5e-11), (y, 2.0)], ConstraintOp::Le, 1.0);
+        lp.add_constraint(&[(y, 1.0), (x1, 1.0)], ConstraintOp::Ge, -2.0);
+        lp.add_constraint(&[(x2, 0.5), (y, -1.0)], ConstraintOp::Ge, 1.0);
+        lp.add_constraint(&[(y, 3.0), (x3, -1.0)], ConstraintOp::Eq, 4.0);
+        lp.minimize_l1_of(&[y]);
+        assert_conversion_matches_oracle(&lp);
+        let (sf, _) = to_standard_form(&lp);
+        // Columns: x0, x1⁺ x1⁻, x2, x3, y⁺ y⁻, then the slacks 7, 8, 9.
+        assert_eq!(sf.dual_slacks, Some(vec![0, 1, 9, 4]));
+        // A negative cost rules the basis out; so does an equality row with
+        // no singleton.
+        lp.set_objective_linear(&[(x2, -1.0)]);
+        assert_eq!(to_standard_form(&lp).0.dual_slacks, None);
+        lp.minimize_l1_of(&[y]);
+        lp.add_constraint(&[(y, 1.0), (x0, 1.0)], ConstraintOp::Eq, 0.0);
+        assert_eq!(to_standard_form(&lp).0.dual_slacks, None);
+        assert_conversion_matches_oracle(&lp);
+    }
+
+    /// A random modelling-form program: `(free, rows, objective)`, where a
+    /// row is `(op, rhs, sorted, terms)` and a term `(variable, kind, x)`
+    /// picks its coefficient: 0, ±1, 1 + 5e-11, `x`, or `x` followed by an
+    /// exactly cancelling `−x`.
+    type Program = (
+        Vec<bool>,
+        Vec<(u8, f64, bool, Vec<(usize, u8, f64)>)>,
+        (u8, Vec<f64>),
+    );
+
+    fn program() -> impl Strategy<Value = Program> {
+        let term = (0usize..5, 0u8..7, -3.0..3.0f64);
+        let row = (
+            0u8..3,
+            -2.0..2.0f64,
+            0u8..2,
+            prop::collection::vec(term, 0..6),
+        )
+            .prop_map(|(op, rhs, sorted, terms)| (op, rhs, sorted == 1, terms));
+        (
+            prop::collection::vec(0u8..2, 5),
+            prop::collection::vec(row, 0..7),
+            (0u8..4, prop::collection::vec(-1.0..3.0f64, 5)),
+        )
+            .prop_map(|(free, rows, objective)| {
+                (free.iter().map(|&f| f == 1).collect(), rows, objective)
+            })
+    }
+
+    fn build(program: &Program) -> LpProblem {
+        let (free, rows, (objective, weights)) = program;
+        let mut lp = LpProblem::new();
+        let vars: Vec<VarId> = free
+            .iter()
+            .map(|&f| {
+                lp.add_var(if f {
+                    VarKind::Free
+                } else {
+                    VarKind::NonNegative
+                })
+            })
+            .collect();
+        for (op, rhs, sorted, terms) in rows {
+            let mut coeffs = Vec::new();
+            for &(v, kind, x) in terms {
+                let coeff = match kind {
+                    0 => 0.0,
+                    1 => 1.0,
+                    2 => -1.0,
+                    3 => 1.0 + 5e-11,
+                    _ => x,
+                };
+                coeffs.push((vars[v], coeff));
+                if kind == 6 {
+                    coeffs.push((vars[v], -x));
+                }
+            }
+            if *sorted {
+                coeffs.sort_by_key(|&(v, _)| v);
+                coeffs.dedup_by_key(|&mut (v, _)| v);
+            }
+            let op = [ConstraintOp::Le, ConstraintOp::Ge, ConstraintOp::Eq][*op as usize];
+            // Every fourth right-hand side is exactly zero.
+            let rhs = if (rhs * 4.0).fract().abs() < 0.25 {
+                0.0
+            } else {
+                *rhs
+            };
+            lp.add_constraint(&coeffs, op, rhs);
+        }
+        let normed = &vars[..weights.len().min(1 + (weights[0].abs() * 2.0) as usize)];
+        match objective {
+            0 => {}
+            1 => {
+                // Some costs zero, some negative.
+                let costs: Vec<_> = vars
+                    .iter()
+                    .zip(weights)
+                    .map(|(&v, &w)| (v, if w > 1.0 { 0.0 } else { w }))
+                    .collect();
+                lp.set_objective_linear(&costs);
+            }
+            2 => lp.minimize_l1_of(normed),
+            _ => {
+                lp.minimize_linf_of(normed);
+                lp = lower_linf(&lp, normed).0;
+            }
+        }
+        lp
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn conversion_matches_the_per_row_oracle_bit_for_bit(p in program()) {
+            assert_conversion_matches_oracle(&build(&p));
+        }
+    }
+
     #[test]
     fn dual_feasible_programs_take_the_dual_unless_dense_is_pinned() {
         // A chain of 8 rows, all violated at the origin, with an ℓ1
@@ -708,7 +1093,7 @@ mod tests {
         }
         lp.minimize_l1_of(&x);
         let (_, dual_stats) = solve_via(&lp, &mut |sf| {
-            let slacks = dual::dual_feasible_slack_basis(sf).expect("dual feasible");
+            let slacks = sf.dual_slacks.as_ref().expect("dual feasible");
             let (outcome, stats) =
                 dual::solve(sf, slacks, DEFAULT_MAX_ITERS).expect("no breakdown");
             (outcome, stats.into())

@@ -5,9 +5,9 @@
 //! output coordinates its constraint mentions, plus a singleton slack
 //! column.  Storing those rows densely (as `StandardForm` does) makes every
 //! simplex pivot pay for the zeros.  This module provides the CSR rows the
-//! standard-form conversion produces directly from the (already sparse)
-//! modelling constraints, and the CSC view the revised simplex prices
-//! columns from.
+//! standard-form conversion writes directly from the (already sparse)
+//! modelling constraints — the only layout the dual simplex reads — and the
+//! CSC view the primal revised simplex prices columns from.
 
 use crate::simplex::StandardForm;
 
@@ -25,6 +25,29 @@ pub(crate) struct CsrMatrix {
 }
 
 impl CsrMatrix {
+    /// Wraps finished CSR arrays: `indptr` has one entry per row plus one,
+    /// and each row's column ids strictly increase.
+    pub(crate) fn from_parts(
+        ncols: usize,
+        indptr: Vec<usize>,
+        indices: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Self {
+        debug_assert_eq!(indptr.last(), Some(&indices.len()));
+        debug_assert_eq!(indices.len(), values.len());
+        debug_assert!(indptr
+            .windows(2)
+            .all(|w| indices[w[0]..w[1]].windows(2).all(|p| p[0] < p[1])));
+        debug_assert!(indices.iter().all(|&j| j < ncols));
+        CsrMatrix {
+            nrows: indptr.len() - 1,
+            ncols,
+            indptr,
+            indices,
+            values,
+        }
+    }
+
     /// Builds a CSR matrix from per-row `(column, value)` lists.
     ///
     /// Entries within a row may be unsorted and may repeat (repeats are
@@ -34,6 +57,7 @@ impl CsrMatrix {
     /// # Panics
     ///
     /// Panics if any column index is `>= ncols`.
+    #[cfg(test)]
     pub(crate) fn from_rows(ncols: usize, rows: &[Vec<(usize, f64)>]) -> Self {
         let mut indptr = Vec::with_capacity(rows.len() + 1);
         let mut indices = Vec::new();
@@ -88,7 +112,29 @@ impl CsrMatrix {
         (&self.indices[span.clone()], &self.values[span])
     }
 
-    /// The same matrix compressed by columns (for column pricing / FTRAN).
+    /// The entry at row `i`, column `j` (zero when none is stored).
+    pub(crate) fn get(&self, i: usize, j: usize) -> f64 {
+        let (cols, vals) = self.row(i);
+        cols.binary_search(&j).map_or(0.0, |k| vals[k])
+    }
+
+    /// Column `j` as `(row, value)` entries in ascending row order, looked
+    /// up row by row (a binary search per row).
+    pub(crate) fn col(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        (0..self.nrows).filter_map(move |i| {
+            let (cols, vals) = self.row(i);
+            cols.binary_search(&j).ok().map(|k| (i, vals[k]))
+        })
+    }
+
+    /// The raw arrays `(indptr, indices, values)`.
+    #[cfg(test)]
+    pub(crate) fn parts(&self) -> (&[usize], &[usize], &[f64]) {
+        (&self.indptr, &self.indices, &self.values)
+    }
+
+    /// The same matrix compressed by columns (for the primal revised
+    /// simplex's column pricing and FTRAN).
     pub(crate) fn to_csc(&self) -> CscMatrix {
         // Counting sort of the entries by column: stable, O(nnz + ncols).
         let mut counts = vec![0usize; self.ncols + 1];
@@ -177,6 +223,13 @@ pub(crate) struct SparseStandardForm {
     /// conversion always lays out as adjacent columns `k = j + 1`).  The
     /// revised simplex prices both with a single sparse dot product.
     pub mirror: Vec<Option<usize>>,
+    /// The all-slack basis the dual simplex starts from (one column per
+    /// row), when it is dual feasible: every cost is `≥ 0` and every row
+    /// has a singleton ±1 column of zero cost.  Per row it is the lowest
+    /// such column, the one the primal seeding scan
+    /// ([`crate::simplex::seed_basis_from_unit_columns`], with the signs
+    /// dropped) picks; the conversion records it as it writes the rows.
+    pub dual_slacks: Option<Vec<usize>>,
 }
 
 impl SparseStandardForm {
@@ -185,7 +238,15 @@ impl SparseStandardForm {
     #[cfg(test)]
     pub(crate) fn new(a: CsrMatrix, b: Vec<f64>, c: Vec<f64>) -> Self {
         let mirror = vec![None; a.ncols()];
-        SparseStandardForm { a, b, c, mirror }
+        let mut sf = SparseStandardForm {
+            a,
+            b,
+            c,
+            mirror,
+            dual_slacks: None,
+        };
+        sf.dual_slacks = crate::dual::dual_feasible_slack_basis(&sf);
+        sf
     }
 
     pub(crate) fn num_rows(&self) -> usize {
@@ -254,6 +315,17 @@ mod tests {
         let mut buf = vec![9.0; 3];
         csc.scatter_col(1, &mut buf);
         assert_eq!(buf, vec![0.0, 3.0, 4.0]);
+        // The row-by-row lookups read the same columns off the CSR.
+        for j in 0..3 {
+            let (rows, vals) = csc.col(j);
+            let expected: Vec<(usize, f64)> =
+                rows.iter().copied().zip(vals.iter().copied()).collect();
+            assert_eq!(csr.col(j).collect::<Vec<_>>(), expected);
+            for i in 0..3 {
+                let stored = rows.iter().position(|&r| r == i).map_or(0.0, |k| vals[k]);
+                assert_eq!(csr.get(i, j), stored);
+            }
+        }
     }
 
     #[test]
