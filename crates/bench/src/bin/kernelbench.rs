@@ -2,10 +2,14 @@
 //!
 //! Measures the blocked GEMM kernels against the naive oracle (with a
 //! bitwise oracle check on every run — a mismatch fails the process, which
-//! is what CI keys off), plus the three end-to-end workloads the repair
-//! pipeline spends its time in: `Network::forward_batch`, the DDNN
-//! parameter Jacobian, and SyReNN `plane_regions`.  Pool workloads are
-//! swept at `--threads 1/2/4`.
+//! is what CI keys off), plus the end-to-end workloads the repair pipeline
+//! spends its time in: `Network::forward_batch`, the DDNN parameter
+//! Jacobian (on an MLP and on the Task 1 CNN), the Task 1 CNN's conv
+//! pre-activations, and SyReNN `plane_regions`.  Each conv case first
+//! checks its batch result against per-point calls bit for bit (the
+//! per-point calls take the naive GEMM path, the batches the blocked one)
+//! and fails the process on a mismatch.  Pool workloads are swept at
+//! `--threads 1/2/4`.
 //!
 //! Every case runs at least [`prdnn_bench::stats::MIN_RUNS`] times and is
 //! reported as **median + IQR**, never a single sample.  The report also
@@ -18,10 +22,12 @@
 //!     [--runs N] [--quick] [--out BENCH_kernels.json]
 //! ```
 
+use prdnn_bench::scale::{Scale, Task1Params};
 use prdnn_bench::stats::{summarize, time_runs, Summary, MIN_RUNS};
 use prdnn_core::DecoupledNetwork;
+use prdnn_datasets::imagenet_like;
 use prdnn_linalg::gemm;
-use prdnn_nn::{Activation, Network};
+use prdnn_nn::{Activation, FlatBatch, Network};
 use prdnn_par::ThreadPool;
 use prdnn_syrenn::plane_regions_in;
 use rand::rngs::StdRng;
@@ -65,8 +71,9 @@ fn case_to_json(case: &Case) -> Value {
 }
 
 /// Bitwise oracle comparison; a blocked kernel that disagrees with the
-/// naive triple loop on even one bit is a correctness bug, not a rounding
-/// footnote, so the whole bench fails.
+/// naive triple loop (or a batch path with its per-point calls) on even
+/// one bit is a correctness bug, not a rounding footnote, so the whole
+/// bench fails.
 fn check_oracle(name: &str, blocked: &[f64], naive: &[f64]) {
     let ok = blocked.len() == naive.len()
         && blocked
@@ -74,7 +81,7 @@ fn check_oracle(name: &str, blocked: &[f64], naive: &[f64]) {
             .zip(naive)
             .all(|(x, y)| x.to_bits() == y.to_bits());
     if !ok {
-        eprintln!("ORACLE MISMATCH: {name} diverged from the naive reference");
+        eprintln!("ORACLE MISMATCH: {name} diverged from its reference");
         std::process::exit(1);
     }
 }
@@ -196,6 +203,76 @@ fn jacobian_cases(runs: usize, cases: &mut Vec<Case>) {
     }
 }
 
+/// The trained Task 1 CNN (`tiny` scale) and its drawdown images.
+fn task1_cnn() -> (Network, Vec<Vec<f64>>) {
+    let params = Task1Params::for_scale(Scale::Tiny);
+    let task = imagenet_like::object_task(params.seed, params.train_size, params.validation_size);
+    (task.network, task.validation.inputs)
+}
+
+fn conv_forward_cases(runs: usize, net: &Network, images: &[Vec<f64>], cases: &mut Vec<Case>) {
+    let (conv1, pool1, conv2) = (net.layer(0), net.layer(1), net.layer(2));
+    for batch in [15, 64] {
+        let pixels = FlatBatch::from_rows(net.input_dim(), &images[..batch]);
+        let features = pool1.forward_batch_flat(&conv1.forward_batch_flat(&pixels));
+        for (idx, layer, inputs) in [(0, conv1, &pixels), (2, conv2, &features)] {
+            let name = format!("conv_forward_batch_l{idx}_b{batch}");
+            let per_point: Vec<f64> = inputs.rows().flat_map(|x| layer.preactivation(x)).collect();
+            check_oracle(
+                &name,
+                layer.preactivation_batch_flat(inputs).as_slice(),
+                &per_point,
+            );
+            let summary = summarize(time_runs(runs, || {
+                std::hint::black_box(layer.preactivation_batch_flat(inputs));
+            }));
+            cases.push(Case {
+                name,
+                config: vec![
+                    ("net", Value::Str("task1 cnn (tiny)".to_owned())),
+                    ("layer", Value::Num(idx as f64)),
+                    ("batch", Value::Num(batch as f64)),
+                ],
+                threads: None,
+                summary,
+                speedup_vs_naive: None,
+            });
+        }
+    }
+}
+
+fn jacobian_cnn_cases(runs: usize, net: &Network, images: &[Vec<f64>], cases: &mut Vec<Case>) {
+    let ddnn = DecoupledNetwork::from_network(net);
+    let pairs: Vec<(&[f64], &[f64])> = images[..15].iter().map(|p| (&p[..], &p[..])).collect();
+    let config = vec![
+        ("net", Value::Str("task1 cnn (tiny)".to_owned())),
+        ("points", Value::Num(pairs.len() as f64)),
+        ("layer", Value::Num(2.0)),
+    ];
+    let serial = ddnn.value_param_jacobian_batch(2, &pairs);
+    for (p, (a, v)) in pairs.iter().enumerate() {
+        check_oracle(
+            &format!("jacobian_batch_cnn point {p}"),
+            serial[p].as_slice(),
+            ddnn.value_param_jacobian(2, a, v).as_slice(),
+        );
+    }
+    for threads in THREAD_SWEEP {
+        let pool = ThreadPool::new(threads);
+        let summary = summarize(time_runs(runs, || {
+            let out = ddnn.value_param_jacobian_batch_in(&pool, 2, &pairs);
+            assert_eq!(out, serial, "jacobian_batch_in diverged from serial");
+        }));
+        cases.push(Case {
+            name: "jacobian_batch_cnn".to_owned(),
+            config: config.clone(),
+            threads: Some(threads),
+            summary,
+            speedup_vs_naive: None,
+        });
+    }
+}
+
 fn plane_regions_cases(runs: usize, cases: &mut Vec<Case>) {
     let mut rng = StdRng::seed_from_u64(9);
     // The bench_plane_regions headline workload: a deep ACAS-style slice.
@@ -242,6 +319,9 @@ fn main() {
     gemm_cases(runs, &mut cases);
     forward_batch_cases(runs, &mut cases);
     jacobian_cases(runs, &mut cases);
+    let (cnn, images) = task1_cnn();
+    conv_forward_cases(runs, &cnn, &images, &mut cases);
+    jacobian_cnn_cases(runs, &cnn, &images, &mut cases);
     plane_regions_cases(runs, &mut cases);
 
     for case in &cases {

@@ -439,6 +439,20 @@ mod tests {
     use super::*;
     use crate::scale::Scale;
 
+    /// The trained CNN's bits, pinned: every Task 1 number rests on them.
+    /// Training runs each sample through the conv kernels one at a time,
+    /// so a kernel that reorders a single sum changes this hash.
+    #[test]
+    fn tiny_task1_network_keeps_its_bits() {
+        let params = Task1Params::for_scale(Scale::Tiny);
+        let task =
+            imagenet_like::object_task(params.seed, params.train_size, params.validation_size);
+        assert_eq!(
+            prdnn_nn::network_content_hash(&task.network),
+            0x6627_4628_c012_d3c1
+        );
+    }
+
     #[test]
     fn tiny_task1_pipeline_runs_end_to_end() {
         let mut params = Task1Params::for_scale(Scale::Tiny);

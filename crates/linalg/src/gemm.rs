@@ -33,6 +33,9 @@
 //! micro-kernel is always full-size.  Padded lanes are never stored, and
 //! a padded `+= 0.0 * x` cannot flip a stored lane because it only touches
 //! unstored accumulator rows/columns.
+//!
+//! Zero-sized dimensions are legal: `k = 0` yields the zero matrix (every
+//! chain is empty), and `m = 0` or `n = 0` an empty one.
 
 /// Register-tile rows (rows of `C` updated per micro-kernel call).
 const MR: usize = 4;
@@ -66,6 +69,10 @@ pub fn gemv(m: usize, k: usize, a: &[f64], x: &[f64], y: &mut [f64]) {
     assert_eq!(a.len(), m * k, "gemv: A shape mismatch");
     assert_eq!(x.len(), k, "gemv: x length mismatch");
     assert_eq!(y.len(), m, "gemv: y length mismatch");
+    if k == 0 {
+        y.fill(0.0);
+        return;
+    }
     let mut rows = a.chunks_exact(4 * k);
     let mut out = y.chunks_exact_mut(4);
     for (quad, ys) in (&mut rows).zip(&mut out) {
@@ -99,6 +106,9 @@ pub fn gemm_naive(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f
     assert_eq!(b.len(), k * n, "gemm: B shape mismatch");
     assert_eq!(c.len(), m * n, "gemm: C shape mismatch");
     c.fill(0.0);
+    if k == 0 || n == 0 {
+        return;
+    }
     for (row_a, row_c) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
         for (aik, row_b) in row_a.iter().zip(b.chunks_exact(n)) {
             for (cij, bkj) in row_c.iter_mut().zip(row_b) {
@@ -115,6 +125,7 @@ pub fn gemm_nn(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]
     assert_eq!(b.len(), k * n, "gemm: B shape mismatch");
     assert_eq!(c.len(), m * n, "gemm: C shape mismatch");
     if m * k * n < BLOCK_THRESHOLD {
+        // Also the zero-dimension path: the naive loop zero-fills `C`.
         gemm_naive(m, k, n, a, b, c);
     } else {
         gemm_blocked(m, k, n, a, c, |kk, j| b[kk * n + j]);
@@ -129,7 +140,9 @@ pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f64], bt: &[f64], c: &mut [f64
     assert_eq!(a.len(), m * k, "gemm: A shape mismatch");
     assert_eq!(bt.len(), n * k, "gemm: Bᵀ shape mismatch");
     assert_eq!(c.len(), m * n, "gemm: C shape mismatch");
-    if m * k * n < BLOCK_THRESHOLD {
+    if k == 0 || n == 0 {
+        c.fill(0.0);
+    } else if m * k * n < BLOCK_THRESHOLD {
         // Naive path, reading B transposed: each element is an
         // ascending-k dot of an A row with a B row.
         for (row_a, row_c) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {

@@ -7,9 +7,11 @@
 //! bit-identical** to `gemm_naive` at every shape — including the shapes
 //! that cross the naive/blocked dispatch threshold and the ragged edge
 //! tiles that exercise zero-padding.  No `≤1e-12`-style relative tolerance
-//! is needed anywhere; these tests compare raw `f64::to_bits`.
+//! is needed anywhere; these tests compare raw `f64::to_bits`.  Zero-sized
+//! dimensions are legal shapes too: an empty inner dimension gives the zero
+//! matrix.
 
-use prdnn_linalg::gemm;
+use prdnn_linalg::{gemm, Matrix};
 use proptest::prelude::*;
 
 fn entries() -> impl Strategy<Value = f64> {
@@ -61,6 +63,41 @@ proptest! {
         gemm::gemm_naive(m, k, n, a, &b, &mut c_naive);
         gemm::gemm_nt(m, k, n, a, bt, &mut c_nt);
         prop_assert!(bits_eq(&c_naive, &c_nt), "({m},{k},{n})");
+    }
+
+    /// Every entry point accepts a zero in any dimension: `k = 0` gives
+    /// the `m × n` zero matrix (an empty sum), `m = 0` or `n = 0` an empty
+    /// one.  One dimension is forced to 0 per case, the others drawn small.
+    #[test]
+    fn zero_dimensions_give_the_zero_matrix(
+        zero_at in 0usize..3,
+        dims in (0usize..9, 0usize..9, 0usize..9),
+        seed in prop::collection::vec(entries(), 9 * 9),
+    ) {
+        let (mut m, mut k, mut n) = dims;
+        match zero_at {
+            0 => m = 0,
+            1 => k = 0,
+            _ => n = 0,
+        }
+        let a = &seed[..m * k];
+        let b = &seed[seed.len() - k * n..];
+        let zeros = vec![0.0; m * n];
+        let mut c = vec![f64::NAN; m * n];
+        gemm::gemm_naive(m, k, n, a, b, &mut c);
+        prop_assert!(bits_eq(&c, &zeros), "naive ({m},{k},{n})");
+        gemm::gemm_nn(m, k, n, a, b, &mut c);
+        prop_assert!(bits_eq(&c, &zeros), "nn ({m},{k},{n})");
+        gemm::gemm_nt(m, k, n, a, b, &mut c);
+        prop_assert!(bits_eq(&c, &zeros), "nt ({m},{k},{n})");
+        let product =
+            Matrix::from_flat(m, k, a.to_vec()).matmul(&Matrix::from_flat(k, n, b.to_vec()));
+        prop_assert!(bits_eq(product.as_slice(), &zeros), "matmul ({m},{k},{n})");
+        if m == 0 || k == 0 {
+            let mut y = vec![f64::NAN; m];
+            gemm::gemv(m, k, a, &seed[..k], &mut y);
+            prop_assert!(bits_eq(&y, &vec![0.0; m]), "gemv ({m},{k})");
+        }
     }
 
     /// The four-row matvec kernel against a per-row scalar dot, and the

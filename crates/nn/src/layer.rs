@@ -18,6 +18,39 @@
 //! * the layer's activation-linearisation around an activation-channel
 //!   pre-activation (Definition 4.2/4.3), which defines the value channel of
 //!   a Decoupled DNN.
+//!
+//! # Convolutions on the GEMM
+//!
+//! Dense and conv layers share one kernel, `prdnn_linalg::gemm`, and so
+//! one summation order.  A conv layer unfolds its input into patches
+//! (im2col; Chellapilla, Puri & Simard, IWFHR 2006) through a gather table
+//! built once per call: per output position, the input index of each of
+//! the `in_c · k_h · k_w` filter taps in `(ic, ky, kx)` order, or a padding
+//! sentinel.
+//!
+//! * **Pre-activation.** A batch's patches form one `(images · positions) ×
+//!   (1 + taps)` panel whose column 0 is the constant 1.0; the filters get
+//!   their bias prepended as column 0.  One `gemm_nt` yields every
+//!   pre-activation.  A single input runs as a batch of one.
+//! * **Parameter VJP.** Per input, one `gemm_nn` of `dz`, viewed as
+//!   `(rows · out_c) × positions`, by that input's patch panel.  Column 0
+//!   of the product holds the bias gradients.
+//! * **Input VJP.** No GEMM: it walks the gather table in the direct loop's
+//!   connection order.  A GEMM and a col2im scatter would reorder its sums,
+//!   and training calls it on every sample.
+//!
+//! **Why the bits hold.** The GEMM accumulates each output in one
+//! ascending-`k` chain that starts at 0.0 and uses no FMA.  A pre-activation
+//! therefore sums `0.0 + b · 1.0 = b` and then each `w · x` in the direct
+//! loop's tap order, which is the direct loop's own sum.  A padding tap adds
+//! `w · 0.0 = ±0.0`, which leaves the sum unchanged: a sum that starts at
+//! `b ≠ −0.0` can never become −0.0.  A parameter-VJP entry is likewise the
+//! direct loop's ascending-position chain from 0.0, plus ±0.0 padding
+//! terms.  So every conv kernel is bit-identical to the direct loops, which
+//! remain as the `#[cfg(test)]` oracle, with two exceptions: a bias of
+//! exactly −0.0 (the GEMM's `0.0 + −0.0` is +0.0), and non-finite weights
+//! (or `dz` entries, for the parameter VJP), whose padding terms are NaN
+//! where the direct loop skips them.
 
 use crate::activation::Activation;
 use crate::batch::FlatBatch;
@@ -167,6 +200,13 @@ impl DenseLayer {
 
 /// A 2-D convolutional layer `σ(conv(x, K) + b)` over `C×H×W` inputs
 /// flattened in row-major `[channel][row][col]` order.
+///
+/// The pre-activation (single and batch) runs as one `gemm_nt` of an
+/// im2col patch panel by the bias-prepended filters, the parameter VJP as
+/// one `gemm_nn` of `dz` by the patch panel, and the input VJP as a loop
+/// over the gather table.  All three are bit-identical to the direct
+/// six-deep loops except for a bias of exactly −0.0 and non-finite weights
+/// (see the module doc).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Conv2dLayer {
     /// Input channel count.
@@ -193,6 +233,15 @@ pub struct Conv2dLayer {
     pub activation: Activation,
 }
 
+/// Tap-table entry of a tap that falls in the zero padding.
+const PADDING_TAP: usize = usize::MAX;
+
+/// Size budget of one forward patch panel in `f64` entries (512 KiB): a
+/// batch is unfolded as many whole images at a time as fit, at least one.
+/// The chunking changes no bits — every output is one dot product of a
+/// patch row with a weight row.
+const PANEL_ENTRIES: usize = 1 << 16;
+
 impl Conv2dLayer {
     /// Output height after the convolution.
     pub fn out_height(&self) -> usize {
@@ -204,6 +253,176 @@ impl Conv2dLayer {
         (self.in_width + 2 * self.padding - self.kernel_w) / self.stride + 1
     }
 
+    /// Input length (`in_channels · in_height · in_width`).
+    fn in_dim(&self) -> usize {
+        self.in_channels * self.in_height * self.in_width
+    }
+
+    /// Output positions per channel (`out_height · out_width`).
+    fn positions(&self) -> usize {
+        self.out_height() * self.out_width()
+    }
+
+    /// Taps per output position (`in_channels · kernel_h · kernel_w`): the
+    /// length of one filter, and of one im2col patch.
+    fn taps(&self) -> usize {
+        self.in_channels * self.kernel_h * self.kernel_w
+    }
+
+    /// The im2col gather table, `positions × taps`: entry `p · taps + t` is
+    /// the input index that tap `t = (ic · kernel_h + ky) · kernel_w + kx`
+    /// reads at output position `p = oy · out_width + ox`, or
+    /// [`PADDING_TAP`] where it falls in the padding.  Taps run in filter
+    /// order, so a patch row lines up with a row of `weights`.
+    fn tap_table(&self) -> Vec<usize> {
+        let (oh, ow) = (self.out_height(), self.out_width());
+        let mut table = Vec::with_capacity(oh * ow * self.taps());
+        // Unpadded input coordinate of a tap, if it is inside the image.
+        let inside = |o: usize, k: usize, side: usize| {
+            (o * self.stride + k)
+                .checked_sub(self.padding)
+                .filter(|&i| i < side)
+        };
+        for oy in 0..oh {
+            for ox in 0..ow {
+                for ic in 0..self.in_channels {
+                    for ky in 0..self.kernel_h {
+                        let row = inside(oy, ky, self.in_height);
+                        for kx in 0..self.kernel_w {
+                            table.push(match (row, inside(ox, kx, self.in_width)) {
+                                (Some(iy), Some(ix)) => {
+                                    (ic * self.in_height + iy) * self.in_width + ix
+                                }
+                                _ => PADDING_TAP,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        table
+    }
+
+    /// Appends the patch rows of `count` flat images (`in_dim` each) to
+    /// `panel`: per image and output position, the row
+    /// `[1.0, x[tap 0], …, x[tap taps−1]]`, with 0.0 for padding taps.  The
+    /// leading 1.0 multiplies the bias column of [`Self::biased_weights`].
+    fn push_patches(&self, table: &[usize], count: usize, images: &[f64], panel: &mut Vec<f64>) {
+        let (taps, in_dim, positions) = (self.taps(), self.in_dim(), self.positions());
+        for img in 0..count {
+            let image = &images[img * in_dim..(img + 1) * in_dim];
+            for p in 0..positions {
+                panel.push(1.0);
+                panel.extend(table[p * taps..(p + 1) * taps].iter().map(|&i| {
+                    if i == PADDING_TAP {
+                        0.0
+                    } else {
+                        image[i]
+                    }
+                }));
+            }
+        }
+    }
+
+    /// The filters as an `out_channels × (1 + taps)` matrix with each bias
+    /// prepended as column 0.
+    fn biased_weights(&self) -> Vec<f64> {
+        let taps = self.taps();
+        let mut w = Vec::with_capacity(self.out_channels * (1 + taps));
+        for (oc, &b) in self.bias.iter().enumerate() {
+            w.push(b);
+            w.extend_from_slice(&self.weights[oc * taps..(oc + 1) * taps]);
+        }
+        w
+    }
+
+    /// Writes the pre-activations of `count` flat inputs into `z`
+    /// (`count × output_dim`, channel-major per image).
+    ///
+    /// A chunk of images is unfolded into one `(images · positions) ×
+    /// (1 + taps)` patch panel, multiplied by [`Self::biased_weights`] in
+    /// one `gemm_nt`, and the position-major product is scattered into
+    /// each image's channel rows.  See the module doc for why this is
+    /// bit-identical to the direct loop.
+    fn preactivations(&self, count: usize, inputs: &[f64], z: &mut [f64]) {
+        let (taps, positions, in_dim) = (self.taps(), self.positions(), self.in_dim());
+        let (out_c, out_dim) = (self.out_channels, self.out_channels * positions);
+        let table = self.tap_table();
+        let weights = self.biased_weights();
+        let chunk = (PANEL_ENTRIES / (positions * (1 + taps))).max(1);
+        let mut panel = Vec::with_capacity(chunk.min(count) * positions * (1 + taps));
+        let mut c = Vec::new();
+        for start in (0..count).step_by(chunk) {
+            let images = chunk.min(count - start);
+            panel.clear();
+            let inputs = &inputs[start * in_dim..(start + images) * in_dim];
+            self.push_patches(&table, images, inputs, &mut panel);
+            let rows = images * positions;
+            c.resize(rows * out_c, 0.0);
+            gemm::gemm_nt(rows, 1 + taps, out_c, &panel, &weights, &mut c);
+            for img in 0..images {
+                let z = &mut z[(start + img) * out_dim..(start + img + 1) * out_dim];
+                for p in 0..positions {
+                    let row = &c[(img * positions + p) * out_c..][..out_c];
+                    for (oc, &v) in row.iter().enumerate() {
+                        z[oc * positions + p] = v;
+                    }
+                }
+            }
+        }
+    }
+
+    /// `dz · ∂z/∂params` at `input`: one `gemm_nn` of `dz`, viewed as
+    /// `(rows · out_channels) × positions`, by the input's patch panel.
+    /// Column 0 of each product row is a bias gradient and the rest a
+    /// filter's gradient; both are copied into [`Layer::params`] order.
+    fn param_vjp(&self, dz: &Matrix, input: &[f64]) -> Matrix {
+        let (taps, positions, out_c) = (self.taps(), self.positions(), self.out_channels);
+        let mut panel = Vec::with_capacity(positions * (1 + taps));
+        self.push_patches(&self.tap_table(), 1, input, &mut panel);
+        let m = dz.rows() * out_c;
+        let mut g = vec![0.0; m * (1 + taps)];
+        gemm::gemm_nn(m, positions, 1 + taps, dz.as_slice(), &panel, &mut g);
+        let (nw, width) = (self.weights.len(), self.weights.len() + out_c);
+        let mut out = vec![0.0; dz.rows() * width];
+        for r in 0..dz.rows() {
+            let (filters, biases) = out[r * width..(r + 1) * width].split_at_mut(nw);
+            for oc in 0..out_c {
+                let grad = &g[(r * out_c + oc) * (1 + taps)..][..1 + taps];
+                biases[oc] = grad[0];
+                filters[oc * taps..(oc + 1) * taps].copy_from_slice(&grad[1..]);
+            }
+        }
+        Matrix::from_flat(dz.rows(), width, out)
+    }
+
+    /// `dz · ∂z/∂input`, accumulated through the gather table in the direct
+    /// loop's connection order — output channel, position, filter tap —
+    /// for each `dz` row.  A GEMM followed by a col2im scatter would
+    /// reorder these sums, and SGD training runs this on every sample, so
+    /// keeping the order is what keeps a trained network's bits.
+    fn input_vjp(&self, dz: &Matrix) -> Matrix {
+        let (taps, positions, in_dim) = (self.taps(), self.positions(), self.in_dim());
+        let table = self.tap_table();
+        let mut out = vec![0.0; dz.rows() * in_dim];
+        for r in 0..dz.rows() {
+            let (g_row, out_row) = (dz.row(r), &mut out[r * in_dim..(r + 1) * in_dim]);
+            for oc in 0..self.out_channels {
+                let filter = &self.weights[oc * taps..(oc + 1) * taps];
+                for p in 0..positions {
+                    let g = g_row[oc * positions + p];
+                    for (&i, &w) in table[p * taps..(p + 1) * taps].iter().zip(filter) {
+                        if i != PADDING_TAP {
+                            out_row[i] += g * w;
+                        }
+                    }
+                }
+            }
+        }
+        Matrix::from_flat(dz.rows(), in_dim, out)
+    }
+
+    #[cfg(test)]
     fn in_index(&self, c: usize, y: isize, x: isize) -> Option<usize> {
         if y < 0 || x < 0 || y as usize >= self.in_height || x as usize >= self.in_width {
             None
@@ -212,12 +431,15 @@ impl Conv2dLayer {
         }
     }
 
+    #[cfg(test)]
     fn weight_index(&self, oc: usize, ic: usize, ky: usize, kx: usize) -> usize {
         ((oc * self.in_channels + ic) * self.kernel_h + ky) * self.kernel_w + kx
     }
 
     /// Iterates over `(out_index, weight_index, in_index)` triples describing
     /// the sparse linear structure of the convolution, calling `f` for each.
+    /// The direct-loop oracle of the GEMM kernels above.
+    #[cfg(test)]
     fn for_each_connection(&self, mut f: impl FnMut(usize, usize, usize)) {
         let (oh, ow) = (self.out_height(), self.out_width());
         for oc in 0..self.out_channels {
@@ -241,7 +463,9 @@ impl Conv2dLayer {
     }
 
     /// Writes the convolution pre-activation for one input into `z`
-    /// (which must have length `output_dim`).
+    /// (which must have length `output_dim`): the direct-loop oracle of
+    /// [`Self::preactivations`].
+    #[cfg(test)]
     fn preactivation_into(&self, input: &[f64], z: &mut [f64]) {
         let (oh, ow) = (self.out_height(), self.out_width());
         for oc in 0..self.out_channels {
@@ -374,7 +598,7 @@ impl Layer {
     pub fn input_dim(&self) -> usize {
         match self {
             Layer::Dense(d) => d.weights.cols(),
-            Layer::Conv2d(c) => c.in_channels * c.in_height * c.in_width,
+            Layer::Conv2d(c) => c.in_dim(),
             Layer::MaxPool2d(p) | Layer::AvgPool2d(p) => p.channels * p.in_height * p.in_width,
         }
     }
@@ -496,7 +720,7 @@ impl Layer {
             }
             Layer::Conv2d(c) => {
                 let mut z = vec![0.0; self.output_dim()];
-                c.preactivation_into(input, &mut z);
+                c.preactivations(1, input, &mut z);
                 z
             }
             Layer::MaxPool2d(_) | Layer::AvgPool2d(_) => input.to_vec(),
@@ -562,7 +786,9 @@ impl Layer {
     /// each output element in the same ascending-`k` order as the per-point
     /// `matvec`, and the bias is added after the full accumulation exactly
     /// as in [`Self::preactivation`], so the result is bit-identical to
-    /// mapping the per-point entry point over the batch.
+    /// mapping the per-point entry point over the batch.  Conv layers
+    /// unfold the batch into patch panels for the same GEMM, and the
+    /// per-point entry point is a batch of one (see the module doc).
     ///
     /// # Panics
     ///
@@ -596,9 +822,7 @@ impl Layer {
             }
             Layer::Conv2d(c) => {
                 let mut z = FlatBatch::zeros(self.output_dim(), inputs.count());
-                for i in 0..inputs.count() {
-                    c.preactivation_into(inputs.row(i), z.row_mut(i));
-                }
+                c.preactivations(inputs.count(), inputs.as_slice(), z.as_mut_slice());
                 z
             }
             Layer::MaxPool2d(_) | Layer::AvgPool2d(_) => inputs.clone(),
@@ -856,16 +1080,7 @@ impl Layer {
         );
         match self {
             Layer::Dense(d) => rows.matmul(&d.weights),
-            Layer::Conv2d(c) => {
-                let mut out = Matrix::zeros(rows.rows(), self.input_dim());
-                c.for_each_connection(|out_idx, w_idx, in_idx| {
-                    let w = c.weights[w_idx];
-                    for r in 0..rows.rows() {
-                        out[(r, in_idx)] += rows[(r, out_idx)] * w;
-                    }
-                });
-                out
-            }
+            Layer::Conv2d(c) => c.input_vjp(rows),
             Layer::MaxPool2d(_) | Layer::AvgPool2d(_) => rows.clone(),
         }
     }
@@ -908,29 +1123,7 @@ impl Layer {
                 }
                 out
             }
-            Layer::Conv2d(c) => {
-                let mut out = Matrix::zeros(rows.rows(), self.num_params());
-                let nw = c.weights.len();
-                c.for_each_connection(|out_idx, w_idx, in_idx| {
-                    let x = input[in_idx];
-                    for r in 0..rows.rows() {
-                        out[(r, w_idx)] += rows[(r, out_idx)] * x;
-                    }
-                });
-                // Bias connections: pre-activation (oc, oy, ox) depends on bias[oc].
-                let (oh, ow) = (c.out_height(), c.out_width());
-                for oc in 0..c.out_channels {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let out_idx = (oc * oh + oy) * ow + ox;
-                            for r in 0..rows.rows() {
-                                out[(r, nw + oc)] += rows[(r, out_idx)];
-                            }
-                        }
-                    }
-                }
-                out
-            }
+            Layer::Conv2d(c) => c.param_vjp(rows, input),
             Layer::MaxPool2d(_) | Layer::AvgPool2d(_) => Matrix::zeros(rows.rows(), 0),
         }
     }
@@ -1303,6 +1496,178 @@ mod tests {
         let tanh_layer = Layer::dense(Matrix::identity(2), vec![0.0, 0.0], Activation::Tanh);
         assert_eq!(tanh_layer.crossing_spec(), CrossingSpec::NotPiecewiseLinear);
         assert!(!tanh_layer.is_piecewise_linear());
+    }
+
+    /// Direct-loop oracle of `preact_input_vjp` for a conv layer.
+    fn oracle_input_vjp(c: &Conv2dLayer, rows: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(rows.rows(), c.in_dim());
+        c.for_each_connection(|out_idx, w_idx, in_idx| {
+            let w = c.weights[w_idx];
+            for r in 0..rows.rows() {
+                out[(r, in_idx)] += rows[(r, out_idx)] * w;
+            }
+        });
+        out
+    }
+
+    /// Direct-loop oracle of `preact_param_vjp` for a conv layer.
+    fn oracle_param_vjp(c: &Conv2dLayer, rows: &Matrix, input: &[f64]) -> Matrix {
+        let nw = c.weights.len();
+        let mut out = Matrix::zeros(rows.rows(), nw + c.out_channels);
+        c.for_each_connection(|out_idx, w_idx, in_idx| {
+            let x = input[in_idx];
+            for r in 0..rows.rows() {
+                out[(r, w_idx)] += rows[(r, out_idx)] * x;
+            }
+        });
+        // Bias connections: pre-activation (oc, oy, ox) depends on bias[oc].
+        let (oh, ow) = (c.out_height(), c.out_width());
+        for oc in 0..c.out_channels {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let out_idx = (oc * oh + oy) * ow + ox;
+                    for r in 0..rows.rows() {
+                        out[(r, nw + oc)] += rows[(r, out_idx)];
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}[{i}]: {g} vs oracle {w}");
+        }
+    }
+
+    /// Checks every conv kernel against the direct-loop oracle, bit for
+    /// bit: forward (single and batch), parameter VJP (per image) and
+    /// input VJP.
+    fn check_conv_against_oracle(c: &Conv2dLayer, images: &[Vec<f64>], dz: &Matrix) {
+        let layer = Layer::Conv2d(c.clone());
+        let batch = layer.preactivation_batch_flat(&FlatBatch::from_rows(c.in_dim(), images));
+        assert_eq!(batch.count(), images.len());
+        for (i, image) in images.iter().enumerate() {
+            let mut want = vec![f64::NAN; layer.output_dim()];
+            c.preactivation_into(image, &mut want);
+            assert_bits_eq(&layer.preactivation(image), &want, "preactivation");
+            assert_bits_eq(batch.row(i), &want, "preactivation_batch_flat");
+            assert_bits_eq(
+                layer.preact_param_vjp(dz, image).as_slice(),
+                oracle_param_vjp(c, dz, image).as_slice(),
+                "preact_param_vjp",
+            );
+        }
+        assert_bits_eq(
+            layer.preact_input_vjp(dz).as_slice(),
+            oracle_input_vjp(c, dz).as_slice(),
+            "preact_input_vjp",
+        );
+    }
+
+    /// Random values with exact zeros mixed in (never −0.0: a bias of
+    /// −0.0 is the documented exception to bit identity).
+    fn values(rng: &mut impl rand::Rng, len: usize) -> Vec<f64> {
+        (0..len)
+            .map(|_| match rng.gen_range(0..4) {
+                0 => 0.0,
+                1 => rng.gen_range(-1e3..1e3),
+                _ => rng.gen_range(-2.0..2.0),
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn conv_kernels_are_bit_identical_to_the_direct_loops(
+            in_c in 1usize..9,
+            out_c in 1usize..9,
+            kernel in (1usize..4, 1usize..4),
+            stride in 1usize..3,
+            padding in 0usize..3,
+            extra in (0usize..6, 0usize..6),
+            images in 0usize..7,
+            rows in 1usize..10,
+            seed in 0u64..1 << 32,
+        ) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let c = Conv2dLayer {
+                in_channels: in_c,
+                in_height: kernel.0 + extra.0,
+                in_width: kernel.1 + extra.1,
+                out_channels: out_c,
+                kernel_h: kernel.0,
+                kernel_w: kernel.1,
+                stride,
+                padding,
+                weights: values(&mut rng, out_c * in_c * kernel.0 * kernel.1),
+                bias: values(&mut rng, out_c),
+                activation: Activation::Relu,
+            };
+            let images: Vec<Vec<f64>> = (0..images).map(|_| values(&mut rng, c.in_dim())).collect();
+            let out_dim = out_c * c.positions();
+            let dz = Matrix::from_flat(rows, out_dim, values(&mut rng, rows * out_dim));
+            check_conv_against_oracle(&c, &images, &dz);
+        }
+    }
+
+    /// A batch larger than one patch panel is unfolded in several chunks;
+    /// the chunk boundaries change no bits.
+    #[test]
+    fn conv_batch_spanning_several_panels_matches_the_oracle() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let c = Conv2dLayer {
+            in_channels: 8,
+            in_height: 16,
+            in_width: 16,
+            out_channels: 5,
+            kernel_h: 3,
+            kernel_w: 3,
+            stride: 1,
+            padding: 1,
+            weights: values(&mut rng, 5 * 8 * 9),
+            bias: values(&mut rng, 5),
+            activation: Activation::Relu,
+        };
+        let per_panel = PANEL_ENTRIES / (c.positions() * (1 + c.taps()));
+        assert!(per_panel > 1, "several images should fit one panel");
+        // Three panels: two full ones and a single image.
+        let images: Vec<Vec<f64>> = (0..2 * per_panel + 1)
+            .map(|_| values(&mut rng, c.in_dim()))
+            .collect();
+        let dz = Matrix::from_flat(2, 5 * 256, values(&mut rng, 2 * 5 * 256));
+        check_conv_against_oracle(&c, &images, &dz);
+    }
+
+    /// Degenerate shapes reach the GEMM with a zero dimension: no filters
+    /// give an empty output, no input channels a bias-only one.
+    #[test]
+    fn conv_with_no_filters_or_no_input_channels_matches_the_oracle() {
+        let mut rng = rand::rngs::mock::StepRng::new(3, 7);
+        for (in_c, out_c) in [(2, 0), (0, 3)] {
+            let c = Conv2dLayer {
+                in_channels: in_c,
+                in_height: 3,
+                in_width: 3,
+                out_channels: out_c,
+                kernel_h: 2,
+                kernel_w: 2,
+                stride: 1,
+                padding: 1,
+                weights: values(&mut rng, out_c * in_c * 4),
+                bias: vec![0.5; out_c],
+                activation: Activation::Relu,
+            };
+            let images = vec![values(&mut rng, c.in_dim()); 3];
+            let dz = Matrix::from_flat(2, out_c * 16, values(&mut rng, 2 * out_c * 16));
+            check_conv_against_oracle(&c, &images, &dz);
+        }
     }
 
     #[test]
