@@ -59,6 +59,36 @@ pub enum PrStatus {
     Infeasible,
     /// The LP solver hit its iteration budget (the paper's timeout case).
     Timeout,
+    /// The LP solver broke down numerically.
+    Numerical,
+}
+
+impl PrStatus {
+    /// The status of a repair that failed with `error`, or `None` when the
+    /// error names an invalid repair setup (layer, spec) rather than an
+    /// outcome of the repair.
+    pub fn of_error(error: &RepairError) -> Option<PrStatus> {
+        match error {
+            RepairError::Infeasible => Some(PrStatus::Infeasible),
+            RepairError::LpIterationLimit => Some(PrStatus::Timeout),
+            RepairError::LpNumerical => Some(PrStatus::Numerical),
+            RepairError::LayerHasNoParameters { .. }
+            | RepairError::LayerOutOfRange { .. }
+            | RepairError::NotPiecewiseLinear
+            | RepairError::SpecDimensionMismatch { .. }
+            | RepairError::EmptySpec => None,
+        }
+    }
+
+    /// The status as Figure 7 prints it.
+    pub fn label(self) -> &'static str {
+        match self {
+            PrStatus::Repaired => "repaired",
+            PrStatus::Infeasible => "infeasible",
+            PrStatus::Timeout => "timeout",
+            PrStatus::Numerical => "numerical",
+        }
+    }
 }
 
 /// Result of Provable Repair applied to one layer.
@@ -105,16 +135,11 @@ pub fn run_pr_sweep(setup: &Task1Setup, n_points: usize) -> Vec<PrLayerResult> {
                     time: start.elapsed(),
                     timing: outcome.stats.timing,
                 },
-                Err(RepairError::Infeasible) => PrLayerResult {
+                Err(error) => PrLayerResult {
                     layer,
-                    status: PrStatus::Infeasible,
-                    drawdown: f64::NAN,
-                    time: start.elapsed(),
-                    timing: RepairTiming::default(),
-                },
-                Err(_) => PrLayerResult {
-                    layer,
-                    status: PrStatus::Timeout,
+                    status: PrStatus::of_error(&error).unwrap_or_else(|| {
+                        panic!("Task 1 sweep: invalid repair of layer {layer}: {error}")
+                    }),
                     drawdown: f64::NAN,
                     time: start.elapsed(),
                     timing: RepairTiming::default(),
@@ -406,11 +431,7 @@ pub fn format_figure7(results: &Task1Results) -> String {
         out.push_str(&format!(
             "{:>5} | {:<10} | {}\n",
             r.layer,
-            match r.status {
-                PrStatus::Repaired => "repaired",
-                PrStatus::Infeasible => "infeasible",
-                PrStatus::Timeout => "timeout",
-            },
+            r.status.label(),
             pct(r.drawdown)
         ));
     }
@@ -451,6 +472,36 @@ mod tests {
             prdnn_nn::network_content_hash(&task.network),
             0x6627_4628_c012_d3c1
         );
+    }
+
+    #[test]
+    fn failed_repairs_keep_their_cause() {
+        let outcomes = [
+            (RepairError::Infeasible, PrStatus::Infeasible, "infeasible"),
+            (RepairError::LpIterationLimit, PrStatus::Timeout, "timeout"),
+            (RepairError::LpNumerical, PrStatus::Numerical, "numerical"),
+        ];
+        for (error, status, label) in outcomes {
+            assert_eq!(PrStatus::of_error(&error), Some(status), "{error}");
+            assert_eq!(status.label(), label);
+        }
+        assert_eq!(PrStatus::Repaired.label(), "repaired");
+        let invalid = [
+            RepairError::LayerHasNoParameters { layer: 1 },
+            RepairError::LayerOutOfRange {
+                layer: 9,
+                num_layers: 3,
+            },
+            RepairError::NotPiecewiseLinear,
+            RepairError::SpecDimensionMismatch {
+                expected: 10,
+                found: 3,
+            },
+            RepairError::EmptySpec,
+        ];
+        for error in invalid {
+            assert_eq!(PrStatus::of_error(&error), None, "{error}");
+        }
     }
 
     #[test]

@@ -96,14 +96,33 @@ pub fn repair_polytopes_ddnn(
         return Err(RepairError::NotPiecewiseLinear);
     }
 
-    // Lines 2–6 of Algorithm 2: reduce each polytope to the vertices of its
-    // linear regions, computed by the incremental transformer pipeline.
-    // The polytopes are independent, so the whole slab fans across the
-    // thread pool (Task 1/2 specifications restrict the network to hundreds
-    // of clean→corrupted lines); per-polytope results and their order are
-    // identical to one-at-a-time calls for every thread count.
     let lin_start = Instant::now();
     let pool = prdnn_par::pool_for(config.threads);
+    let (key_points, num_regions) = region_key_points(&pool, activation_net, spec)?;
+    let lin_regions_time: Duration = lin_start.elapsed();
+    let num_key_points = key_points.len();
+
+    // Line 7: hand the constructed point specification to Algorithm 1.
+    let outcome = repair_key_points(ddnn, layer, &key_points, config, &pool, lin_regions_time)?;
+    Ok(PolytopeRepairOutcome {
+        outcome,
+        num_regions,
+        num_key_points,
+    })
+}
+
+/// Lines 2–6 of Algorithm 2: each polytope reduced to the vertices of its
+/// linear regions, each vertex paired with its region's interior point
+/// (Appendix B); returns them with the number of regions.  The polytopes
+/// are independent, so the whole slab fans across the thread pool (Task 1/2
+/// specifications restrict the network to hundreds of clean→corrupted
+/// lines); per-polytope results and their order are identical to
+/// one-at-a-time calls for every thread count.
+pub(crate) fn region_key_points(
+    pool: &prdnn_par::ThreadPool,
+    activation_net: &Network,
+    spec: &PolytopeSpec,
+) -> Result<(Vec<KeyPoint>, usize), RepairError> {
     // Zip against the constraints so an excess polytope without a paired
     // constraint is ignored, exactly as the old per-pair loop did.
     let polytopes: Vec<&[Vec<f64>]> = spec
@@ -113,7 +132,7 @@ pub fn repair_polytopes_ddnn(
         .map(|(p, _)| p.vertices.as_slice())
         .collect();
     let all_regions =
-        lin_regions_batch_in(&pool, activation_net, &polytopes).map_err(|e| match e {
+        lin_regions_batch_in(pool, activation_net, &polytopes).map_err(|e| match e {
             SyrennError::NotPiecewiseLinear => RepairError::NotPiecewiseLinear,
             SyrennError::DegenerateInput => RepairError::EmptySpec,
         })?;
@@ -133,16 +152,7 @@ pub fn repair_polytopes_ddnn(
             }
         }
     }
-    let lin_regions_time: Duration = lin_start.elapsed();
-    let num_key_points = key_points.len();
-
-    // Line 7: hand the constructed point specification to Algorithm 1.
-    let outcome = repair_key_points(ddnn, layer, &key_points, config, &pool, lin_regions_time)?;
-    Ok(PolytopeRepairOutcome {
-        outcome,
-        num_regions,
-        num_key_points,
-    })
+    Ok((key_points, num_regions))
 }
 
 #[cfg(test)]

@@ -3,8 +3,11 @@
 
 use crate::ddnn::DecoupledNetwork;
 use crate::spec::OutputPolytope;
-use prdnn_linalg::vector;
-use prdnn_lp::{ConstraintOp, LpBackend, LpError, LpProblem, PricingRule, SolveOptions, VarKind};
+use prdnn_linalg::{vector, Matrix};
+use prdnn_lp::{
+    is_violated, ConstraintOp, LpBackend, LpError, LpProblem, LpStats, PricingRule, ResumableLp,
+    SolveOptions, VarId, VarKind,
+};
 use serde::json::Value;
 use std::time::{Duration, Instant};
 
@@ -39,7 +42,7 @@ pub struct RepairConfig {
     /// It no longer affects any repair LP, since the dual simplex solves
     /// them all; only an LP on which the dual breaks down reaches the
     /// primal revised backend.  Deleting it (with `lp_backend`) is ROADMAP
-    /// item 4.  Precedence mirrors `threads`: an explicit `Dantzig`/`Devex`
+    /// item 1.  Precedence mirrors `threads`: an explicit `Dantzig`/`Devex`
     /// wins over the `PRDNN_LP_PRICING` environment variable (the bench
     /// binaries' `--pricing` flag sets it); `Auto` defers to the variable
     /// and then to Devex.
@@ -76,12 +79,15 @@ pub struct RepairTiming {
     pub lin_regions: Duration,
     /// Time spent in the key points' batched forward and Jacobian pass.
     pub jacobians: Duration,
-    /// Time spent in the LP solve call: the standard-form conversion, the
-    /// basis factorisations and the simplex pivots.
+    /// Time spent in the LP solver, summed over the row-generation rounds:
+    /// building its standard form and slack basis from the rows violated
+    /// at `Δ = 0`, then each round's solve (its factorisation and pivots).
+    /// Zero when `Δ = 0` violates no row.
     pub lp: Duration,
-    /// Everything else: encoding the key-point constraints into the LP,
-    /// applying the delta to a copy of the network, and the repair's own
-    /// bookkeeping.
+    /// Everything else: encoding the key-point rows (forming `A·J` for the
+    /// rows that enter the LP and appending them), checking every key
+    /// point's rows at each round's `Δ`, applying the delta to a copy of
+    /// the network, and the repair's own bookkeeping.
     pub other: Duration,
 }
 
@@ -93,13 +99,18 @@ impl RepairTiming {
 }
 
 /// Size statistics of a successful repair.
+///
+/// The repair LP is built by row generation (see `lp_rows`), but
+/// `num_constraints` counts every row of the encoding, and the repaired
+/// network satisfies all of them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairStats {
     /// Index of the repaired (value-channel) layer.
     pub layer: usize,
-    /// Number of key points encoded in the LP.
+    /// Number of key points encoded.
     pub num_key_points: usize,
-    /// Number of LP constraint rows.
+    /// Rows of the encoding: one per face of each key point's output
+    /// polytope, plus the `param_bound` rows.
     pub num_constraints: usize,
     /// Number of LP variables (parameters of the repaired layer).
     pub num_variables: usize,
@@ -107,10 +118,18 @@ pub struct RepairStats {
     pub delta_l1: f64,
     /// ℓ∞ norm of the applied delta.
     pub delta_linf: f64,
-    /// Simplex pivots the repair LP took, on either backend.
+    /// Simplex pivots the repair LP took, on either backend, summed over
+    /// the row-generation rounds.
     pub lp_pivots: u64,
-    /// Basis refactorisations during the repair LP solve.
+    /// Mid-solve basis refactorisations during the repair LP's solves.
     pub lp_refactorizations: u64,
+    /// The rows of the encoding (of `num_constraints`) in the LP when it
+    /// stopped: the key-point rows row generation added, plus the
+    /// `param_bound` rows.  0 when `Δ = 0` violated no row and no LP was
+    /// built.
+    pub lp_rows: usize,
+    /// LP solves row generation took: one per round.
+    pub lp_rounds: usize,
     /// Wall-clock breakdown.
     pub timing: RepairTiming,
 }
@@ -503,9 +522,134 @@ pub(crate) fn validate(
     Ok(())
 }
 
-/// The core of Algorithm 1: encode every key point's constraint
-/// `A (N(x) + J_x Δ) ≤ b` into an LP over `Δ`, solve for the norm-minimal
-/// `Δ`, and apply it to the value channel of `ddnn`.
+/// The key points' rows `A (y₀ + J Δ) ≤ b` (Algorithm 1, line 6), one per
+/// face of each key point's output polytope, in key-point then face order.
+/// By Theorem 4.5 the output is exactly `y₀ + J Δ` for every `Δ`, so a row
+/// can be checked at any `Δ` from the Jacobian alone; its LP row
+/// `(A J) Δ ≤ b − A y₀` is formed only when it enters the LP.
+struct KeyPointRows<'a> {
+    key_points: &'a [KeyPoint],
+    jacobians: &'a [Matrix],
+    /// Per row: its key point, its face, and its residual at `Δ = 0`,
+    /// `b − A y₀`.
+    rows: Vec<(usize, usize, f64)>,
+}
+
+impl<'a> KeyPointRows<'a> {
+    fn new(key_points: &'a [KeyPoint], jacobians: &'a [Matrix], outputs: &[Vec<f64>]) -> Self {
+        let mut rows = Vec::new();
+        for (k, (kp, y0)) in key_points.iter().zip(outputs).enumerate() {
+            let a_y0 = kp.constraint.a.matvec(y0);
+            for (face, (&b, &a_y0)) in kp.constraint.b.iter().zip(&a_y0).enumerate() {
+                rows.push((k, face, b - a_y0));
+            }
+        }
+        KeyPointRows {
+            key_points,
+            jacobians,
+            rows,
+        }
+    }
+
+    /// Row `r`'s LP terms: the non-zeros of its row of `A J` over `vars`.
+    /// The row is summed from the Jacobian rows the face weights, in
+    /// ascending order: the GEMM's summation order, and a skipped zero
+    /// weight adds only a zero, so every coefficient has the GEMM's bits.
+    fn terms(&self, r: usize, vars: &[VarId], a_j: &mut [f64], out: &mut Vec<(VarId, f64)>) {
+        let (k, face, _) = self.rows[r];
+        let jacobian = &self.jacobians[k];
+        a_j.fill(0.0);
+        for (i, &weight) in self.key_points[k].constraint.a.row(face).iter().enumerate() {
+            if weight != 0.0 {
+                for (acc, &j) in a_j.iter_mut().zip(jacobian.row(i)) {
+                    *acc += weight * j;
+                }
+            }
+        }
+        out.clear();
+        out.extend(
+            vars.iter()
+                .zip(a_j.iter())
+                .filter(|&(_, &c)| c != 0.0)
+                .map(|(&var, &c)| (var, c)),
+        );
+    }
+
+    /// The rows not `in_lp` that `delta` violates, by the LP's own test,
+    /// in row order.  `J Δ` is summed over `delta`'s non-zeros, once per
+    /// key point with a row to check.
+    fn violated(&self, delta: &[f64], in_lp: &[bool]) -> Vec<usize> {
+        let nonzeros: Vec<(usize, f64)> = delta
+            .iter()
+            .enumerate()
+            .filter(|&(_, &d)| d != 0.0)
+            .map(|(j, &d)| (j, d))
+            .collect();
+        let mut j_delta: Vec<f64> = Vec::new();
+        let mut at = usize::MAX;
+        let mut violated = Vec::new();
+        for (r, &(k, face, residual)) in self.rows.iter().enumerate() {
+            if in_lp[r] {
+                continue;
+            }
+            if k != at {
+                at = k;
+                let jacobian = &self.jacobians[k];
+                j_delta.clear();
+                j_delta.extend((0..jacobian.rows()).map(|i| {
+                    let row = jacobian.row(i);
+                    nonzeros.iter().map(|&(j, d)| row[j] * d).sum::<f64>()
+                }));
+            }
+            let a = self.key_points[k].constraint.a.row(face);
+            if is_violated(residual - vector::dot(a, &j_delta)) {
+                violated.push(r);
+            }
+        }
+        violated
+    }
+
+    /// The LP over `Δ` with the rows `rows`, the `param_bound` box and the
+    /// norm objective; returns it with its `Δ` variables.
+    fn lp(
+        &self,
+        rows: &[usize],
+        num_params: usize,
+        config: &RepairConfig,
+    ) -> (LpProblem, Vec<VarId>) {
+        let mut lp = LpProblem::new();
+        let vars = lp.add_vars(num_params, VarKind::Free);
+        let (mut a_j, mut terms) = (vec![0.0; num_params], Vec::with_capacity(num_params));
+        for &r in rows {
+            self.terms(r, &vars, &mut a_j, &mut terms);
+            lp.add_constraint(&terms, ConstraintOp::Le, self.rows[r].2);
+        }
+        if let Some(bound) = config.param_bound {
+            for var in &vars {
+                lp.add_constraint(&[(*var, 1.0)], ConstraintOp::Le, bound);
+                lp.add_constraint(&[(*var, 1.0)], ConstraintOp::Ge, -bound);
+            }
+        }
+        match config.norm {
+            RepairNorm::L1 => lp.minimize_l1_of(&vars),
+            RepairNorm::LInf => lp.minimize_linf_of(&vars),
+        }
+        (lp, vars)
+    }
+}
+
+/// The core of Algorithm 1: the norm-minimal `Δ` with every key point's
+/// constraint `A (N(x) + J_x Δ) ≤ b` satisfied, applied to the value
+/// channel of `ddnn`.
+///
+/// The LP is built by row generation: it starts from the rows `Δ = 0`
+/// violates, and after each solve the rows the new `Δ` violates are
+/// appended and the dual simplex resumes from its basis, until no row is
+/// violated.  The result is the all-rows LP's optimum: the final basis plus
+/// the never-added rows' slacks is a dual-feasible basis of the full LP
+/// (those rows' duals are 0) at which every row passes the dual's own
+/// feasibility test; and an infeasible relaxation proves the full LP
+/// infeasible.  If `Δ = 0` violates no row, it is returned without an LP.
 ///
 /// `pool` is the thread pool already resolved from `config.threads` (the
 /// caller may have used it for `LinRegions` first).
@@ -520,10 +664,6 @@ pub(crate) fn repair_key_points(
     let start_total = Instant::now();
     let num_params = ddnn.value_network().layer(layer).num_params();
 
-    let mut lp = LpProblem::new();
-    let delta_vars = lp.add_vars(num_params, VarKind::Free);
-    let mut num_constraints = 0usize;
-
     // Line 5 of Algorithm 1, batched: the Jacobian of the DDNN output with
     // respect to the repaired layer's value parameters, one per key point
     // (exact by Theorem 4.5), and the output itself, from one forward pass.
@@ -535,68 +675,55 @@ pub(crate) fn repair_key_points(
         .map(|kp| (kp.activation_point.as_slice(), kp.point.as_slice()))
         .collect();
     let jac_start = Instant::now();
-    let (jacobians, bases) = ddnn.jacobians_and_outputs_batch_in(pool, layer, &pairs);
+    let (jacobians, outputs) = ddnn.jacobians_and_outputs_batch_in(pool, layer, &pairs);
     let jacobian_time = jac_start.elapsed();
 
-    let mut a_j_row = vec![0.0; num_params];
-    let mut coeffs: Vec<(prdnn_lp::VarId, f64)> = Vec::with_capacity(num_params);
-    for (kp, (jacobian, base)) in key_points.iter().zip(jacobians.iter().zip(&bases)) {
-        // Line 6: encode A (base + J Δ) ≤ b as (A J) Δ ≤ b − A base.
-        let a = &kp.constraint.a;
-        let a_base = a.matvec(base);
-        for (row, (&b, &a_base)) in kp.constraint.b.iter().zip(&a_base).enumerate() {
-            // Row `row` of A·J from the Jacobian rows the face weights (two
-            // for a classification face), added in ascending order: the
-            // GEMM's summation order, and a skipped zero weight adds only
-            // a zero, so every non-zero coefficient has the GEMM's bits.
-            a_j_row.fill(0.0);
-            for (k, &weight) in a.row(row).iter().enumerate() {
-                if weight != 0.0 {
-                    for (acc, &j) in a_j_row.iter_mut().zip(jacobian.row(k)) {
-                        *acc += weight * j;
-                    }
-                }
-            }
-            coeffs.clear();
-            coeffs.extend(
-                delta_vars
-                    .iter()
-                    .zip(&a_j_row)
-                    .filter(|&(_, &c)| c != 0.0)
-                    .map(|(&var, &c)| (var, c)),
-            );
-            lp.add_constraint(&coeffs, ConstraintOp::Le, b - a_base);
-            num_constraints += 1;
-        }
-    }
-
-    if let Some(bound) = config.param_bound {
-        for var in &delta_vars {
-            lp.add_constraint(&[(*var, 1.0)], ConstraintOp::Le, bound);
-            lp.add_constraint(&[(*var, 1.0)], ConstraintOp::Ge, -bound);
-            num_constraints += 2;
-        }
-    }
-
-    match config.norm {
-        RepairNorm::L1 => lp.minimize_l1_of(&delta_vars),
-        RepairNorm::LInf => lp.minimize_linf_of(&delta_vars),
-    }
-
-    // Line 7: solve for the minimal Δ.
-    let lp_start = Instant::now();
-    let options = SolveOptions {
-        backend: config.lp_backend,
-        max_iters: config.max_lp_iterations,
-        pricing: config.lp_pricing,
-    };
-    let (solution, lp_stats) = prdnn_lp::solve_with_stats(&lp, &options)?;
-    let lp_time = lp_start.elapsed();
-
-    // Line 9: apply Δ to value layer `layer`.
-    let delta = solution.values;
+    // Lines 6–7, by row generation.
+    let encoding = KeyPointRows::new(key_points, &jacobians, &outputs);
+    let mut in_lp = vec![false; encoding.rows.len()];
+    let mut violated = encoding.violated(&[], &in_lp);
+    let bound_rows = config.param_bound.map_or(0, |_| 2 * num_params);
+    let (mut lp_time, mut lp_stats, mut lp_rounds) = (Duration::ZERO, LpStats::default(), 0);
     let mut repaired = ddnn.clone();
-    repaired.apply_value_delta(layer, &delta);
+    let delta = if violated.is_empty() && !config.param_bound.is_some_and(is_violated) {
+        vec![0.0; num_params]
+    } else {
+        let (problem, vars) = encoding.lp(&violated, num_params, config);
+        let options = SolveOptions {
+            backend: config.lp_backend,
+            max_iters: config.max_lp_iterations,
+            pricing: config.lp_pricing,
+        };
+        let lp_start = Instant::now();
+        let mut lp = ResumableLp::new(problem, &options);
+        lp_time += lp_start.elapsed();
+        let (mut a_j, mut terms) = (vec![0.0; num_params], Vec::with_capacity(num_params));
+        let delta = loop {
+            for &r in &violated {
+                in_lp[r] = true;
+            }
+            let solve_start = Instant::now();
+            let (solution, stats) = lp.solve()?;
+            lp_time += solve_start.elapsed();
+            lp_stats = stats;
+            lp_rounds += 1;
+            violated = encoding.violated(&solution.values, &in_lp);
+            if violated.is_empty() {
+                break solution.values;
+            }
+            for &r in &violated {
+                encoding.terms(r, &vars, &mut a_j, &mut terms);
+                lp.add_constraint(&terms, ConstraintOp::Le, encoding.rows[r].2);
+            }
+        };
+        // Line 9: apply Δ to value layer `layer`.
+        repaired.apply_value_delta(layer, &delta);
+        delta
+    };
+    let lp_rows = match lp_rounds {
+        0 => 0,
+        _ => in_lp.iter().filter(|&&added| added).count() + bound_rows,
+    };
 
     let total = start_total.elapsed() + lin_regions_time;
     let other = total
@@ -607,12 +734,14 @@ pub(crate) fn repair_key_points(
         stats: RepairStats {
             layer,
             num_key_points: key_points.len(),
-            num_constraints,
+            num_constraints: encoding.rows.len() + bound_rows,
             num_variables: num_params,
             delta_l1: vector::norm_l1(&delta),
             delta_linf: vector::norm_linf(&delta),
             lp_pivots: lp_stats.pivots,
             lp_refactorizations: lp_stats.refactorizations,
+            lp_rows,
+            lp_rounds,
             timing: RepairTiming {
                 lin_regions: lin_regions_time,
                 jacobians: jacobian_time,
@@ -627,6 +756,185 @@ pub(crate) fn repair_key_points(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::polytope_repair::region_key_points;
+    use crate::spec::{InputPolytope, PointSpec, PolytopeSpec};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The oracle row generation must agree with: every key point's rows,
+    /// from the same encoder, in one LP solved in one shot.
+    fn all_rows_delta(
+        ddnn: &DecoupledNetwork,
+        layer: usize,
+        key_points: &[KeyPoint],
+        config: &RepairConfig,
+    ) -> Result<Vec<f64>, LpError> {
+        let pairs: Vec<(&[f64], &[f64])> = key_points
+            .iter()
+            .map(|kp| (kp.activation_point.as_slice(), kp.point.as_slice()))
+            .collect();
+        let pool = prdnn_par::pool_for(Some(1));
+        let (jacobians, outputs) = ddnn.jacobians_and_outputs_batch_in(&pool, layer, &pairs);
+        let encoding = KeyPointRows::new(key_points, &jacobians, &outputs);
+        let all: Vec<usize> = (0..encoding.rows.len()).collect();
+        let num_params = ddnn.value_network().layer(layer).num_params();
+        let (lp, _) = encoding.lp(&all, num_params, config);
+        let options = SolveOptions {
+            backend: config.lp_backend,
+            max_iters: config.max_lp_iterations,
+            pricing: config.lp_pricing,
+        };
+        prdnn_lp::solve_with_stats(&lp, &options).map(|(solution, _)| solution.values)
+    }
+
+    /// A random repair: a ReLU MLP `2 → width → width → 3`, the layer to
+    /// repair, and a spec of `count` items of one kind.
+    #[derive(Debug, Clone)]
+    struct Case {
+        seed: u64,
+        width: usize,
+        layer: usize,
+        /// 0: classification points; 1: interval points, some already
+        /// satisfied; 2: classification segments; 3: interval segments.
+        kind: u8,
+        count: usize,
+        linf: bool,
+        param_bound: Option<f64>,
+    }
+
+    fn case() -> impl Strategy<Value = Case> {
+        (
+            (0u64..1 << 40, 3usize..8, 0usize..3),
+            (0u8..4, 1usize..6, 0u8..2),
+            (0u8..2, 0.05..2.0f64),
+        )
+            .prop_map(
+                |((seed, width, layer), (kind, count, linf), (bounded, bound))| Case {
+                    seed,
+                    width,
+                    layer,
+                    kind,
+                    count,
+                    linf: linf == 1,
+                    param_bound: (bounded == 1).then_some(bound),
+                },
+            )
+    }
+
+    /// The case's network and key points, built as the public entry points
+    /// build them.
+    fn build(c: &Case) -> (prdnn_nn::Network, Vec<KeyPoint>) {
+        let mut rng = StdRng::seed_from_u64(c.seed);
+        let net = prdnn_nn::Network::mlp(
+            &[2, c.width, c.width, 3],
+            prdnn_nn::Activation::Relu,
+            &mut rng,
+        );
+        let point = |rng: &mut StdRng| vec![rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)];
+        let constraint = |rng: &mut StdRng, y: Vec<f64>| match c.kind % 2 {
+            0 => OutputPolytope::classification(rng.gen_range(0..3), 3, 1e-3),
+            _ => {
+                let lo: Vec<f64> = y.iter().map(|v| v + rng.gen_range(-0.6..0.2)).collect();
+                let hi: Vec<f64> = lo.iter().map(|l| l + rng.gen_range(0.05..0.8)).collect();
+                OutputPolytope::interval(&lo, &hi)
+            }
+        };
+        let key_points = if c.kind < 2 {
+            (0..c.count)
+                .map(|_| {
+                    let x = point(&mut rng);
+                    let constraint = constraint(&mut rng, net.forward(&x));
+                    KeyPoint::pointwise(x, constraint)
+                })
+                .collect()
+        } else {
+            let mut spec = PolytopeSpec::new();
+            for _ in 0..c.count {
+                let (start, end) = (point(&mut rng), point(&mut rng));
+                let constraint = constraint(&mut rng, net.forward(&start));
+                spec.push(InputPolytope::segment(start, end), constraint);
+            }
+            let pool = prdnn_par::pool_for(Some(1));
+            region_key_points(&pool, &net, &spec).expect("segments").0
+        };
+        (net, key_points)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn row_generation_matches_the_all_rows_lp(c in case()) {
+            let (net, key_points) = build(&c);
+            let ddnn = DecoupledNetwork::from_network(&net);
+            let config = RepairConfig {
+                norm: if c.linf { RepairNorm::LInf } else { RepairNorm::L1 },
+                param_bound: c.param_bound,
+                ..RepairConfig::default()
+            };
+            let pool = prdnn_par::pool_for(Some(1));
+            let generated =
+                repair_key_points(&ddnn, c.layer, &key_points, &config, &pool, Duration::ZERO);
+            match (generated, all_rows_delta(&ddnn, c.layer, &key_points, &config)) {
+                (Ok(outcome), Ok(oracle)) => {
+                    let (norm, expected) = match config.norm {
+                        RepairNorm::L1 => (outcome.stats.delta_l1, vector::norm_l1(&oracle)),
+                        RepairNorm::LInf => (outcome.stats.delta_linf, vector::norm_linf(&oracle)),
+                    };
+                    prop_assert!(
+                        (norm - expected).abs() <= 1e-9 * norm.abs().max(expected.abs()),
+                        "row generation {norm} vs all rows {expected}"
+                    );
+                    for kp in &key_points {
+                        let y = outcome.repaired.forward_decoupled(&kp.activation_point, &kp.point);
+                        prop_assert!(kp.constraint.contains(&y, 1e-6), "a spec row is violated");
+                    }
+                    let stats = &outcome.stats;
+                    prop_assert!(stats.lp_rows <= stats.num_constraints);
+                    prop_assert_eq!(stats.lp_rounds == 0, stats.lp_rows == 0);
+                }
+                (Err(generated), Err(oracle)) => {
+                    prop_assert_eq!(generated, RepairError::from(oracle));
+                }
+                (generated, oracle) => prop_assert!(
+                    false,
+                    "row generation {:?} vs all rows {:?}",
+                    generated.map(|o| o.stats.delta_l1),
+                    oracle.map(|d| vector::norm_l1(&d))
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn a_satisfied_spec_returns_the_network_unchanged_without_an_lp() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let net = prdnn_nn::Network::mlp(&[2, 6, 6, 3], prdnn_nn::Activation::Relu, &mut rng);
+        let ddnn = DecoupledNetwork::from_network(&net);
+        let mut spec = PointSpec::new();
+        for _ in 0..4 {
+            let x = vec![rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)];
+            let y = net.forward(&x);
+            let lo: Vec<f64> = y.iter().map(|v| v - 1.0).collect();
+            let hi: Vec<f64> = y.iter().map(|v| v + 1.0).collect();
+            spec.push(x, OutputPolytope::interval(&lo, &hi));
+        }
+        let bounded = RepairConfig {
+            norm: RepairNorm::LInf,
+            param_bound: Some(0.5),
+            ..RepairConfig::default()
+        };
+        for config in [RepairConfig::default(), bounded] {
+            let outcome = crate::repair_points_ddnn(&ddnn, 1, &spec, &config).unwrap();
+            assert!(outcome.delta.iter().all(|&d| d == 0.0));
+            let stats = &outcome.stats;
+            assert_eq!((stats.lp_pivots, stats.lp_rows, stats.lp_rounds), (0, 0, 0));
+            let bound_rows = config.param_bound.map_or(0, |_| 2 * stats.num_variables);
+            assert_eq!(stats.num_constraints, 4 * 6 + bound_rows);
+            assert_eq!(outcome.repaired, ddnn);
+        }
+    }
 
     #[test]
     fn timing_total_sums_components() {

@@ -34,6 +34,20 @@
 //! the starting basis factorises in `O(m)` and a refactorisation after `k`
 //! structural pivots factorises only a `k × k` kernel.
 //!
+//! **Resuming after rows are appended** ([`crate::ResumableLp`], delayed
+//! constraint generation).  A new row's slack is a new last column, so no
+//! column id changes, and it enters the basis on the new row.  The row's
+//! dual is 0, so no reduced cost moves and the basis stays dual feasible;
+//! the slack's value is the row's residual at the current point, negative
+//! exactly when the point violates the row.  The new row is a unit row of
+//! the basis, so the kernel keeps its size: each round refactorises once
+//! (counted as a round, not in `refactorizations`, which counts mid-solve
+//! ones), and each new row gets its exact weight `‖e_rᵀ B⁻¹‖²` from one
+//! BTRAN; the old rows' weights are unchanged.  The loop then continues
+//! with the iteration budget every solve of the program shares.  A column
+//! that was some row's singleton (a unit column) and gains an entry on the
+//! new row is factorised as a structural column from then on.
+//!
 //! After a streak of `BLAND_THRESHOLD` dual-degenerate pivots (the
 //! entering reduced cost was zero, so the dual objective did not move) both
 //! choices fall back to the smallest index — leaving row by basic column,
@@ -62,6 +76,7 @@ use crate::revised::{RevisedStats, BLAND_THRESHOLD};
 use crate::simplex::seed_basis_from_unit_columns;
 use crate::simplex::{solve_unconstrained, SimplexOutcome, COST_EPS, FEAS_EPS, PIVOT_EPS};
 use crate::sparse::{CsrMatrix, SparseStandardForm};
+use std::borrow::Cow;
 
 /// Relative disagreement between two computations of one quantity that
 /// marks the eta file as drifted: the pivot element from the pivot row and
@@ -109,39 +124,28 @@ pub(crate) fn solve(
     slacks: &[usize],
     max_iters: usize,
 ) -> Result<(SimplexOutcome, RevisedStats), RevisedStats> {
-    let (m, n) = (sf.num_rows(), sf.num_cols());
-    if m == 0 {
-        return Ok((solve_unconstrained(n, &sf.c), RevisedStats::default()));
+    if sf.num_rows() == 0 {
+        return Ok((
+            solve_unconstrained(sf.num_cols(), &sf.c),
+            RevisedStats::default(),
+        ));
     }
-    // Each slack is a singleton column: a unit column of the basis.
-    let mut unit = vec![None; n];
-    for (i, &j) in slacks.iter().enumerate() {
-        unit[j] = Some((i, sf.a.get(i, j)));
-    }
-    let Some(basis) = factorize(&sf.a, &unit, slacks) else {
+    let Some(mut dual) = Dual::new(Cow::Borrowed(sf), slacks, max_iters) else {
         return Err(RevisedStats::default());
     };
-    let mut in_basis = vec![false; n];
-    for &j in slacks {
-        in_basis[j] = true;
-    }
-    let mut dual = Dual {
-        sf,
-        unit,
-        basis_cols: slacks.to_vec(),
-        in_basis,
-        basis,
-        x_b: vec![0.0; m],
-        d: vec![0.0; n],
-        beta: vec![1.0; m],
-        fresh: true,
-        stats: RevisedStats::default(),
-    };
-    dual.recompute_values();
-    match dual.run(max_iters) {
+    match dual.run() {
         Ok(outcome) => Ok((outcome, dual.stats)),
         Err(Breakdown) => Err(dual.stats),
     }
+}
+
+/// Whether a row whose slack takes the value `residual` — `b − a·x` for a
+/// `a·x ≤ b` row, `a·x − b` for a `≥` one — is violated: the dual
+/// simplex's leaving-row test, `residual < −1e-7` (the bound on the dense
+/// oracle's phase-1 value).  Row generation stops on this same test, so
+/// a row it leaves out of the LP is one the dual would not pivot on.
+pub fn is_violated(residual: f64) -> bool {
+    residual < -FEAS_EPS
 }
 
 /// Factorises the basis `basis_cols`: the slacks are unit columns, and
@@ -155,10 +159,12 @@ fn factorize(a: &CsrMatrix, unit: &[Option<(usize, f64)>], basis_cols: &[usize])
 }
 
 /// A numerical breakdown of the dual loop.
-struct Breakdown;
+pub(crate) struct Breakdown;
 
-struct Dual<'a> {
-    sf: &'a SparseStandardForm,
+/// The dual simplex's state on one program, borrowed for a one-shot solve
+/// or owned by a [`crate::ResumableLp`], which appends rows between solves.
+pub(crate) struct Dual<'a> {
+    sf: Cow<'a, SparseStandardForm>,
     /// `(row, value)` of each slack column's one entry, by column.
     unit: Vec<Option<(usize, f64)>>,
     /// Basic column per row.
@@ -174,17 +180,109 @@ struct Dual<'a> {
     /// No pivot since the last factorisation: a failed check here is a
     /// breakdown, not stale eta-file error.
     fresh: bool,
-    stats: RevisedStats,
+    /// Iterations left of the budget every solve on this state shares.
+    pub(crate) iters_left: usize,
+    pub(crate) stats: RevisedStats,
+}
+
+impl<'a> Dual<'a> {
+    /// The state at the slack basis `slacks` (one column per row): `None`
+    /// if it does not factorise.
+    pub(crate) fn new(
+        sf: Cow<'a, SparseStandardForm>,
+        slacks: &[usize],
+        max_iters: usize,
+    ) -> Option<Self> {
+        let (m, n) = (sf.num_rows(), sf.num_cols());
+        // Each slack is a singleton column: a unit column of the basis.
+        let mut unit = vec![None; n];
+        for (i, &j) in slacks.iter().enumerate() {
+            unit[j] = Some((i, sf.a.get(i, j)));
+        }
+        let basis = factorize(&sf.a, &unit, slacks)?;
+        let mut in_basis = vec![false; n];
+        for &j in slacks {
+            in_basis[j] = true;
+        }
+        let mut dual = Dual {
+            sf,
+            unit,
+            basis_cols: slacks.to_vec(),
+            in_basis,
+            basis,
+            x_b: vec![0.0; m],
+            d: vec![0.0; n],
+            beta: vec![1.0; m],
+            fresh: true,
+            iters_left: max_iters,
+            stats: RevisedStats::default(),
+        };
+        dual.recompute_values();
+        Some(dual)
+    }
 }
 
 impl Dual<'_> {
-    fn run(&mut self, max_iters: usize) -> Result<SimplexOutcome, Breakdown> {
+    /// Number of standard-form columns; an appended row's slack takes the
+    /// next one.
+    pub(crate) fn num_cols(&self) -> usize {
+        self.sf.num_cols()
+    }
+
+    /// Appends the standard-form row `entries = b` (column ids strictly
+    /// increasing, `b ≥ 0`), whose last entry is its slack: a new column
+    /// after every existing one, of zero cost, entering the basis on the
+    /// new row.  [`Self::resume`] makes the factorisation catch up.
+    pub(crate) fn push_row(&mut self, entries: &[(usize, f64)], b: f64) {
+        let sf = self.sf.to_mut();
+        let (row, slack) = (sf.num_rows(), sf.num_cols());
+        let (&(last, value), structural) = entries.split_last().expect("a slack entry");
+        debug_assert_eq!(last, slack);
+        sf.a.push_row(slack + 1, entries);
+        sf.b.push(b);
+        sf.c.push(0.0);
+        sf.mirror.push(None);
+        // A column with an entry on the new row is no longer a singleton,
+        // so not a unit column of the basis either.
+        for &(j, _) in structural {
+            self.unit[j] = None;
+        }
+        self.unit.push(Some((row, value)));
+        self.basis_cols.push(slack);
+        self.in_basis.push(true);
+    }
+
+    /// Solves from the current basis, with every row appended since the
+    /// last solve entering on its slack.  A new row's dual is 0, so no
+    /// reduced cost moves and the basis stays dual feasible; the slack's
+    /// value is the row's residual at the current point.  A new row is a
+    /// unit row of the basis, so the kernel keeps its size: one
+    /// factorisation (not counted in `refactorizations`, which means
+    /// mid-solve) restores `x_B` and the reduced costs, and one BTRAN per
+    /// new row gives its exact steepest-edge weight.
+    pub(crate) fn resume(&mut self) -> Result<SimplexOutcome, Breakdown> {
+        let (m, weighted) = (self.basis_cols.len(), self.beta.len());
+        if weighted < m {
+            self.x_b.resize(m, 0.0);
+            self.d.resize(self.sf.num_cols(), 0.0);
+            self.refactorize()?;
+            let mut rho = vec![0.0; m];
+            for r in weighted..m {
+                rho.fill(0.0);
+                rho[r] = 1.0;
+                self.basis.btran(&mut rho);
+                self.beta.push(rho.iter().map(|v| v * v).sum());
+            }
+        }
+        self.run()
+    }
+
+    fn run(&mut self) -> Result<SimplexOutcome, Breakdown> {
         let (m, n) = (self.sf.num_rows(), self.sf.num_cols());
         let mut rho = vec![0.0; m];
         let mut w = vec![0.0; m];
         let mut tau = vec![0.0; m];
         let mut alpha = vec![0.0; n];
-        let mut iters_left = max_iters;
         let mut degenerate_streak = 0usize;
         loop {
             if self.basis.should_refactorize() {
@@ -201,10 +299,10 @@ impl Dual<'_> {
                 self.refactorize_mid_solve()?;
                 continue;
             };
-            if iters_left == 0 {
+            if self.iters_left == 0 {
                 return Ok(SimplexOutcome::IterationLimit);
             }
-            iters_left -= 1;
+            self.iters_left -= 1;
 
             rho.fill(0.0);
             rho[r] = 1.0;
@@ -297,6 +395,10 @@ impl Dual<'_> {
     /// on the basis, not on how it was factorised.
     fn refactorize_mid_solve(&mut self) -> Result<(), Breakdown> {
         self.stats.refactorizations += 1;
+        self.refactorize()
+    }
+
+    fn refactorize(&mut self) -> Result<(), Breakdown> {
         self.basis = factorize(&self.sf.a, &self.unit, &self.basis_cols).ok_or(Breakdown)?;
         self.recompute_values();
         self.fresh = true;
@@ -365,7 +467,7 @@ impl Dual<'_> {
             .x_b
             .iter()
             .enumerate()
-            .filter(|&(_, &x)| x < -FEAS_EPS)
+            .filter(|&(_, &x)| is_violated(x))
             .map(|(i, _)| i);
         if bland {
             violated.min_by_key(|&i| self.basis_cols[i])
@@ -463,12 +565,12 @@ mod tests {
     use crate::revised::{solve_standard_sparse_with_stats, Pricing};
     use crate::simplex::solve_standard;
     use crate::solver::{solve_via, LpStats, Solution};
-    use crate::{ConstraintOp, LpError, LpProblem, VarKind};
+    use crate::{ConstraintOp, LpError, LpProblem, ResumableLp, SolveOptions, VarKind};
     use proptest::prelude::*;
 
     const ITERS: usize = 100_000;
 
-    type Engine = fn(&SparseStandardForm) -> (SimplexOutcome, LpStats);
+    type Engine = fn(&LpProblem) -> Result<(Solution, LpStats), LpError>;
 
     fn dense(sf: &SparseStandardForm) -> (SimplexOutcome, LpStats) {
         solve_standard(&sf.to_dense(), ITERS)
@@ -491,25 +593,64 @@ mod tests {
         (outcome, stats.into())
     }
 
-    /// The four engines the conformance test compares, the oracle first.
-    const ENGINES: [(&str, Engine); 4] = [
-        ("dense", dense),
-        ("primal+dantzig", |sf| primal(sf, Pricing::Dantzig)),
-        ("primal+devex", |sf| primal(sf, Pricing::Devex)),
-        ("dual", dual),
+    /// The five engines the conformance test compares, the oracle first.
+    const ENGINES: [(&str, Engine); 5] = [
+        ("dense", |lp| solve_via(lp, &mut dense)),
+        ("primal+dantzig", |lp| {
+            solve_via(lp, &mut |sf| primal(sf, Pricing::Dantzig))
+        }),
+        ("primal+devex", |lp| {
+            solve_via(lp, &mut |sf| primal(sf, Pricing::Devex))
+        }),
+        ("dual", solve_dual),
+        ("dual+resume", solve_resumed),
     ];
 
     fn solve_dual(lp: &LpProblem) -> Result<(Solution, LpStats), LpError> {
         solve_via(lp, &mut dual)
     }
 
+    fn resumable(lp: LpProblem, max_iters: usize) -> ResumableLp {
+        let options = SolveOptions {
+            max_iters,
+            ..SolveOptions::default()
+        };
+        ResumableLp::new(lp, &options)
+    }
+
+    /// The dual on the first half of `lp`'s rows, resumed after the rest
+    /// are appended (an ℓ∞ objective's rows, lowered at construction, sit
+    /// between the halves).
+    fn solve_resumed(lp: &LpProblem) -> Result<(Solution, LpStats), LpError> {
+        let rows: Vec<_> = lp.constraints().collect();
+        let (first, rest) = rows.split_at(rows.len() / 2);
+        let mut half = LpProblem::new();
+        for &kind in &lp.kinds {
+            half.add_var(kind);
+        }
+        half.objective = lp.objective.clone();
+        for &(terms, op, rhs) in first {
+            half.add_constraint(terms, op, rhs);
+        }
+        let mut half = resumable(half, ITERS);
+        let first_solve = half.solve();
+        assert!(half.is_warm(), "dual breakdown");
+        first_solve?;
+        for &(terms, op, rhs) in rest {
+            half.add_constraint(terms, op, rhs);
+        }
+        let resumed = half.solve();
+        assert!(half.is_warm(), "dual breakdown");
+        resumed
+    }
+
     /// Solves with every engine and checks they agree on classification,
     /// on the objective within `1e-6·(1+|obj|)`, and that every returned
     /// point is feasible; returns the oracle's result.
-    fn four_way(lp: &LpProblem) -> Result<f64, LpError> {
+    fn five_way(lp: &LpProblem) -> Result<f64, LpError> {
         let oracle = solve_via(lp, &mut dense).map(|(s, _)| s.objective);
-        for (name, mut engine) in ENGINES {
-            match (solve_via(lp, &mut engine), &oracle) {
+        for (name, engine) in ENGINES {
+            match (engine(lp), &oracle) {
                 (Ok((solution, _)), Ok(reference)) => {
                     assert!(
                         (solution.objective - reference).abs() <= 1e-6 * (1.0 + reference.abs()),
@@ -591,7 +732,7 @@ mod tests {
         lp.add_constraint(&[(x[0], 1.0), (x[1], 1.0)], ConstraintOp::Le, 1.0);
         lp.minimize_linf_of(&x);
         assert_eq!(solve_dual(&lp).unwrap_err(), LpError::Infeasible);
-        assert_eq!(four_way(&lp), Err(LpError::Infeasible));
+        assert_eq!(five_way(&lp), Err(LpError::Infeasible));
     }
 
     #[test]
@@ -604,7 +745,7 @@ mod tests {
         lp.add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 1.0);
         lp.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 1.0 - 5e-8);
         lp.minimize_l1_of(&[x]);
-        let objective = four_way(&lp).expect("feasible within FEAS_EPS");
+        let objective = five_way(&lp).expect("feasible within FEAS_EPS");
         assert!((objective - 1.0).abs() < 1e-7, "{objective}");
 
         // With one violated row, a pivot-row entry is the column's phase-1
@@ -616,7 +757,7 @@ mod tests {
             let x = lp.add_var(VarKind::Free);
             lp.add_constraint(&[(x, coefficient)], ConstraintOp::Ge, 1.0);
             lp.minimize_l1_of(&[x]);
-            match four_way(&lp) {
+            match five_way(&lp) {
                 Ok(objective) if feasible => {
                     assert!((objective * coefficient - 1.0).abs() < 1e-9, "{objective}");
                 }
@@ -664,7 +805,7 @@ mod tests {
         );
         assert!((solution.objective - 1.0).abs() < 1e-9);
         assert!(lp.is_feasible(&solution.values, 1e-9));
-        assert_eq!(four_way(&lp), Ok(solution.objective));
+        assert_eq!(five_way(&lp), Ok(solution.objective));
     }
 
     #[test]
@@ -692,7 +833,93 @@ mod tests {
             solution.objective,
             dense.objective
         );
-        assert_eq!(four_way(&lp), Ok(dense.objective));
+        assert_eq!(five_way(&lp), Ok(dense.objective));
+    }
+
+    #[test]
+    fn appending_rows_the_optimum_satisfies_costs_no_pivots() {
+        let mut lp = LpProblem::new();
+        let x = lp.add_vars(2, VarKind::Free);
+        lp.add_constraint(&[(x[0], 1.0)], ConstraintOp::Ge, 1.0);
+        lp.add_constraint(&[(x[1], 1.0)], ConstraintOp::Ge, 2.0);
+        lp.minimize_l1_of(&x);
+        let mut lp = resumable(lp, ITERS);
+        let (first, stats) = lp.solve().unwrap();
+        assert_eq!(first.values, vec![1.0, 2.0]);
+        assert_eq!(stats.pivots, 2, "{stats:?}");
+        // A tight row and a flipped one (negative right-hand side), both
+        // satisfied at (1, 2): the round's factorisation is not counted,
+        // and no pivot is needed.
+        lp.add_constraint(&[(x[0], 1.0), (x[1], 1.0)], ConstraintOp::Le, 3.0);
+        lp.add_constraint(&[(x[0], 1.0), (x[1], -1.0)], ConstraintOp::Ge, -5.0);
+        let (second, resumed) = lp.solve().unwrap();
+        assert_eq!(resumed, stats);
+        assert_eq!(second, first);
+        assert!(lp.is_warm());
+    }
+
+    #[test]
+    fn a_contradiction_appended_after_a_solve_is_infeasible() {
+        // The appended row's Farkas certificate comes from the round's
+        // fresh factorisation, so the dual reports it without breaking
+        // down (the handle stays warm).
+        let mut lp = LpProblem::new();
+        let x = lp.add_vars(2, VarKind::Free);
+        lp.add_constraint(&[(x[0], 1.0), (x[1], 1.0)], ConstraintOp::Ge, 2.0);
+        lp.minimize_linf_of(&x);
+        let mut lp = resumable(lp, ITERS);
+        let (solution, _) = lp.solve().unwrap();
+        assert!((solution.objective - 1.0).abs() < 1e-12);
+        lp.add_constraint(&[(x[0], 1.0), (x[1], 1.0)], ConstraintOp::Le, 1.0);
+        assert_eq!(lp.solve().unwrap_err(), LpError::Infeasible);
+        assert!(lp.is_warm());
+    }
+
+    #[test]
+    fn the_iteration_budget_is_shared_across_resumes() {
+        // One pivot per violated row `x_i ≥ 1`: three in the first solve,
+        // two more after two rows are appended.
+        for (budget, fits) in [(4, false), (5, true)] {
+            let mut lp = LpProblem::new();
+            let x = lp.add_vars(5, VarKind::Free);
+            for v in &x[..3] {
+                lp.add_constraint(&[(*v, 1.0)], ConstraintOp::Ge, 1.0);
+            }
+            lp.minimize_l1_of(&x);
+            let mut lp = resumable(lp, budget);
+            assert_eq!(lp.solve().unwrap().1.pivots, 3);
+            for v in &x[3..] {
+                lp.add_constraint(&[(*v, 1.0)], ConstraintOp::Ge, 1.0);
+            }
+            match lp.solve() {
+                Ok((solution, stats)) if fits => {
+                    assert_eq!(stats.pivots, 5);
+                    assert_eq!(solution.objective, 5.0);
+                }
+                outcome => assert!(!fits && outcome == Err(LpError::IterationLimit)),
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_on_a_singleton_basic_column_moves_it_into_the_kernel() {
+        // z stays out of the norm and appears only in `x + z ≥ 1`, so z⁺ is
+        // that row's unit column in the slack basis, basic at 1.  Appending
+        // `z ≤ 0` gives z⁺ a second entry: it must be factorised as a
+        // structural column, or the new row's slack would read 0 instead
+        // of −1 and only the optimality check would catch it.
+        let mut lp = LpProblem::new();
+        let x = lp.add_var(VarKind::Free);
+        let z = lp.add_var(VarKind::Free);
+        lp.add_constraint(&[(x, 1.0), (z, 1.0)], ConstraintOp::Ge, 1.0);
+        lp.minimize_l1_of(&[x]);
+        let mut lp = resumable(lp, ITERS);
+        let (solution, stats) = lp.solve().unwrap();
+        assert_eq!((solution.values, stats.pivots), (vec![0.0, 1.0], 0));
+        lp.add_constraint(&[(z, 1.0)], ConstraintOp::Le, 0.0);
+        let (solution, stats) = lp.solve().unwrap();
+        assert_eq!((solution.values, stats.pivots), (vec![1.0, 0.0], 1));
+        assert!(lp.is_warm());
     }
 
     /// A random dual-feasible program: every row an inequality, every cost
@@ -796,7 +1023,7 @@ mod tests {
         #[test]
         fn dense_primal_and_dual_agree_on_dual_feasible_programs(d in draw()) {
             let lp = build(&d);
-            let outcome = four_way(&lp);
+            let outcome = five_way(&lp);
             match d.family {
                 0 | 4 => {
                     prop_assert!(outcome.is_ok(), "family {} is feasible: {outcome:?}", d.family);

@@ -10,6 +10,11 @@
 //! * [`solve`] — a simplex solve that returns an optimal solution, or
 //!   reports that the program is [infeasible](LpError::Infeasible) (the
 //!   paper's `⊥`: no single-layer repair exists) or unbounded.
+//! * [`ResumableLp`] — the same solve on a program that grows: append
+//!   inequality rows to a solved program and resume from its basis.  The
+//!   repair algorithms generate their rows this way, appending only the
+//!   rows the current `Δ` violates by [`is_violated`], the dual simplex's
+//!   own leaving-row test.
 //!
 //! Every repair LP minimises a norm over inequality rows, so its all-slack
 //! basis is dual feasible, and a *dual simplex* started there solves it
@@ -19,8 +24,11 @@
 //! the two-phase primal *revised* simplex (which takes every other program
 //! — negative costs, equality rows — and any program the dual breaks down
 //! on): the slack and artificial columns are placed without elimination,
-//! and only the structural kernel is LU-factorised.  The dense flat-tableau two-phase simplex is the primal backend's
-//! own numerical fallback and the differential-testing oracle.  The primal
+//! and only the structural kernel is LU-factorised.  An appended row enters
+//! with its slack basic, so the basis stays dual feasible and the dual
+//! resumes where it stopped.  The dense flat-tableau two-phase simplex is
+//! the primal backend's own numerical fallback and the differential-testing
+//! oracle.  The primal
 //! revised backend prices entering columns with Devex reference weights
 //! over a partial-pricing candidate list by default; [`PricingRule`] pins
 //! Dantzig or Devex explicitly (or via the `PRDNN_LP_PRICING` environment
@@ -55,10 +63,11 @@ mod simplex;
 mod solver;
 mod sparse;
 
+pub use dual::is_violated;
 pub use problem::{ConstraintOp, LpProblem, Objective, VarId, VarKind};
 pub use solver::{
     solve, solve_with_limit, solve_with_options, solve_with_stats, LpBackend, LpStats, PricingRule,
-    Solution, SolveOptions,
+    ResumableLp, Solution, SolveOptions,
 };
 
 /// Errors returned by [`solve`].

@@ -31,6 +31,14 @@
 //! and picks the cheaper one.  If the primal revised backend hits a
 //! numerical breakdown (singular basis refactorisation), the solve
 //! transparently re-runs on the dense oracle.
+//!
+//! [`ResumableLp`] keeps the standard form and the dual's state between
+//! solves: an appended inequality row is converted exactly as the
+//! conversion writes a row, its slack a new last column, and the next solve
+//! resumes the dual from its basis.  The three cases that bypass the dual
+//! here (no dual-feasible slack basis, a pinned `DenseTableau`, a
+//! breakdown) make it re-solve every row so far cold through the policy
+//! above.
 
 use crate::dual;
 use crate::problem::{ConstraintOp, LpProblem, Objective, VarId, VarKind};
@@ -38,6 +46,7 @@ use crate::revised::{solve_standard_sparse_with_stats, Pricing, RevisedStats};
 use crate::simplex::{solve_standard, SimplexOutcome, COST_EPS, PIVOT_EPS};
 use crate::sparse::{CsrMatrix, SparseStandardForm};
 use crate::LpError;
+use std::borrow::Cow;
 
 /// An optimal solution of an [`LpProblem`].
 #[derive(Debug, Clone, PartialEq)]
@@ -262,7 +271,7 @@ pub(crate) fn solve_via(
     engine: &mut dyn FnMut(&SparseStandardForm) -> (SimplexOutcome, LpStats),
 ) -> Result<(Solution, LpStats), LpError> {
     if let Objective::MinimizeLinf(vars) = &problem.objective {
-        let (augmented, t) = lower_linf(problem, vars);
+        let (augmented, t) = lower_linf(problem.clone(), vars);
         let (mut solution, stats) = solve_via(&augmented, engine)?;
         let objective = solution.values[t.index()];
         solution.values.truncate(problem.num_vars());
@@ -277,28 +286,166 @@ pub(crate) fn solve_via(
 
     let (sf, mapping) = to_standard_form(problem);
     let (outcome, stats) = engine(&sf);
-    match outcome {
-        SimplexOutcome::Optimal { x, objective } => {
-            let values = mapping.recover(problem, &x);
-            Ok((Solution { values, objective }, stats))
-        }
-        SimplexOutcome::Infeasible => Err(LpError::Infeasible),
-        SimplexOutcome::Unbounded => Err(LpError::Unbounded),
-        SimplexOutcome::IterationLimit => Err(LpError::IterationLimit),
-    }
+    mapping
+        .solution(problem, outcome)
+        .map(|solution| (solution, stats))
 }
 
 /// `problem` with its ℓ∞ objective over `vars` lowered to a linear one: an
 /// extra bound variable `t ≥ |x_i|`, returned beside it, is minimised.
-fn lower_linf(problem: &LpProblem, vars: &[VarId]) -> (LpProblem, VarId) {
-    let mut augmented = problem.clone();
-    let t = augmented.add_var(VarKind::NonNegative);
+fn lower_linf(mut problem: LpProblem, vars: &[VarId]) -> (LpProblem, VarId) {
+    let t = problem.add_var(VarKind::NonNegative);
     for v in vars {
-        augmented.add_constraint(&[(*v, 1.0), (t, -1.0)], ConstraintOp::Le, 0.0);
-        augmented.add_constraint(&[(*v, -1.0), (t, -1.0)], ConstraintOp::Le, 0.0);
+        problem.add_constraint(&[(*v, 1.0), (t, -1.0)], ConstraintOp::Le, 0.0);
+        problem.add_constraint(&[(*v, -1.0), (t, -1.0)], ConstraintOp::Le, 0.0);
     }
-    augmented.set_objective_linear(&[(t, 1.0)]);
-    (augmented, t)
+    problem.set_objective_linear(&[(t, 1.0)]);
+    (problem, t)
+}
+
+/// A norm-minimising LP that grows between solves: solve it, append
+/// inequality rows, and solve again from the basis the last solve ended on.
+/// This is delayed constraint generation (Bertsimas & Tsitsiklis,
+/// *Introduction to Linear Optimization*, 1997, §6.3) on the dual simplex,
+/// which re-optimises cheaply after rows are added (Koberstein, *The dual
+/// simplex method*, PhD thesis, Paderborn 2005).
+///
+/// An appended row enters with its slack basic.  Its dual is 0, so the
+/// basis stays dual feasible, and the next solve pivots only on the rows
+/// the last point violates.  An ℓ∞ objective is lowered once, at
+/// construction, so its bound variable and rows are in from the start.
+///
+/// Three cases make a solve *cold*: the program has no dual-feasible slack
+/// basis, the backend is pinned to [`LpBackend::DenseTableau`], or the
+/// dual breaks down.  A cold solve re-solves every row so far through
+/// [`solve_with_stats`]'s backend policy, with all its fallbacks, and every
+/// later solve stays cold.  `options.max_iters` bounds the iterations of
+/// all solves together.
+///
+/// # Example
+///
+/// ```
+/// use prdnn_lp::{ConstraintOp, LpProblem, ResumableLp, SolveOptions, VarKind};
+///
+/// # fn main() -> Result<(), prdnn_lp::LpError> {
+/// let mut lp = LpProblem::new();
+/// let x = lp.add_var(VarKind::Free);
+/// lp.add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 1.0);
+/// lp.minimize_l1_of(&[x]);
+/// let mut lp = ResumableLp::new(lp, &SolveOptions::default());
+/// assert_eq!(lp.solve()?.0.values, vec![1.0]);
+/// // x = 1 violates the new row: one more pivot, counted cumulatively.
+/// lp.add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0);
+/// let (solution, stats) = lp.solve()?;
+/// assert_eq!((solution.values, stats.pivots), (vec![2.0], 2));
+/// # Ok(())
+/// # }
+/// ```
+pub struct ResumableLp {
+    /// Every row so far, the objective already lowered.
+    problem: LpProblem,
+    /// The caller's variables: the lowered ℓ∞ bound comes after them.
+    num_vars: usize,
+    mapping: VarMapping,
+    options: SolveOptions,
+    /// The dual simplex's state; `None` once solving has gone cold.
+    dual: Option<dual::Dual<'static>>,
+    /// Once cold: the counters so far and the iterations left.
+    spent: LpStats,
+    iters_left: usize,
+}
+
+impl ResumableLp {
+    /// Prepares `problem` for its first [`Self::solve`].
+    pub fn new(problem: LpProblem, options: &SolveOptions) -> Self {
+        let num_vars = problem.num_vars();
+        let problem = match problem.objective.clone() {
+            Objective::MinimizeLinf(vars) => lower_linf(problem, &vars).0,
+            _ => problem,
+        };
+        let (sf, mapping) = to_standard_form(&problem);
+        let dual = match sf.dual_slacks.clone() {
+            Some(slacks) if options.backend != LpBackend::DenseTableau => {
+                dual::Dual::new(Cow::Owned(sf), &slacks, options.max_iters)
+            }
+            _ => None,
+        };
+        ResumableLp {
+            problem,
+            num_vars,
+            mapping,
+            options: *options,
+            dual,
+            spent: LpStats::default(),
+            iters_left: options.max_iters,
+        }
+    }
+
+    /// Appends the constraint `Σ coeffs_i · x_i  op  rhs`, as
+    /// [`LpProblem::add_constraint`] does; the next [`Self::solve`] resumes
+    /// with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op` is [`ConstraintOp::Eq`] (only inequality rows can
+    /// enter on a slack), or if a variable does not belong to the problem.
+    pub fn add_constraint(&mut self, coeffs: &[(VarId, f64)], op: ConstraintOp, rhs: f64) {
+        assert_ne!(op, ConstraintOp::Eq, "only inequality rows can be appended");
+        self.problem.add_constraint(coeffs, op, rhs);
+        if let Some(dual) = &mut self.dual {
+            let (entries, b) = self.mapping.standard_row(coeffs, op, rhs, dual.num_cols());
+            dual.push_row(&entries, b);
+        }
+    }
+
+    /// Solves every row so far, resuming from the last solve's basis.  The
+    /// counters are cumulative over every solve of this handle.
+    ///
+    /// # Errors
+    ///
+    /// See [`solve`]; [`LpError::IterationLimit`] once all solves together
+    /// exceed `options.max_iters`.
+    pub fn solve(&mut self) -> Result<(Solution, LpStats), LpError> {
+        if let Some(dual) = &mut self.dual {
+            match dual.resume() {
+                Ok(outcome) => {
+                    let stats = dual.stats.into();
+                    return self.finish(outcome, stats);
+                }
+                Err(dual::Breakdown) => {
+                    self.spent = dual.stats.into();
+                    self.iters_left = dual.iters_left;
+                    self.dual = None;
+                }
+            }
+        }
+        let options = SolveOptions {
+            max_iters: self.iters_left,
+            ..self.options
+        };
+        let (outcome, stats) = route(&to_standard_form(&self.problem).0, &options);
+        self.spent = self.spent.plus(stats);
+        self.iters_left = self.iters_left.saturating_sub(stats.pivots as usize);
+        self.finish(outcome, self.spent)
+    }
+
+    /// Whether the next solve resumes the dual (no cold solve so far).
+    #[cfg(test)]
+    pub(crate) fn is_warm(&self) -> bool {
+        self.dual.is_some()
+    }
+
+    /// The caller's variables' values (the lowered ℓ∞ bound dropped: the
+    /// objective is its value).
+    fn finish(
+        &self,
+        outcome: SimplexOutcome,
+        stats: LpStats,
+    ) -> Result<(Solution, LpStats), LpError> {
+        let mut solution = self.mapping.solution(&self.problem, outcome)?;
+        solution.values.truncate(self.num_vars);
+        Ok((solution, stats))
+    }
 }
 
 /// The backend policy on one standard-form program.
@@ -360,13 +507,41 @@ pub(crate) struct VarMapping {
 }
 
 impl VarMapping {
-    fn recover(&self, problem: &LpProblem, x: &[f64]) -> Vec<f64> {
-        (0..problem.num_vars())
-            .map(|i| {
-                let (p, n) = self.cols[i];
-                x[p] - n.map_or(0.0, |n| x[n])
-            })
-            .collect()
+    /// A standard-form outcome as a solution over `problem`'s variables.
+    fn solution(&self, problem: &LpProblem, outcome: SimplexOutcome) -> Result<Solution, LpError> {
+        match outcome {
+            SimplexOutcome::Optimal { x, objective } => {
+                let values = (0..problem.num_vars())
+                    .map(|i| {
+                        let (p, n) = self.cols[i];
+                        x[p] - n.map_or(0.0, |n| x[n])
+                    })
+                    .collect();
+                Ok(Solution { values, objective })
+            }
+            SimplexOutcome::Infeasible => Err(LpError::Infeasible),
+            SimplexOutcome::Unbounded => Err(LpError::Unbounded),
+            SimplexOutcome::IterationLimit => Err(LpError::IterationLimit),
+        }
+    }
+
+    /// The inequality `terms · x op rhs` as [`to_standard_form`] writes a
+    /// row: its entries, oriented so that `b ≥ 0`, sorted and merged, with
+    /// its slack in column `slack` last; and `b`.
+    fn standard_row(
+        &self,
+        terms: &[(VarId, f64)],
+        op: ConstraintOp,
+        rhs: f64,
+        slack: usize,
+    ) -> (Vec<(usize, f64)>, f64) {
+        let (negate, op, rhs) = oriented(op, rhs);
+        let mut row = Vec::with_capacity(2 * terms.len() + 1);
+        split_terms(&self.cols, terms, negate, &mut row);
+        row.push((slack, slack_value(op).expect("an inequality row")));
+        let mut entries = Vec::with_capacity(row.len());
+        push_merged(&mut row, &mut entries);
+        (entries, rhs)
     }
 }
 
@@ -424,14 +599,7 @@ pub(crate) fn to_standard_form(problem: &LpProblem) -> (SparseStandardForm, VarM
         } else {
             let (negate, op, _) = oriented(op, rhs);
             scratch.clear();
-            for &(v, coeff) in terms {
-                let coeff = if negate { -coeff } else { coeff };
-                let (p, n) = cols[v.0];
-                scratch.push((p, coeff));
-                if let Some(n) = n {
-                    scratch.push((n, -coeff));
-                }
-            }
+            split_terms(&cols, terms, negate, &mut scratch);
             if let Some(value) = slack_value(op) {
                 scratch.push((slack_idx, value));
             }
@@ -560,6 +728,24 @@ fn oriented(op: ConstraintOp, rhs: f64) -> (bool, ConstraintOp, f64) {
         (true, flipped, -rhs)
     } else {
         (false, op, rhs)
+    }
+}
+
+/// Appends each term's standard-form entries to `out`, negated when
+/// `negate`: a free variable's coefficient on `x⁺`, and negated on `x⁻`.
+fn split_terms(
+    cols: &[(usize, Option<usize>)],
+    terms: &[(VarId, f64)],
+    negate: bool,
+    out: &mut Vec<(usize, f64)>,
+) {
+    for &(v, coeff) in terms {
+        let coeff = if negate { -coeff } else { coeff };
+        let (p, n) = cols[v.0];
+        out.push((p, coeff));
+        if let Some(n) = n {
+            out.push((n, -coeff));
+        }
     }
 }
 
@@ -947,6 +1133,28 @@ mod tests {
         assert_eq!(bits(&sf.c), bits(&reference.c), "c");
         assert_eq!(sf.mirror, reference.mirror, "mirror");
         assert_eq!(sf.dual_slacks, reference.dual_slacks, "dual slack basis");
+
+        // Inequality rows appended one at a time, as a `ResumableLp` does,
+        // are written the same way, slack columns included.
+        if lp.rows.iter().any(|row| row.op == ConstraintOp::Eq) {
+            return;
+        }
+        let mut empty = lp.clone();
+        empty.terms.clear();
+        empty.rows.clear();
+        let (mut appended, mapping) = to_standard_form(&empty);
+        for (terms, op, rhs) in lp.constraints() {
+            let slack = appended.num_cols();
+            let (entries, b) = mapping.standard_row(terms, op, rhs, slack);
+            appended.a.push_row(slack + 1, &entries);
+            appended.b.push(b);
+        }
+        let (indptr, indices, values) = appended.a.parts();
+        assert_eq!(appended.a.ncols(), reference.a.ncols());
+        assert_eq!(indptr, ref_indptr, "appended indptr");
+        assert_eq!(indices, ref_indices, "appended indices");
+        assert_eq!(bits(values), bits(ref_values), "appended values");
+        assert_eq!(bits(&appended.b), bits(&reference.b), "appended b");
     }
 
     #[test]
@@ -1065,7 +1273,7 @@ mod tests {
             2 => lp.minimize_l1_of(normed),
             _ => {
                 lp.minimize_linf_of(normed);
-                lp = lower_linf(&lp, normed).0;
+                lp = lower_linf(lp, normed).0;
             }
         }
         lp

@@ -93,6 +93,21 @@ impl CsrMatrix {
         }
     }
 
+    /// Appends one row, its column ids strictly increasing, after widening
+    /// the matrix to `ncols` columns; no existing column id changes.
+    pub(crate) fn push_row(&mut self, ncols: usize, entries: &[(usize, f64)]) {
+        debug_assert!(ncols >= self.ncols);
+        debug_assert!(entries.windows(2).all(|p| p[0].0 < p[1].0));
+        debug_assert!(entries.last().is_none_or(|&(j, _)| j < ncols));
+        self.ncols = ncols;
+        self.nrows += 1;
+        for &(j, v) in entries {
+            self.indices.push(j);
+            self.values.push(v);
+        }
+        self.indptr.push(self.indices.len());
+    }
+
     pub(crate) fn nrows(&self) -> usize {
         self.nrows
     }
@@ -296,6 +311,23 @@ mod tests {
         assert_eq!(m.row(0), (&[0usize][..], &[3.0][..]));
         assert_eq!(m.row(1), (&[][..], &[][..]));
         assert_eq!(m.row(2), (&[1usize, 3][..], &[-4.0, 2.0][..]));
+    }
+
+    #[test]
+    fn appended_rows_widen_without_renumbering() {
+        let mut m = CsrMatrix::from_rows(2, &[vec![(0, 1.0), (1, 2.0)]]);
+        m.push_row(3, &[(0, -1.0), (2, 1.0)]);
+        m.push_row(4, &[(3, -1.0)]);
+        let expected = CsrMatrix::from_rows(
+            4,
+            &[
+                vec![(0, 1.0), (1, 2.0)],
+                vec![(0, -1.0), (2, 1.0)],
+                vec![(3, -1.0)],
+            ],
+        );
+        assert_eq!((m.nrows(), m.ncols()), (3, 4));
+        assert_eq!(m.parts(), expected.parts());
     }
 
     #[test]
