@@ -3,8 +3,8 @@
 //! wants typed calls instead of raw frames.
 
 use crate::protocol::{
-    embed_request_id, read_frame, request_id_of, write_frame, ErrorKind, JobState, ModelRef,
-    RegionWire, Request, Response, ServerStats, VersionInfo,
+    read_frame_text, DecodeError, ErrorKind, FrameError, JobState, ModelRef, RegionWire, Request,
+    Response, ServerStats, VersionInfo,
 };
 use prdnn_core::{PointSpec, RepairConfig};
 use serde::json::Value;
@@ -116,15 +116,29 @@ impl Client {
     /// *responses* are returned as `Ok(Response::Error { .. })` here (the
     /// typed helpers below turn them into [`ClientError::Server`]).
     pub fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
-        let mut value = request.to_value();
-        if let Some(id) = self.next_request_id.take() {
-            embed_request_id(&mut value, id);
+        request
+            .send(&mut self.stream, self.next_request_id.take())
+            .map_err(|e| ClientError::Transport(e.to_string()))?;
+        let (text, _) =
+            read_frame_text(&mut self.stream).map_err(|e| ClientError::Transport(e.to_string()))?;
+        match Response::decode(&text) {
+            Ok((response, request_id)) => {
+                self.last_request_id = request_id;
+                Ok(response)
+            }
+            Err(DecodeError::Invalid {
+                message,
+                request_id,
+            }) => {
+                self.last_request_id = request_id;
+                Err(ClientError::UnexpectedResponse(message))
+            }
+            Err(DecodeError::Malformed(e)) => {
+                self.last_request_id = None;
+                let e = FrameError::Malformed(e.to_string());
+                Err(ClientError::Transport(e.to_string()))
+            }
         }
-        write_frame(&mut self.stream, &value).map_err(|e| ClientError::Transport(e.to_string()))?;
-        let value =
-            read_frame(&mut self.stream).map_err(|e| ClientError::Transport(e.to_string()))?;
-        self.last_request_id = request_id_of(&value);
-        Response::from_value(&value).map_err(ClientError::UnexpectedResponse)
     }
 
     /// Stamps `id` as the correlation `request_id` of the **next** request

@@ -5,7 +5,7 @@
 //! * [`Counters`] — the shared block of relaxed atomics that the batcher,
 //!   the job queue and the connection handlers increment;
 //! * [`ServerStats`] — its plain-`u64` snapshot, the payload of the `stats`
-//!   reply, with its JSON codec;
+//!   reply, with its typed JSON codec;
 //! * [`Histograms`] — one lock-free [`Histogram`] per exported series;
 //! * [`families`] and the Prometheus text served by the `metrics` request
 //!   ([`crate::telemetry::Telemetry::render_prometheus`]).
@@ -18,10 +18,10 @@
 //! server samples them into the snapshot when it takes one; their atomics
 //! here stay at zero.
 
-use crate::protocol::{field, Fields};
+use crate::protocol::{read_keys, slot, take, write_key, Fault, Fields, Other};
 use crate::telemetry::{bucket_upper, Histogram, HistogramSnapshot};
 use crate::version_log::LogStats;
-use serde::json::Value;
+use serde::json::Reader;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -151,12 +151,24 @@ macro_rules! registry {
         }
 
         impl Fields for ServerStats {
-            fn encode_fields(&self) -> Vec<(&'static str, Value)> {
-                vec![$((stringify!($c), Value::Num(self.$c as f64))),*]
+            fn write_fields(&self, out: &mut String) {
+                let keys = [$(stringify!($c)),*];
+                for (i, (key, value)) in keys.into_iter().zip(self.values()).enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_key(out, key);
+                    serde::json::write_f64(out, value as f64);
+                }
             }
 
-            fn decode_fields(v: &Value) -> Result<Self, String> {
-                Ok(ServerStats { $($c: field(v, stringify!($c))?,)* })
+            fn read_fields<'a>(r: &mut Reader<'a>, other: &mut Other<'_, 'a>) -> Result<Self, Fault> {
+                $(let mut $c = None;)*
+                read_keys(r, |key, r| match key {
+                    $(stringify!($c) => slot(&mut $c, key, r),)*
+                    _ => other(key, r),
+                })?;
+                Ok(ServerStats { $($c: take($c, stringify!($c))?,)* })
             }
         }
 

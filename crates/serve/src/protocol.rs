@@ -2,10 +2,26 @@
 //! vocabulary.
 //!
 //! Every message is one frame: a 4-byte big-endian length followed by that
-//! many bytes of UTF-8 JSON ([`serde::json`]).  Frames above
-//! [`MAX_FRAME_LEN`] are rejected *before* any allocation, truncated frames
-//! are I/O errors, and malformed JSON is reported with the parser's byte
-//! offset — the server never panics on untrusted input.
+//! many bytes of UTF-8 JSON.  Frames above [`MAX_FRAME_LEN`] are rejected
+//! *before* any allocation, truncated frames are I/O errors, and malformed
+//! JSON is reported with the parser's byte offset — the server never
+//! panics on untrusted input.  A frame goes out in one write: header and
+//! body are built in one buffer.
+//!
+//! The codec is typed and generated from the `wire!` tables below, one per
+//! message type.  The writer appends each message's JSON straight to the
+//! frame buffer; the reader decodes a frame's text straight into the
+//! message through [`serde::json::Reader`], with no document tree in
+//! between.  Decoding accepts any JSON object that carries the message:
+//! keys in any order and with any whitespace, unknown keys skipped, an
+//! optional field `null` or absent, the first of duplicate keys winning,
+//! and the tag anywhere among the keys (every frame this code writes puts
+//! the tag first).  [`DecodeError`] keeps the two fault classes apart: text
+//! that is not JSON is [`DecodeError::Malformed`] wherever the fault sits,
+//! even after a field fault; JSON that is not a valid message is
+//! [`DecodeError::Invalid`] and names the field.  Fields that carry whole
+//! documents (networks, provenance, traces, the repair config) read and
+//! write a [`Value`] subtree.
 //!
 //! Floating-point payloads (model weights, eval inputs/outputs) use the
 //! JSON writer's shortest-round-trip formatting, so a value crossing the
@@ -14,7 +30,8 @@
 
 use prdnn_core::{OutputPolytope, PointSpec, RepairConfig};
 use prdnn_linalg::Matrix;
-use serde::json::Value;
+use serde::json::{self, ParseError, Reader, Value};
+use std::borrow::Cow;
 use std::io::{self, Read, Write};
 use std::time::Instant;
 
@@ -80,46 +97,58 @@ fn io_frame_error(e: io::Error) -> FrameError {
     }
 }
 
-/// Writes one length-prefixed JSON frame.
+/// Sends one frame holding the JSON that `encode` appends, header and body
+/// in one write.
 ///
 /// # Errors
 ///
-/// I/O errors from the underlying writer; `InvalidData` if the encoded
-/// document exceeds [`MAX_FRAME_LEN`] (nothing is written in that case).
-pub fn write_frame(w: &mut impl Write, value: &Value) -> io::Result<()> {
-    let body = value.to_json();
-    if body.len() > MAX_FRAME_LEN {
+/// I/O errors from the underlying writer; `InvalidData` if the body exceeds
+/// [`MAX_FRAME_LEN`] (nothing is written in that case).
+fn send_frame(w: &mut impl Write, encode: impl FnOnce(&mut String)) -> io::Result<()> {
+    // Four placeholder bytes for the header (NUL is valid UTF-8).
+    let mut frame = String::with_capacity(256);
+    frame.push_str("\0\0\0\0");
+    encode(&mut frame);
+    let len = frame.len() - 4;
+    if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("frame of {} bytes exceeds the cap", body.len()),
+            format!("frame of {len} bytes exceeds the cap"),
         ));
     }
-    w.write_all(&(body.len() as u32).to_be_bytes())?;
-    w.write_all(body.as_bytes())?;
+    let mut bytes = frame.into_bytes();
+    bytes[..4].copy_from_slice(&(len as u32).to_be_bytes());
+    w.write_all(&bytes)?;
     w.flush()
 }
 
-/// Reads one length-prefixed JSON frame.
+/// Writes one length-prefixed frame holding a JSON document.  The typed
+/// messages send themselves (`Request::send`, `Response::send`); this is
+/// for tests that craft raw frames.
+///
+/// # Errors
+///
+/// As for the typed path: I/O errors, or `InvalidData` (nothing written)
+/// if the document exceeds [`MAX_FRAME_LEN`].
+pub fn write_frame(w: &mut impl Write, value: &Value) -> io::Result<()> {
+    send_frame(w, |out| value.write_json(out))
+}
+
+/// Reads one length-prefixed frame and returns its text, with the instant
+/// its first bytes arrived.  The instant is captured after the first
+/// successful header read, so idle time between requests is excluded while
+/// a peer that trickles a frame in (or a proxy that delays mid-frame) *is*
+/// charged — this is the request arrival time the server's telemetry
+/// measures from.
 ///
 /// # Errors
 ///
 /// See [`FrameError`]; a clean close before the header is
 /// [`FrameError::Closed`], a close mid-header or mid-body is an I/O error
-/// (truncated frame).
-pub fn read_frame(r: &mut impl Read) -> Result<Value, FrameError> {
-    read_frame_timed(r).map(|(v, _)| v)
-}
-
-/// Like [`read_frame`], but also reports when the frame's first bytes
-/// arrived.  The instant is captured after the first successful header
-/// read, so idle time between requests is excluded while a peer that
-/// trickles a frame in (or a proxy that delays mid-frame) *is* charged —
-/// this is the request arrival time the server's telemetry measures from.
-///
-/// # Errors
-///
-/// See [`read_frame`].
-pub fn read_frame_timed(r: &mut impl Read) -> Result<(Value, Instant), FrameError> {
+/// (truncated frame), and a body that is not UTF-8 is
+/// [`FrameError::Malformed`].  The length is checked against the cap
+/// before the body is allocated.
+pub fn read_frame_text(r: &mut impl Read) -> Result<(String, Instant), FrameError> {
     let mut header = [0u8; 4];
     // Distinguish "no frame at all" (clean close) from a truncated header.
     let arrival = match r.read(&mut header) {
@@ -140,25 +169,47 @@ pub fn read_frame_timed(r: &mut impl Read) -> Result<(Value, Instant), FrameErro
     }
     let mut body = vec![0u8; len];
     r.read_exact(&mut body).map_err(io_frame_error)?;
-    let text = std::str::from_utf8(&body)
+    let text = String::from_utf8(body)
         .map_err(|e| FrameError::Malformed(format!("invalid UTF-8: {e}")))?;
-    let value = Value::parse(text).map_err(|e| FrameError::Malformed(e.to_string()))?;
-    Ok((value, arrival))
+    Ok((text, arrival))
 }
 
-/// The optional `request_id` correlation field of a request document.
-/// Clients may set it themselves (values should stay below 2^53 so JSON
-/// numbers round-trip exactly); the server assigns one otherwise and
-/// echoes it in every response.  Ids ride next to the typed payload so
-/// the [`Request`]/[`Response`] codecs stay id-agnostic.
-pub fn request_id_of(v: &Value) -> Option<u64> {
-    match v.get("request_id") {
-        Some(Value::Num(n)) if *n >= 1.0 && n.fract() == 0.0 && *n <= 9.0e15 => Some(*n as u64),
-        _ => None,
+/// Reads one length-prefixed frame as a JSON document, for tests that
+/// inspect raw frames.
+///
+/// # Errors
+///
+/// See [`read_frame_text`]; text that is not JSON is
+/// [`FrameError::Malformed`].
+pub fn read_frame(r: &mut impl Read) -> Result<Value, FrameError> {
+    let (text, _) = read_frame_text(r)?;
+    Value::parse(&text).map_err(|e| FrameError::Malformed(e.to_string()))
+}
+
+/// A `request_id` the protocol honours: a positive integer up to 9e15
+/// (far below 2^53, so it round-trips as a JSON number).
+fn valid_request_id(x: f64) -> Option<u64> {
+    (x >= 1.0 && x.fract() == 0.0 && x <= 9.0e15).then_some(x as u64)
+}
+
+/// Reads a `request_id` value: its id if valid, `None` for any other value.
+fn read_request_id(r: &mut Reader<'_>) -> Result<Option<u64>, ParseError> {
+    match r.f64()? {
+        Some(x) => Ok(valid_request_id(x)),
+        None => r.skip_value().map(|()| None),
     }
 }
 
-/// Stamps `request_id` onto an encoded request or response document.
+/// The optional `request_id` correlation field of a request or response
+/// document.  Clients may set it themselves; the server assigns one
+/// otherwise and echoes it in every response as its last key.  The typed
+/// codec carries it beside the message (`encode`/`decode`); this reads it
+/// from a raw document.
+pub fn request_id_of(v: &Value) -> Option<u64> {
+    v.get("request_id")?.as_f64().and_then(valid_request_id)
+}
+
+/// Stamps `request_id` onto a raw request or response document.
 pub fn embed_request_id(v: &mut Value, request_id: u64) {
     if let Value::Obj(fields) = v {
         fields.retain(|(k, _)| k != "request_id");
@@ -492,15 +543,73 @@ impl Response {
 }
 
 // ---------------------------------------------------------------------------
-// Encoding
+// The codec
 // ---------------------------------------------------------------------------
+
+/// Why a frame's text did not decode into a message.
+#[derive(Debug, PartialEq)]
+pub enum DecodeError {
+    /// The text is not JSON.
+    Malformed(ParseError),
+    /// The text is JSON but not a valid message: a field is missing or
+    /// mistyped.
+    Invalid {
+        /// What is wrong, naming the field.
+        message: String,
+        /// The document's `request_id`, if it carries a valid one.
+        request_id: Option<u64>,
+    },
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DecodeError::Malformed(e) => write!(f, "{e}"),
+            DecodeError::Invalid { message, .. } => write!(f, "{message}"),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// A decoding fault before it is classed: the reader stops at the first.
+pub(crate) enum Fault {
+    /// The text is not JSON.
+    Syntax(ParseError),
+    /// JSON of the wrong shape.
+    Field(String),
+}
+
+impl From<ParseError> for Fault {
+    fn from(e: ParseError) -> Self {
+        Fault::Syntax(e)
+    }
+}
+
+impl Fault {
+    fn field(message: impl Into<String>) -> Fault {
+        Fault::Field(message.into())
+    }
+
+    /// Prefixes a field fault's message with `context`.
+    fn within(self, context: impl std::fmt::Display) -> Fault {
+        match self {
+            Fault::Field(message) => Fault::Field(format!("{context}: {message}")),
+            syntax => syntax,
+        }
+    }
+}
+
+/// Where a type sends the keys of its object that it does not own: the
+/// enclosing message's handler, which must consume each key's value.
+pub(crate) type Other<'o, 'a> = dyn FnMut(&str, &mut Reader<'a>) -> Result<(), Fault> + 'o;
 
 /// A value carried in one named field of a wire message.
 pub(crate) trait Field: Sized {
-    /// The field's JSON value.
-    fn encode(&self) -> Value;
-    /// Decodes a present field; the error says what is wrong with it.
-    fn decode(v: &Value) -> Result<Self, String>;
+    /// Appends the field's JSON value.
+    fn write(&self, out: &mut String);
+    /// Reads a present field.
+    fn read(r: &mut Reader<'_>) -> Result<Self, Fault>;
     /// Decodes an absent field: an error unless the field is optional.
     fn absent() -> Result<Self, String> {
         Err("missing".to_owned())
@@ -510,19 +619,148 @@ pub(crate) trait Field: Sized {
 /// A value whose fields sit directly in the enclosing JSON object: the
 /// tagged messages below and the `stats` counters.
 pub(crate) trait Fields: Sized {
-    /// The `(key, value)` pairs, in wire order.
-    fn encode_fields(&self) -> Vec<(&'static str, Value)>;
-    /// Decodes from the enclosing object.
-    fn decode_fields(v: &Value) -> Result<Self, String>;
+    /// Appends the `"key":value` pairs, comma-separated, in wire order.
+    fn write_fields(&self, out: &mut String);
+    /// Reads the fields of the object `r` has just opened; each key that is
+    /// not one of them goes to `other`.
+    fn read_fields<'a>(r: &mut Reader<'a>, other: &mut Other<'_, 'a>) -> Result<Self, Fault>;
 }
 
-/// Decodes field `key` of the object `v`.
-pub(crate) fn field<T: Field>(v: &Value, key: &str) -> Result<T, String> {
-    match v.get(key) {
-        Some(x) => T::decode(x),
-        None => T::absent(),
+/// Appends `"key":` for a key that needs no escaping.
+pub(crate) fn write_key(out: &mut String, key: &str) {
+    out.push('"');
+    out.push_str(key);
+    out.push_str("\":");
+}
+
+/// Hands every key of the open object to `field`, which consumes its
+/// value.
+pub(crate) fn read_keys<'a>(
+    r: &mut Reader<'a>,
+    mut field: impl FnMut(&str, &mut Reader<'a>) -> Result<(), Fault>,
+) -> Result<(), Fault> {
+    while let Some(key) = r.next_key()? {
+        field(&key, r)?;
     }
-    .map_err(|e| format!("\"{key}\": {e}"))
+    Ok(())
+}
+
+/// Reads an object, handing each key to `field` (see [`read_keys`]).
+fn read_object<'a>(
+    r: &mut Reader<'a>,
+    field: impl FnMut(&str, &mut Reader<'a>) -> Result<(), Fault>,
+) -> Result<(), Fault> {
+    if !r.begin_object()? {
+        return Err(Fault::field("expected an object"));
+    }
+    read_keys(r, field)
+}
+
+/// Reads field `key` into `slot`; a repeated key is skipped, so the first
+/// one wins.
+pub(crate) fn slot<T: Field>(
+    slot: &mut Option<T>,
+    key: &str,
+    r: &mut Reader<'_>,
+) -> Result<(), Fault> {
+    if slot.is_some() {
+        return Ok(r.skip_value()?);
+    }
+    *slot = Some(T::read(r).map_err(|f| f.within(format_args!("\"{key}\"")))?);
+    Ok(())
+}
+
+/// The field read into `slot`, or its value when absent.
+pub(crate) fn take<T: Field>(slot: Option<T>, key: &str) -> Result<T, Fault> {
+    match slot {
+        Some(value) => Ok(value),
+        None => T::absent().map_err(|m| Fault::Field(format!("\"{key}\": {m}"))),
+    }
+}
+
+/// Skips a key nobody owns.
+fn skip(_: &str, r: &mut Reader<'_>) -> Result<(), Fault> {
+    Ok(r.skip_value()?)
+}
+
+/// The string under `key` in the object `r` has just opened, found by
+/// looking ahead (the first such key wins).
+fn find_tag<'a>(r: &Reader<'a>, key: &str) -> Result<Cow<'a, str>, Fault> {
+    let mut ahead = r.clone();
+    while let Some(k) = ahead.next_key()? {
+        if k == key {
+            return read_str(&mut ahead).map_err(|f| f.within(format_args!("\"{key}\"")));
+        }
+        ahead.skip_value()?;
+    }
+    Err(Fault::field(format!("\"{key}\": missing")))
+}
+
+/// Appends a message as one JSON object, `request_id` (when given) last.
+fn encode_message(message: &impl Fields, request_id: Option<u64>, out: &mut String) {
+    out.push('{');
+    message.write_fields(out);
+    if let Some(id) = request_id {
+        out.push_str(",\"request_id\":");
+        json::write_f64(out, id as f64);
+    }
+    out.push('}');
+}
+
+/// Decodes a message document and its `request_id`.
+fn decode_message<M: Fields>(text: &str) -> Result<(M, Option<u64>), DecodeError> {
+    let mut request_id = None;
+    match read_message(&mut Reader::new(text), &mut request_id) {
+        Ok(message) => Ok((message, request_id.flatten())),
+        Err(Fault::Syntax(e)) => Err(DecodeError::Malformed(e)),
+        // The reader stopped at a field fault: the rest of the text
+        // decides whether the frame is JSON at all, and may hold the id.
+        Err(Fault::Field(message)) => {
+            let mut request_id = None;
+            match read_message::<AnyObject>(&mut Reader::new(text), &mut request_id) {
+                Err(Fault::Syntax(e)) => Err(DecodeError::Malformed(e)),
+                _ => Err(DecodeError::Invalid {
+                    message,
+                    request_id: request_id.flatten(),
+                }),
+            }
+        }
+    }
+}
+
+/// Reads one message document; its first `request_id` key lands in
+/// `request_id`.
+fn read_message<M: Fields>(
+    r: &mut Reader<'_>,
+    request_id: &mut Option<Option<u64>>,
+) -> Result<M, Fault> {
+    if !r.begin_object()? {
+        // Not a message; whether it is JSON decides the fault's class.
+        r.skip_value()?;
+        r.end()?;
+        return Err(Fault::field("expected an object"));
+    }
+    let message = M::read_fields(r, &mut |key, r| {
+        if key == "request_id" && request_id.is_none() {
+            *request_id = Some(read_request_id(r)?);
+            Ok(())
+        } else {
+            skip(key, r)
+        }
+    })?;
+    r.end()?;
+    Ok(message)
+}
+
+/// Any object, read only to check it: every key goes to `other`.
+struct AnyObject;
+
+impl Fields for AnyObject {
+    fn write_fields(&self, _: &mut String) {}
+
+    fn read_fields<'a>(r: &mut Reader<'a>, other: &mut Other<'_, 'a>) -> Result<Self, Fault> {
+        read_keys(r, other).map(|()| AnyObject)
+    }
 }
 
 /// Generates the codecs of the wire vocabulary, one table per type:
@@ -531,26 +769,47 @@ pub(crate) fn field<T: Field>(v: &Value, key: &str) -> Result<T, String> {
 ///   under `key`.  `BODY` is `{ a, b }` (named fields, each under its own
 ///   name; `{}` for a unit variant), `(name)` (a single tuple field under
 ///   `name`), or `(..name)` (a single tuple field whose own [`Fields`] are
-///   spread into the message).  Generates `kind`, `to_value`, `from_value`
-///   and the [`Fields`] impl;
+///   spread into the message).  Generates `kind`, `encode`, `send`,
+///   `decode`, the `to_value`/`from_value` test adapters, and the
+///   [`Fields`] impl;
 /// * `struct T { a, b }` — an object with one key per field;
 /// * `enum T as str { Variant = "text", .. }` — a unit enum sent as a
 ///   string.
 macro_rules! wire {
     (@pat $ty:ident $variant:ident { $($f:ident),* }) => { $ty::$variant { $($f),* } };
     (@pat $ty:ident $variant:ident ($(..)? $f:ident)) => { $ty::$variant($f) };
-    (@encode { $($f:ident),* }) => { vec![$((stringify!($f), $f.encode())),*] };
-    (@encode (.. $f:ident)) => { $f.encode_fields() };
-    (@encode ($f:ident)) => { vec![(stringify!($f), $f.encode())] };
-    (@decode $ty:ident $variant:ident $v:ident { $($f:ident),* }) => {
-        $ty::$variant { $($f: field($v, stringify!($f))?),* }
+    (@write $out:ident { $($f:ident),* }) => {
+        $(
+            $out.push_str(concat!(",\"", stringify!($f), "\":"));
+            Field::write($f, $out);
+        )*
     };
-    (@decode $ty:ident $variant:ident $v:ident (.. $f:ident)) => {
-        $ty::$variant(Fields::decode_fields($v)?)
+    (@write $out:ident (.. $f:ident)) => {
+        $out.push(',');
+        $f.write_fields($out);
     };
-    (@decode $ty:ident $variant:ident $v:ident ($f:ident)) => {
-        $ty::$variant(field($v, stringify!($f))?)
+    (@write $out:ident ($f:ident)) => { wire!(@write $out { $f }) };
+    (@read $r:ident $other:ident $key:literal $ty:ident $variant:ident { $($f:ident),* }) => {{
+        $(let mut $f = None;)*
+        read_keys($r, |key, r| match key {
+            $(stringify!($f) => slot(&mut $f, key, r),)*
+            $key => skip(key, r),
+            _ => $other(key, r),
+        })?;
+        $ty::$variant { $($f: take($f, stringify!($f))?),* }
+    }};
+    (@read $r:ident $other:ident $key:literal $ty:ident $variant:ident (.. $f:ident)) => {
+        $ty::$variant(Fields::read_fields($r, $other)?)
     };
+    (@read $r:ident $other:ident $key:literal $ty:ident $variant:ident ($f:ident)) => {{
+        let mut $f = None;
+        read_keys($r, |key, r| match key {
+            stringify!($f) => slot(&mut $f, key, r),
+            $key => skip(key, r),
+            _ => $other(key, r),
+        })?;
+        $ty::$variant(take($f, stringify!($f))?)
+    }};
     (enum $ty:ident by $key:literal { $($tag:literal => $variant:ident $body:tt),* $(,)? }) => {
         impl $ty {
             /// The variant's wire tag.
@@ -560,63 +819,110 @@ macro_rules! wire {
                 }
             }
 
-            /// Encodes as a JSON document.
-            pub fn to_value(&self) -> Value {
-                Value::obj(self.encode_fields())
+            /// Appends the message as one JSON object, with `request_id`
+            /// (when given) as its last key.
+            pub fn encode(&self, request_id: Option<u64>, out: &mut String) {
+                encode_message(self, request_id, out);
             }
 
-            /// Decodes from a JSON document.
+            /// Sends the message as one frame, in one write.
+            ///
+            /// # Errors
+            ///
+            /// I/O errors; `InvalidData` (nothing written) if the message
+            /// exceeds [`MAX_FRAME_LEN`].
+            pub fn send(&self, w: &mut impl Write, request_id: Option<u64>) -> io::Result<()> {
+                send_frame(w, |out| self.encode(request_id, out))
+            }
+
+            /// Decodes a frame's text into the message and its
+            /// `request_id`.
+            ///
+            /// # Errors
+            ///
+            /// [`DecodeError::Malformed`] if the text is not JSON,
+            /// [`DecodeError::Invalid`] if it is not this message.
+            pub fn decode(text: &str) -> Result<(Self, Option<u64>), DecodeError> {
+                decode_message(text)
+            }
+
+            /// The message as a JSON document, for tests that craft raw
+            /// frames.
+            pub fn to_value(&self) -> Value {
+                let mut text = String::new();
+                self.encode(None, &mut text);
+                Value::parse(&text).expect("the message codec writes JSON")
+            }
+
+            /// Decodes a JSON document, for tests that read raw frames.
             ///
             /// # Errors
             ///
             /// Returns a message describing the first malformed field.
             pub fn from_value(v: &Value) -> Result<Self, String> {
-                Self::decode_fields(v)
+                Self::decode(&v.to_json()).map(|(message, _)| message).map_err(|e| e.to_string())
             }
         }
 
         impl Fields for $ty {
-            fn encode_fields(&self) -> Vec<(&'static str, Value)> {
-                let mut fields = vec![($key, Value::Str(self.kind().to_owned()))];
-                fields.extend(match self {
-                    $(wire!(@pat $ty $variant $body) => wire!(@encode $body),)*
-                });
-                fields
+            fn write_fields(&self, out: &mut String) {
+                match self {
+                    $(wire!(@pat $ty $variant $body) => {
+                        out.push_str(concat!("\"", $key, "\":\"", $tag, "\""));
+                        wire!(@write out $body);
+                    })*
+                }
             }
 
-            fn decode_fields(v: &Value) -> Result<Self, String> {
-                let tag: String = field(v, $key).map_err(|e| format!("{}: {e}", stringify!($ty)))?;
-                let decode = || {
-                    Ok(match tag.as_str() {
-                        $($tag => wire!(@decode $ty $variant v $body),)*
-                        _ => return Err(concat!("unknown ", $key).to_owned()),
+            fn read_fields<'a>(r: &mut Reader<'a>, other: &mut Other<'_, 'a>) -> Result<Self, Fault> {
+                let tag = find_tag(r, $key).map_err(|f| f.within(stringify!($ty)))?;
+                let mut read = || {
+                    Ok(match &*tag {
+                        $($tag => wire!(@read r other $key $ty $variant $body),)*
+                        _ => return Err(Fault::field(concat!("unknown ", $key))),
                     })
                 };
-                decode().map_err(|e: String| format!("{} {tag:?}: {e}", stringify!($ty)))
+                read().map_err(|f| f.within(format_args!("{} {tag:?}", stringify!($ty))))
             }
         }
     };
-    (struct $ty:ident { $($f:ident),* $(,)? }) => {
+    (struct $ty:ident { $first:ident $(, $f:ident)* $(,)? }) => {
         impl Field for $ty {
-            fn encode(&self) -> Value {
-                Value::obj([$((stringify!($f), self.$f.encode())),*])
+            fn write(&self, out: &mut String) {
+                out.push_str(concat!("{\"", stringify!($first), "\":"));
+                self.$first.write(out);
+                $(
+                    out.push_str(concat!(",\"", stringify!($f), "\":"));
+                    self.$f.write(out);
+                )*
+                out.push('}');
             }
 
-            fn decode(v: &Value) -> Result<Self, String> {
-                Ok($ty { $($f: field(v, stringify!($f))?),* })
+            fn read(r: &mut Reader<'_>) -> Result<Self, Fault> {
+                let mut $first = None;
+                $(let mut $f = None;)*
+                read_object(r, |key, r| match key {
+                    stringify!($first) => slot(&mut $first, key, r),
+                    $(stringify!($f) => slot(&mut $f, key, r),)*
+                    _ => skip(key, r),
+                })?;
+                Ok($ty {
+                    $first: take($first, stringify!($first))?,
+                    $($f: take($f, stringify!($f))?),*
+                })
             }
         }
     };
     (enum $ty:ident as str { $($variant:ident = $text:literal),* $(,)? }) => {
         impl Field for $ty {
-            fn encode(&self) -> Value {
-                Value::Str(match self { $($ty::$variant => $text,)* }.to_owned())
+            fn write(&self, out: &mut String) {
+                out.push_str(match self { $($ty::$variant => concat!("\"", $text, "\""),)* });
             }
 
-            fn decode(v: &Value) -> Result<Self, String> {
-                match String::decode(v)?.as_str() {
+            fn read(r: &mut Reader<'_>) -> Result<Self, Fault> {
+                match &*read_str(r)? {
                     $($text => Ok($ty::$variant),)*
-                    other => Err(format!("unknown {} {other:?}", stringify!($ty))),
+                    other => Err(Fault::field(format!("unknown {} {other:?}", stringify!($ty)))),
                 }
             }
         }
@@ -688,39 +994,42 @@ wire! {
     }
 }
 
+fn read_str<'a>(r: &mut Reader<'a>) -> Result<Cow<'a, str>, Fault> {
+    r.str()?.ok_or_else(|| Fault::field("expected a string"))
+}
+
 impl Field for String {
-    fn encode(&self) -> Value {
-        Value::Str(self.clone())
+    fn write(&self, out: &mut String) {
+        json::write_str(out, self);
     }
 
-    fn decode(v: &Value) -> Result<Self, String> {
-        v.as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| "expected a string".to_owned())
+    fn read(r: &mut Reader<'_>) -> Result<Self, Fault> {
+        read_str(r).map(Cow::into_owned)
     }
 }
 
 impl Field for f64 {
-    fn encode(&self) -> Value {
-        Value::Num(*self)
+    fn write(&self, out: &mut String) {
+        json::write_f64(out, *self);
     }
 
-    fn decode(v: &Value) -> Result<Self, String> {
-        v.as_f64().ok_or_else(|| "expected a number".to_owned())
+    fn read(r: &mut Reader<'_>) -> Result<Self, Fault> {
+        r.f64()?.ok_or_else(|| Fault::field("expected a number"))
     }
 }
 
 macro_rules! integer_field {
     ($($ty:ty),*) => {$(
         impl Field for $ty {
-            fn encode(&self) -> Value {
-                Value::Num(*self as f64)
+            fn write(&self, out: &mut String) {
+                json::write_f64(out, *self as f64);
             }
 
-            fn decode(v: &Value) -> Result<Self, String> {
-                v.as_usize()
+            fn read(r: &mut Reader<'_>) -> Result<Self, Fault> {
+                r.f64()?
+                    .and_then(json::exact_u64)
                     .and_then(|n| <$ty>::try_from(n).ok())
-                    .ok_or_else(|| concat!("expected a non-negative integer (", stringify!($ty), ")").to_owned())
+                    .ok_or_else(|| Fault::field(concat!("expected a non-negative integer (", stringify!($ty), ")")))
             }
         }
     )*};
@@ -730,25 +1039,29 @@ integer_field!(u32, u64, usize);
 
 /// Arbitrary JSON documents (networks, provenance, traces) pass through.
 impl Field for Value {
-    fn encode(&self) -> Value {
-        self.clone()
+    fn write(&self, out: &mut String) {
+        self.write_json(out);
     }
 
-    fn decode(v: &Value) -> Result<Self, String> {
-        Ok(v.clone())
+    fn read(r: &mut Reader<'_>) -> Result<Self, Fault> {
+        Ok(r.value()?)
     }
 }
 
 /// Optional fields are sent as `null` and may also be left out.
 impl<T: Field> Field for Option<T> {
-    fn encode(&self) -> Value {
-        self.as_ref().map_or(Value::Null, Field::encode)
+    fn write(&self, out: &mut String) {
+        match self {
+            Some(value) => value.write(out),
+            None => out.push_str("null"),
+        }
     }
 
-    fn decode(v: &Value) -> Result<Self, String> {
-        match v {
-            Value::Null => Ok(None),
-            v => T::decode(v).map(Some),
+    fn read(r: &mut Reader<'_>) -> Result<Self, Fault> {
+        if r.null()? {
+            Ok(None)
+        } else {
+            T::read(r).map(Some)
         }
     }
 
@@ -757,38 +1070,62 @@ impl<T: Field> Field for Option<T> {
     }
 }
 
+fn write_list<T: Field>(out: &mut String, items: &[T]) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write(out);
+    }
+    out.push(']');
+}
+
 impl<T: Field> Field for Vec<T> {
-    fn encode(&self) -> Value {
-        Value::Arr(self.iter().map(Field::encode).collect())
+    fn write(&self, out: &mut String) {
+        write_list(out, self);
     }
 
-    fn decode(v: &Value) -> Result<Self, String> {
-        v.as_arr()
-            .ok_or_else(|| "expected an array".to_owned())?
-            .iter()
-            .map(T::decode)
-            .collect()
+    fn read(r: &mut Reader<'_>) -> Result<Self, Fault> {
+        if !r.begin_array()? {
+            return Err(Fault::field("expected an array"));
+        }
+        let mut items = Vec::new();
+        while r.next_element()? {
+            items.push(T::read(r)?);
+        }
+        Ok(items)
     }
 }
 
 impl Field for ModelRef {
-    fn encode(&self) -> Value {
-        Value::Str(self.to_string())
+    fn write(&self, out: &mut String) {
+        json::write_str(out, &self.to_string());
     }
 
-    fn decode(v: &Value) -> Result<Self, String> {
-        ModelRef::parse(&String::decode(v)?)
+    fn read(r: &mut Reader<'_>) -> Result<Self, Fault> {
+        ModelRef::parse(&read_str(r)?).map_err(Fault::Field)
     }
 }
 
 /// One `(name, latest version)` entry of the `models` reply.
 impl Field for (String, u32) {
-    fn encode(&self) -> Value {
-        Value::obj([("name", self.0.encode()), ("latest", self.1.encode())])
+    fn write(&self, out: &mut String) {
+        out.push_str("{\"name\":");
+        self.0.write(out);
+        out.push_str(",\"latest\":");
+        self.1.write(out);
+        out.push('}');
     }
 
-    fn decode(v: &Value) -> Result<Self, String> {
-        Ok((field(v, "name")?, field(v, "latest")?))
+    fn read(r: &mut Reader<'_>) -> Result<Self, Fault> {
+        let (mut name, mut latest) = (None, None);
+        read_object(r, |key, r| match key {
+            "name" => slot(&mut name, key, r),
+            "latest" => slot(&mut latest, key, r),
+            _ => skip(key, r),
+        })?;
+        Ok((take(name, "name")?, take(latest, "latest")?))
     }
 }
 
@@ -796,62 +1133,83 @@ impl Field for (String, u32) {
 // with the durable version log's on-disk records); the wire simply embeds
 // it.
 impl Field for RepairConfig {
-    fn encode(&self) -> Value {
-        self.to_json()
+    fn write(&self, out: &mut String) {
+        self.to_json().write_json(out);
     }
 
-    fn decode(v: &Value) -> Result<Self, String> {
-        RepairConfig::from_json(v)
+    fn read(r: &mut Reader<'_>) -> Result<Self, Fault> {
+        RepairConfig::from_json(&r.value()?).map_err(Fault::Field)
     }
 }
 
 impl Field for OutputPolytope {
-    fn encode(&self) -> Value {
-        Value::obj([
-            ("rows", self.a.rows().encode()),
-            ("cols", self.a.cols().encode()),
-            ("a", Value::num_array(self.a.as_slice())),
-            ("b", self.b.encode()),
-        ])
+    fn write(&self, out: &mut String) {
+        out.push_str("{\"rows\":");
+        self.a.rows().write(out);
+        out.push_str(",\"cols\":");
+        self.a.cols().write(out);
+        out.push_str(",\"a\":");
+        write_list(out, self.a.as_slice());
+        out.push_str(",\"b\":");
+        self.b.write(out);
+        out.push('}');
     }
 
-    fn decode(v: &Value) -> Result<Self, String> {
-        let (rows, cols): (usize, usize) = (field(v, "rows")?, field(v, "cols")?);
-        let (a, b): (Vec<f64>, Vec<f64>) = (field(v, "a")?, field(v, "b")?);
+    fn read(r: &mut Reader<'_>) -> Result<Self, Fault> {
+        let (mut rows, mut cols, mut a, mut b) = (None, None, None, None);
+        read_object(r, |key, r| match key {
+            "rows" => slot(&mut rows, key, r),
+            "cols" => slot(&mut cols, key, r),
+            "a" => slot(&mut a, key, r),
+            "b" => slot(&mut b, key, r),
+            _ => skip(key, r),
+        })?;
+        let (rows, cols): (usize, usize) = (take(rows, "rows")?, take(cols, "cols")?);
+        let (a, b): (Vec<f64>, Vec<f64>) = (take(a, "a")?, take(b, "b")?);
         // Checked: crafted documents with huge dims must be rejected, not
         // wrapped past the size check in release builds.
         if Some(a.len()) != rows.checked_mul(cols) {
-            return Err(format!(
+            return Err(Fault::Field(format!(
                 "{} entries in \"a\" do not match rows {rows} × cols {cols}",
                 a.len()
-            ));
+            )));
         }
         if b.len() != rows {
-            return Err(format!("{} entries in \"b\" but rows = {rows}", b.len()));
+            return Err(Fault::Field(format!(
+                "{} entries in \"b\" but rows = {rows}",
+                b.len()
+            )));
         }
         Ok(OutputPolytope::new(Matrix::from_flat(rows, cols, a), b))
     }
 }
 
 impl Field for PointSpec {
-    fn encode(&self) -> Value {
-        Value::obj([
-            ("points", self.points.encode()),
-            ("constraints", self.constraints.encode()),
-        ])
+    fn write(&self, out: &mut String) {
+        out.push_str("{\"points\":");
+        self.points.write(out);
+        out.push_str(",\"constraints\":");
+        self.constraints.write(out);
+        out.push('}');
     }
 
-    fn decode(v: &Value) -> Result<Self, String> {
+    fn read(r: &mut Reader<'_>) -> Result<Self, Fault> {
+        let (mut points, mut constraints) = (None, None);
+        read_object(r, |key, r| match key {
+            "points" => slot(&mut points, key, r),
+            "constraints" => slot(&mut constraints, key, r),
+            _ => skip(key, r),
+        })?;
         let spec = PointSpec {
-            points: field(v, "points")?,
-            constraints: field(v, "constraints")?,
+            points: take(points, "points")?,
+            constraints: take(constraints, "constraints")?,
         };
         if spec.points.len() != spec.constraints.len() {
-            return Err(format!(
+            return Err(Fault::Field(format!(
                 "{} points but {} constraints",
                 spec.points.len(),
                 spec.constraints.len()
-            ));
+            )));
         }
         Ok(spec)
     }
@@ -1014,8 +1372,8 @@ mod tests {
 
     #[test]
     fn decoding_rejects_missing_fields_wrong_types_and_shape_mismatches() {
-        let request = |text: &str| Request::from_value(&Value::parse(text).unwrap());
-        let response = |text: &str| Response::from_value(&Value::parse(text).unwrap());
+        let request = |text: &str| Request::decode(text).map(|(request, _)| request);
+        let response = |text: &str| Response::decode(text).map(|(response, _)| response);
         let repair = |constraints: &str| {
             request(&format!(
                 r#"{{"type":"repair","model":"m","layer":0,"config":{{}},
@@ -1037,8 +1395,36 @@ mod tests {
             r#"{"type":"job_status","job":1.5}"#,
             r#"{"type":"load_network","name":"m"}"#,
             r#"{"type":"repair","model":"m","layer":0,"spec":{"points":[],"constraints":[]}}"#,
+            // 2^64 does not fit a u64 (it used to saturate to u64::MAX).
+            r#"{"type":"job_status","job":18446744073709551616}"#,
+            "[]",
+            "null",
         ] {
-            assert!(request(bad).is_err(), "accepted request {bad}");
+            assert!(
+                matches!(request(bad), Err(DecodeError::Invalid { .. })),
+                "accepted request {bad}"
+            );
+        }
+        // The largest double below 2^64 does fit.
+        assert_eq!(
+            request(r#"{"type":"job_status","job":18446744073709549568}"#),
+            Ok(Request::JobStatus {
+                job: 18446744073709549568
+            })
+        );
+        // Numbers outside RFC 8259 §6 make the frame malformed, not just
+        // the field.
+        for bad in [
+            r#"{"type":"job_status","job":01}"#,
+            r#"{"type":"job_status","job":00}"#,
+            r#"{"type":"job_status","job":1.}"#,
+            r#"{"type":"eval","model":"m","inputs":[[-.5]]}"#,
+            r#"{"type":"eval","model":"m","inputs":[[1.e5]]}"#,
+        ] {
+            assert!(
+                matches!(request(bad), Err(DecodeError::Malformed(_))),
+                "accepted request {bad}"
+            );
         }
         for constraints in [
             // rows × cols overflows usize: the checked multiply must reject it.
@@ -1066,6 +1452,60 @@ mod tests {
         ] {
             assert!(response(bad).is_err(), "accepted response {bad}");
         }
+    }
+
+    #[test]
+    fn a_tag_that_is_not_the_first_key_still_decodes() {
+        let text = r#" { "inputs" : [[0.5]], "deadline_ms": null, "model": "m@v2",
+            "type": "eval", "type": "ping", "model": "ignored" } "#;
+        assert_eq!(
+            Request::decode(text).unwrap(),
+            (
+                Request::Eval {
+                    model: ModelRef::version("m", 2),
+                    inputs: vec![vec![0.5]],
+                    deadline_ms: None,
+                },
+                None
+            )
+        );
+        // A spread message finds its own tag wherever it sits too.
+        let text = r#"{"version":2,"state":"done","model":"m","type":"job","delta_l1":0.5,
+            "delta_linf":0.25,"lp_pivots":3,"lp_refactorizations":0}"#;
+        assert!(matches!(
+            Response::decode(text),
+            Ok((Response::Job(JobState::Done { version: 2, .. }), None))
+        ));
+    }
+
+    #[test]
+    fn typed_frames_carry_the_request_id_last_and_go_out_in_one_write() {
+        /// Counts `write` calls.
+        struct Writes(Vec<u8>, usize);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.extend_from_slice(buf);
+                self.1 += 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes(Vec::new(), 0);
+        Response::JobQueued { job: 7 }
+            .send(&mut w, Some(42))
+            .unwrap();
+        assert_eq!(w.1, 1, "header and body in one write");
+        let (text, _) = read_frame_text(&mut Cursor::new(&w.0)).unwrap();
+        assert_eq!(text, r#"{"type":"job_queued","job":7.0,"request_id":42.0}"#);
+        assert_eq!(
+            Response::decode(&text).unwrap(),
+            (Response::JobQueued { job: 7 }, Some(42))
+        );
+        let mut w = Writes(Vec::new(), 0);
+        write_frame(&mut w, &Value::Null).unwrap();
+        assert_eq!((w.1, &w.0[4..]), (1, &b"null"[..]));
     }
 
     #[test]

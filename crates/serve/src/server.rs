@@ -24,8 +24,8 @@ use crate::cache::{ResultCache, DEFAULT_CACHE_BYTES};
 use crate::jobs::JobQueue;
 use crate::metrics::{label_index, REQUEST_KINDS};
 use crate::protocol::{
-    embed_request_id, read_frame_timed, request_id_of, write_frame, ErrorKind, FrameError,
-    RegionWire, Request, Response, ServerStats, VersionInfo,
+    read_frame_text, DecodeError, ErrorKind, FrameError, RegionWire, Request, Response,
+    ServerStats, VersionInfo,
 };
 use crate::store::{ModelStore, ModelVersion, StoreError};
 use crate::telemetry::{self, Outcome, Stage, Telemetry};
@@ -363,10 +363,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         if shared.shutdown.load(Ordering::SeqCst) {
             // The wakeup connection (or a late client) during drain.
             let mut s = stream;
-            let _ = write_frame(
-                &mut s,
-                &Response::error(ErrorKind::ShuttingDown, "server is draining").to_value(),
-            );
+            let _ =
+                Response::error(ErrorKind::ShuttingDown, "server is draining").send(&mut s, None);
             return;
         }
         // Admission: cap concurrent connections.  The open-connections
@@ -376,18 +374,15 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         {
             counters.conns_rejected.fetch_add(1, Ordering::Relaxed);
             let mut s = stream;
-            let _ = write_frame(
-                &mut s,
-                &Response::error_retry_after(
-                    ErrorKind::Overloaded,
-                    format!(
-                        "connection limit ({}) reached",
-                        shared.config.max_connections
-                    ),
-                    RETRY_AFTER_CONN_MS,
-                )
-                .to_value(),
-            );
+            let _ = Response::error_retry_after(
+                ErrorKind::Overloaded,
+                format!(
+                    "connection limit ({}) reached",
+                    shared.config.max_connections
+                ),
+                RETRY_AFTER_CONN_MS,
+            )
+            .send(&mut s, None);
             continue;
         }
         // Replies are request-response frames, never streamed: leaving
@@ -445,7 +440,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 
 fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
     loop {
-        let (value, received) = match read_frame_timed(&mut stream) {
+        let (text, received) = match read_frame_text(&mut stream) {
             Ok(pair) => pair,
             Err(FrameError::Closed) => return,
             Err(FrameError::Io(_)) => return,
@@ -455,23 +450,31 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                 // why on the off chance it is still reading.
                 let counters = &shared.telemetry.counters;
                 counters.io_timeouts.fetch_add(1, Ordering::Relaxed);
-                let _ = write_frame(
-                    &mut stream,
-                    &Response::error(
-                        ErrorKind::DeadlineExceeded,
-                        "connection idle past the socket timeout mid-frame",
-                    )
-                    .to_value(),
-                );
+                let _ = Response::error(
+                    ErrorKind::DeadlineExceeded,
+                    "connection idle past the socket timeout mid-frame",
+                )
+                .send(&mut stream, None);
                 return;
             }
             Err(e @ (FrameError::Oversized(_) | FrameError::Empty | FrameError::Malformed(_))) => {
                 // Framing is unrecoverable once a bad header/payload is
                 // seen: answer once and close.
-                let _ = write_frame(
-                    &mut stream,
-                    &Response::error(ErrorKind::BadRequest, e.to_string()).to_value(),
-                );
+                let _ = bad_request(e.to_string()).send(&mut stream, None);
+                return;
+            }
+        };
+        let decode_start = Instant::now();
+        let (request, client_id) = match Request::decode(&text) {
+            Ok((request, id)) => (Ok(request), id),
+            // Valid JSON that is not a valid request: answer and go on.
+            Err(DecodeError::Invalid {
+                message,
+                request_id,
+            }) => (Err(message), request_id),
+            Err(DecodeError::Malformed(e)) => {
+                let e = FrameError::Malformed(e.to_string());
+                let _ = bad_request(e.to_string()).send(&mut stream, None);
                 return;
             }
         };
@@ -480,15 +483,19 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
         // in the response and threads through every span this request
         // records (the thread-local scope covers stages — like WAL appends
         // — reached without an explicit id parameter).
-        let request_id = request_id_of(&value)
-            .unwrap_or_else(|| shared.next_request_id.fetch_add(1, Ordering::Relaxed));
+        let request_id =
+            client_id.unwrap_or_else(|| shared.next_request_id.fetch_add(1, Ordering::Relaxed));
         let _scope = telemetry::enter_request(request_id);
-        let (response, kind, close_after) = match Request::from_value(&value) {
-            Err(message) => (
-                Response::error(ErrorKind::BadRequest, message),
-                "other",
-                false,
-            ),
+        let decode_outcome = if request.is_ok() {
+            Outcome::Ok
+        } else {
+            Outcome::Error
+        };
+        shared
+            .telemetry
+            .span(request_id, Stage::Decode, decode_start, decode_outcome);
+        let (response, kind, close_after) = match request {
+            Err(message) => (bad_request(message), "other", false),
             Ok(request) => {
                 let kind = request.kind();
                 let close_after = request == Request::Shutdown;
@@ -507,21 +514,23 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
             Response::Error { .. } => Outcome::Error,
             _ => Outcome::Ok,
         };
-        let mut reply = response.to_value();
-        embed_request_id(&mut reply, request_id);
-        if let Err(e) = write_frame(&mut stream, &reply) {
+        let encode_start = Instant::now();
+        let sent = response.send(&mut stream, Some(request_id));
+        if close_after {
+            // Only now: the drain closes every connection, this one
+            // included, and must not cut off its acknowledgement.
+            shared.begin_shutdown();
+        }
+        if let Err(e) = sent {
             // A response too large for the frame cap (e.g. lin_regions on
             // a huge model) writes nothing — tell the client why instead
             // of silently hanging up on a valid request.
             if e.kind() == std::io::ErrorKind::InvalidData {
-                let _ = write_frame(
-                    &mut stream,
-                    &Response::error(
-                        ErrorKind::Internal,
-                        "response exceeds the frame size cap; narrow the request",
-                    )
-                    .to_value(),
-                );
+                let _ = Response::error(
+                    ErrorKind::Internal,
+                    "response exceeds the frame size cap; narrow the request",
+                )
+                .send(&mut stream, None);
             } else if crate::protocol::is_timeout(&e) {
                 // The peer stopped draining our response.
                 let counters = &shared.telemetry.counters;
@@ -529,6 +538,9 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
             }
             return;
         }
+        shared
+            .telemetry
+            .span(request_id, Stage::Encode, encode_start, outcome);
         // The Request span covers the whole server-side residence: from
         // the frame's first header byte through the response write.  The
         // eval/lin_regions e2e histograms are recorded at the batcher
@@ -757,10 +769,8 @@ fn handle_request(
         Request::Trace => Response::Trace {
             slow: shared.telemetry.slow_traces_json(),
         },
-        Request::Shutdown => {
-            shared.begin_shutdown();
-            Response::ShuttingDown
-        }
+        // The connection handler begins the drain once this reply is sent.
+        Request::Shutdown => Response::ShuttingDown,
     }
 }
 

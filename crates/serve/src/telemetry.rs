@@ -232,6 +232,10 @@ pub enum Stage {
     LpSolve,
     /// WAL append + fsync for a publish triggered by this request.
     WalAppend,
+    /// The connection thread decoding the frame's text into the request.
+    Decode,
+    /// The connection thread encoding the response and writing its frame.
+    Encode,
 }
 
 impl Stage {
@@ -244,6 +248,8 @@ impl Stage {
             Stage::JobQueue => "job_queue",
             Stage::LpSolve => "lp_solve",
             Stage::WalAppend => "wal_append",
+            Stage::Decode => "decode",
+            Stage::Encode => "encode",
         }
     }
 
@@ -256,6 +262,8 @@ impl Stage {
             4 => Stage::JobQueue,
             5 => Stage::LpSolve,
             6 => Stage::WalAppend,
+            7 => Stage::Decode,
+            8 => Stage::Encode,
             _ => return None,
         })
     }
@@ -269,6 +277,8 @@ impl Stage {
             Stage::JobQueue => 4,
             Stage::LpSolve => 5,
             Stage::WalAppend => 6,
+            Stage::Decode => 7,
+            Stage::Encode => 8,
         }
     }
 }

@@ -567,3 +567,66 @@ fn connection_cap_admission_control() {
     }
     handle.join().unwrap();
 }
+
+#[test]
+fn the_slow_log_names_the_codec_stages() {
+    let handle = serve(ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        slow_ms: 1,
+        ..ServerConfig::default()
+    })
+    .expect("ephemeral bind");
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.load_generator("n1", "n1").unwrap();
+    // A frame stalled mid-body crosses the slow threshold; its chain must
+    // show the connection thread's own work: decoding the request and
+    // encoding the reply.
+    let mut body = String::new();
+    Request::Eval {
+        model: ModelRef::latest("n1"),
+        inputs: vec![vec![0.5]],
+        deadline_ms: None,
+    }
+    .encode(Some(77), &mut body);
+    let mut frame = (body.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(body.as_bytes());
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
+    use std::io::Write as _;
+    raw.write_all(&frame[..frame.len() / 2]).unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    raw.write_all(&frame[frame.len() / 2..]).unwrap();
+    let reply = read_frame(&mut raw).expect("reply");
+    assert_eq!(reply.get("type").and_then(|v| v.as_str()), Some("outputs"));
+    // The chain is promoted just after the reply is written: poll for it.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let entry = loop {
+        let slow = client.trace().unwrap();
+        let found = slow
+            .as_arr()
+            .unwrap()
+            .iter()
+            .find(|t| t.get("request_id").and_then(|v| v.as_f64()) == Some(77.0));
+        match found {
+            Some(entry) => break entry.clone(),
+            None if std::time::Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(5))
+            }
+            None => panic!("request 77 missing from trace: {}", slow.to_json()),
+        }
+    };
+    let stages: Vec<&str> = entry
+        .get("spans")
+        .and_then(|v| v.as_arr())
+        .unwrap()
+        .iter()
+        .filter_map(|s| s.get("stage").and_then(|v| v.as_str()))
+        .collect();
+    for want in ["request", "decode", "batch_exec", "encode"] {
+        assert!(
+            stages.contains(&want),
+            "span chain {stages:?} missing {want}"
+        );
+    }
+    client.shutdown_server().unwrap();
+    handle.join().unwrap();
+}
