@@ -5,10 +5,12 @@
 //! is what CI keys off), plus the end-to-end workloads the repair pipeline
 //! spends its time in: `Network::forward_batch`, the DDNN parameter
 //! Jacobian (on an MLP and on the Task 1 CNN), the Task 1 CNN's conv
-//! pre-activations, and SyReNN `plane_regions`.  Each conv case first
-//! checks its batch result against per-point calls bit for bit (the
-//! per-point calls take the naive GEMM path, the batches the blocked one)
-//! and fails the process on a mismatch.  Pool workloads are swept at
+//! pre-activations, ExactLine on the Task 1 CNN, and SyReNN
+//! `plane_regions`.  Each conv case first checks its batch result against
+//! per-point calls bit for bit (the per-point calls take the naive GEMM
+//! path, the batches the blocked one) and fails the process on a
+//! mismatch; the ExactLine case fails it when any run's breakpoints differ
+//! from the first run's in a single bit.  Pool workloads are swept at
 //! `--threads 1/2/4`.
 //!
 //! Every case runs at least [`prdnn_bench::stats::MIN_RUNS`] times and is
@@ -24,12 +26,12 @@
 
 use prdnn_bench::scale::{Scale, Task1Params};
 use prdnn_bench::stats::{summarize, time_runs, Summary, MIN_RUNS};
+use prdnn_bench::task1;
 use prdnn_core::DecoupledNetwork;
-use prdnn_datasets::imagenet_like;
 use prdnn_linalg::gemm;
 use prdnn_nn::{Activation, FlatBatch, Network};
 use prdnn_par::ThreadPool;
-use prdnn_syrenn::plane_regions_in;
+use prdnn_syrenn::{exact_line, plane_regions_in};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::json::Value;
@@ -203,11 +205,15 @@ fn jacobian_cases(runs: usize, cases: &mut Vec<Case>) {
     }
 }
 
-/// The trained Task 1 CNN (`tiny` scale) and its drawdown images.
-fn task1_cnn() -> (Network, Vec<Vec<f64>>) {
-    let params = Task1Params::for_scale(Scale::Tiny);
-    let task = imagenet_like::object_task(params.seed, params.train_size, params.validation_size);
-    (task.network, task.validation.inputs)
+/// The trained Task 1 CNN (`tiny` scale), its drawdown images and its
+/// repair pool.
+fn task1_cnn() -> (Network, Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    let setup = task1::setup(&Task1Params::for_scale(Scale::Tiny));
+    (
+        setup.network,
+        setup.drawdown_set.inputs,
+        setup.repair_pool.inputs,
+    )
 }
 
 fn conv_forward_cases(runs: usize, net: &Network, images: &[Vec<f64>], cases: &mut Vec<Case>) {
@@ -273,6 +279,42 @@ fn jacobian_cnn_cases(runs: usize, net: &Network, images: &[Vec<f64>], cases: &m
     }
 }
 
+/// ExactLine along 16 fixed segments between repair-pool images, the
+/// `LinRegions` read of `reprobench`'s `point_repair`.  Every run must
+/// reproduce the first run's breakpoints bit for bit.
+fn exact_line_cnn_case(runs: usize, net: &Network, pool: &[Vec<f64>], cases: &mut Vec<Case>) {
+    let n = pool.len();
+    let segments: Vec<(&[f64], &[f64])> = (0..16)
+        .map(|k| (&pool[k % n][..], &pool[(k + 1 + k / n) % n][..]))
+        .collect();
+    let all_ts = || -> Vec<u64> {
+        segments
+            .iter()
+            .flat_map(|&(a, b)| exact_line(net, a, b).expect("PWL network, distinct endpoints"))
+            .map(f64::to_bits)
+            .collect()
+    };
+    let first = all_ts();
+    let regions = first.len() - segments.len();
+    let summary = summarize(time_runs(runs, || {
+        if all_ts() != first {
+            eprintln!("ORACLE MISMATCH: exact_line_task1_cnn changed its breakpoints between runs");
+            std::process::exit(1);
+        }
+    }));
+    cases.push(Case {
+        name: "exact_line_task1_cnn".to_owned(),
+        config: vec![
+            ("net", Value::Str("task1 cnn (tiny)".to_owned())),
+            ("segments", Value::Num(segments.len() as f64)),
+            ("regions", Value::Num(regions as f64)),
+        ],
+        threads: None,
+        summary,
+        speedup_vs_naive: None,
+    });
+}
+
 fn plane_regions_cases(runs: usize, cases: &mut Vec<Case>) {
     let mut rng = StdRng::seed_from_u64(9);
     // The bench_plane_regions headline workload: a deep ACAS-style slice.
@@ -319,9 +361,10 @@ fn main() {
     gemm_cases(runs, &mut cases);
     forward_batch_cases(runs, &mut cases);
     jacobian_cases(runs, &mut cases);
-    let (cnn, images) = task1_cnn();
+    let (cnn, images, pool) = task1_cnn();
     conv_forward_cases(runs, &cnn, &images, &mut cases);
     jacobian_cnn_cases(runs, &cnn, &images, &mut cases);
+    exact_line_cnn_case(runs, &cnn, &pool, &mut cases);
     plane_regions_cases(runs, &mut cases);
 
     for case in &cases {

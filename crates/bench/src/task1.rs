@@ -474,6 +474,35 @@ mod tests {
         );
     }
 
+    /// ExactLine's bits on the trained CNN, pinned: one FNV-1a hash over
+    /// the region count and every breakpoint's bit pattern of eight
+    /// segments between consecutive repair-pool images (2600 regions).  A
+    /// crossing scan that reorders, drops or re-rounds a single breakpoint
+    /// changes this hash.
+    #[test]
+    fn tiny_task1_lin_regions_keep_their_bits() {
+        let setup = setup(&Task1Params::for_scale(Scale::Tiny));
+        let pool = &setup.repair_pool.inputs;
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |bits: u64| {
+            for byte in bits.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let mut regions = 0;
+        for k in 0..8 {
+            let ts = prdnn_syrenn::exact_line(&setup.network, &pool[k], &pool[k + 1]).unwrap();
+            regions += ts.len() - 1;
+            mix(ts.len() as u64 - 1);
+            for t in ts {
+                mix(t.to_bits());
+            }
+        }
+        assert_eq!(regions, 2600);
+        assert_eq!(hash, 0x37b7_125d_d9ab_098b);
+    }
+
     #[test]
     fn failed_repairs_keep_their_cause() {
         let outcomes = [

@@ -6,8 +6,55 @@
 //! the activation functions used in the evaluation (ReLU for the image and
 //! ACAS networks) together with the smooth ones (Tanh, Sigmoid) used to show
 //! point repair works for non-piecewise-linear networks.
+//!
+//! # Slice kernels
+//!
+//! Each function is defined once, per scalar: [`Activation::apply_scalar`]
+//! and [`Activation::derivative_scalar`].  The slice kernels
+//! ([`Activation::apply_into`], [`Activation::linearize_into`]) and every
+//! `Vec` entry point built on them call those scalar functions, but from a
+//! loop that is expanded once per variant with the variant fixed.  After
+//! inlining, the scalar `match` folds away, so a slice pays one dispatch
+//! per call instead of one per element, and the element loop is free to
+//! vectorise.  Each element is still the scalar function's own expression,
+//! so the kernels are bit-identical to mapping the scalar functions.
 
+use crate::batch::zeros;
 use serde::{Deserialize, Serialize};
+
+/// Runs `$body` with `$act` bound to `$activation` rebuilt as a constant of
+/// its own variant, once per variant, so that the `match` inside the scalar
+/// functions that `$body` calls folds away (see the module doc).
+macro_rules! per_variant {
+    ($activation:expr, |$act:ident| $body:block) => {
+        match $activation {
+            Activation::Relu => {
+                let $act = Activation::Relu;
+                $body
+            }
+            Activation::LeakyRelu { alpha } => {
+                let $act = Activation::LeakyRelu { alpha };
+                $body
+            }
+            Activation::HardTanh => {
+                let $act = Activation::HardTanh;
+                $body
+            }
+            Activation::Tanh => {
+                let $act = Activation::Tanh;
+                $body
+            }
+            Activation::Sigmoid => {
+                let $act = Activation::Sigmoid;
+                $body
+            }
+            Activation::Identity => {
+                let $act = Activation::Identity;
+                $body
+            }
+        }
+    };
+}
 
 /// An element-wise activation function `σ : ℝ → ℝ` applied component-wise.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -31,6 +78,7 @@ pub enum Activation {
 
 impl Activation {
     /// Applies the activation to a single scalar.
+    #[inline]
     pub fn apply_scalar(self, x: f64) -> f64 {
         match self {
             Activation::Relu => x.max(0.0),
@@ -54,6 +102,7 @@ impl Activation {
     /// right-derivative, matching Appendix C of the paper (any consistent
     /// choice of "linearisation" at non-differentiable points is sound for
     /// point repair).
+    #[inline]
     pub fn derivative_scalar(self, x: f64) -> f64 {
         match self {
             Activation::Relu => {
@@ -91,12 +140,36 @@ impl Activation {
 
     /// Applies the activation component-wise.
     pub fn apply(self, xs: &[f64]) -> Vec<f64> {
-        xs.iter().map(|&x| self.apply_scalar(x)).collect()
+        let mut out = zeros(xs.len());
+        self.apply_into(xs, &mut out);
+        out
+    }
+
+    /// Writes `σ(xs[k])` into `out[k]` for every `k`: the slice kernel
+    /// behind [`Self::apply`] and the layers' activation passes.  Each
+    /// element is [`Self::apply_scalar`]'s value, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs.len() != out.len()`.
+    pub fn apply_into(self, xs: &[f64], out: &mut [f64]) {
+        assert_eq!(xs.len(), out.len(), "apply_into: length mismatch");
+        per_variant!(self, |act| {
+            for (o, &x) in out.iter_mut().zip(xs) {
+                *o = act.apply_scalar(x);
+            }
+        })
     }
 
     /// Component-wise derivative.
     pub fn derivative(self, xs: &[f64]) -> Vec<f64> {
-        xs.iter().map(|&x| self.derivative_scalar(x)).collect()
+        let mut out = zeros(xs.len());
+        per_variant!(self, |act| {
+            for (o, &x) in out.iter_mut().zip(xs) {
+                *o = act.derivative_scalar(x);
+            }
+        });
+        out
     }
 
     /// The linearisation of `σ` around `center` (Definition 4.2), returned as
@@ -106,14 +179,31 @@ impl Activation {
     /// The linearisation is exact at its centre: `slope·center + intercept =
     /// σ(center)`.
     pub fn linearize(self, center: &[f64]) -> Vec<(f64, f64)> {
-        center
-            .iter()
-            .map(|&c| {
-                let slope = self.derivative_scalar(c);
-                let intercept = self.apply_scalar(c) - slope * c;
-                (slope, intercept)
-            })
-            .collect()
+        let (mut slopes, mut intercepts) = (zeros(center.len()), zeros(center.len()));
+        self.linearize_into(center, &mut slopes, &mut intercepts);
+        slopes.into_iter().zip(intercepts).collect()
+    }
+
+    /// [`Self::linearize`] as a slice kernel: writes each component's slope
+    /// `σ'(c)` ([`Self::derivative_scalar`]) and intercept `σ(c) − σ'(c)·c`
+    /// into two caller-owned slices, with no `(slope, intercept)` pairs in
+    /// between.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `center`, `slopes` and `intercepts` have one length.
+    pub fn linearize_into(self, center: &[f64], slopes: &mut [f64], intercepts: &mut [f64]) {
+        assert!(
+            slopes.len() == center.len() && intercepts.len() == center.len(),
+            "linearize_into: length mismatch"
+        );
+        per_variant!(self, |act| {
+            for ((s, b), &c) in slopes.iter_mut().zip(intercepts.iter_mut()).zip(center) {
+                let slope = act.derivative_scalar(c);
+                *s = slope;
+                *b = act.apply_scalar(c) - slope * c;
+            }
+        })
     }
 
     /// Whether the activation is piecewise linear (Definition 2.4).
@@ -182,6 +272,168 @@ mod tests {
         Activation::Sigmoid,
         Activation::Identity,
     ];
+
+    /// Inputs on which a hoisted, vectorised loop could drift from the
+    /// scalar functions: signed zeros (`f64::max` promises no sign for
+    /// ±0), HardTanh's edges, tiny and subnormal values, infinities, NaN
+    /// and huge values.
+    const EDGES: [f64; 15] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        1e-9,
+        -1e-9,
+        f64::MIN_POSITIVE / 4.0,
+        -f64::MIN_POSITIVE / 4.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        1e300,
+        -1e300,
+        0.37,
+        -2.5,
+    ];
+
+    /// Every variant, LeakyReLU with two slopes.
+    const VARIANTS: [Activation; 7] = [
+        Activation::Relu,
+        Activation::LeakyRelu { alpha: 0.1 },
+        Activation::LeakyRelu { alpha: 0.37 },
+        Activation::HardTanh,
+        Activation::Tanh,
+        Activation::Sigmoid,
+        Activation::Identity,
+    ];
+
+    /// The edge values at every offset, long enough for the vectorised
+    /// body of a loop (and its remainder) to see each of them.
+    fn edge_inputs() -> Vec<f64> {
+        (0..5)
+            .flat_map(|shift| EDGES.iter().cycle().skip(shift).take(EDGES.len()))
+            .copied()
+            .collect()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn slice_kernels_equal_the_scalar_functions_bit_for_bit() {
+        let xs = edge_inputs();
+        for act in VARIANTS {
+            let apply: Vec<f64> = xs.iter().map(|&x| act.apply_scalar(x)).collect();
+            let slopes: Vec<f64> = xs.iter().map(|&x| act.derivative_scalar(x)).collect();
+            let intercepts: Vec<f64> = xs
+                .iter()
+                .zip(&slopes)
+                .map(|(&c, &slope)| act.apply_scalar(c) - slope * c)
+                .collect();
+
+            let mut out = vec![0.0; xs.len()];
+            act.apply_into(&xs, &mut out);
+            assert_eq!(bits(&out), bits(&apply), "{act}: apply_into");
+            assert_eq!(bits(&act.apply(&xs)), bits(&apply), "{act}: apply");
+            assert_eq!(
+                bits(&act.derivative(&xs)),
+                bits(&slopes),
+                "{act}: derivative"
+            );
+            let (mut s, mut b) = (vec![0.0; xs.len()], vec![0.0; xs.len()]);
+            act.linearize_into(&xs, &mut s, &mut b);
+            assert_eq!(bits(&s), bits(&slopes), "{act}: linearize_into slopes");
+            assert_eq!(
+                bits(&b),
+                bits(&intercepts),
+                "{act}: linearize_into intercepts"
+            );
+            let (s, b): (Vec<f64>, Vec<f64>) = act.linearize(&xs).into_iter().unzip();
+            assert_eq!(bits(&s), bits(&slopes), "{act}: linearize slopes");
+            assert_eq!(bits(&b), bits(&intercepts), "{act}: linearize intercepts");
+        }
+    }
+
+    #[test]
+    fn layer_entry_points_equal_the_scalar_functions_bit_for_bit() {
+        use crate::{ActivationLinearization, FlatBatch, Layer, Pool2dLayer};
+        use prdnn_linalg::Matrix;
+        let z = edge_inputs();
+        let reversed: Vec<f64> = z.iter().rev().copied().collect();
+        let batch = FlatBatch::from_rows(z.len(), &[z.clone(), reversed.clone()]);
+        for act in VARIANTS {
+            let layer = Layer::dense(Matrix::zeros(z.len(), 1), vec![0.0; z.len()], act);
+            let apply = |xs: &[f64]| xs.iter().map(|&x| act.apply_scalar(x)).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&layer.activate(&z)),
+                bits(&apply(&z)),
+                "{act}: activate"
+            );
+            let out = layer.activate_batch_flat(&batch);
+            assert_eq!(bits(out.row(0)), bits(&apply(&z)), "{act}: batch row 0");
+            assert_eq!(
+                bits(out.row(1)),
+                bits(&apply(&reversed)),
+                "{act}: batch row 1"
+            );
+            let want = |xs: &[f64]| {
+                let lin = act.linearize(xs);
+                (
+                    bits(&lin.iter().map(|p| p.0).collect::<Vec<_>>()),
+                    bits(&lin.iter().map(|p| p.1).collect::<Vec<_>>()),
+                )
+            };
+            let got = |lin: &ActivationLinearization| match lin {
+                ActivationLinearization::Elementwise { slopes, intercepts } => {
+                    (bits(slopes), bits(intercepts))
+                }
+                other => panic!("{act}: not element-wise: {other:?}"),
+            };
+            assert_eq!(got(&layer.linearize_activation(&z)), want(&z), "{act}");
+            let lins = layer.linearize_activation_batch_flat(&batch);
+            assert_eq!(got(&lins[0]), want(&z), "{act}: batch row 0");
+            assert_eq!(got(&lins[1]), want(&reversed), "{act}: batch row 1");
+        }
+        // Max pooling over the same values: 2×2 windows (a loop of their
+        // own) and 3×3 windows, against the fold written out.
+        for side in [2, 3] {
+            let (h, w) = (3, 25);
+            let layer = Layer::MaxPool2d(Pool2dLayer {
+                channels: 1,
+                in_height: h,
+                in_width: w,
+                pool_h: side,
+                pool_w: side,
+                stride: 1,
+            });
+            let z: Vec<f64> = EDGES.iter().cycle().take(h * w).copied().collect();
+            let want: Vec<f64> = (0..=h - side)
+                .flat_map(|oy| (0..=w - side).map(move |ox| (oy, ox)))
+                .map(|(oy, ox)| {
+                    (0..side * side)
+                        .map(|k| z[(oy + k / side) * w + ox + k % side])
+                        .fold(f64::NEG_INFINITY, f64::max)
+                })
+                .collect();
+            assert_eq!(
+                bits(&layer.activate(&z)),
+                bits(&want),
+                "{side}x{side} max pool"
+            );
+            let out = layer.activate_batch_flat(&FlatBatch::from_rows(h * w, &[z]));
+            assert_eq!(
+                bits(out.row(0)),
+                bits(&want),
+                "{side}x{side} max pool batch"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn apply_into_rejects_a_short_output() {
+        Activation::Relu.apply_into(&[1.0, 2.0], &mut [0.0]);
+    }
 
     #[test]
     fn relu_basics() {

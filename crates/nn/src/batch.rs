@@ -16,6 +16,18 @@
 //! routing a batch through the flat path produces bit-identical results to
 //! mapping the per-point entry points — callers may switch freely.
 
+/// `len` zeros, allocated and then written.  `vec![0.0; len]` asks the
+/// allocator for zeroed memory instead, and glibc's `calloc` bypasses its
+/// per-thread cache: on a small vector in a multi-threaded process that
+/// costs about 40 ns more (probe, 24 entries: 89–93 ns against 48–52 ns),
+/// which showed in every per-row activation and linearisation.  From a
+/// few thousand entries up the two cost the same.
+pub(crate) fn zeros(len: usize) -> Vec<f64> {
+    let mut v = Vec::with_capacity(len);
+    v.resize(len, 0.0);
+    v
+}
+
 /// A batch of `count` vectors of dimension `dim`, stored row-major in one
 /// contiguous buffer.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -49,7 +61,7 @@ impl FlatBatch {
         FlatBatch {
             dim,
             count,
-            data: vec![0.0; dim * count],
+            data: zeros(dim * count),
         }
     }
 

@@ -37,7 +37,8 @@ pub use activation::Activation;
 pub use batch::FlatBatch;
 pub use io::{network_content_hash, network_from_json, network_to_json};
 pub use layer::{
-    ActivationLinearization, Conv2dLayer, CrossingSpec, DenseLayer, Layer, Pool2dLayer, PoolWindows,
+    ActivationKernel, ActivationLinearization, Conv2dLayer, CrossingSpec, DenseLayer, Layer,
+    Pool2dLayer, PoolWindows,
 };
 pub use network::{ActivationPattern, ForwardTrace, Network};
 pub use train::{backprop, cross_entropy, sgd_train, softmax, Dataset, Loss, TrainConfig};

@@ -9,13 +9,25 @@
 //! The key invariant maintained here is that every vertex *carries its
 //! running network value* (the input to the next layer) alongside its
 //! geometry.  Each layer's affine map is then applied **exactly once per
-//! surviving vertex** ([`TransformerState::apply_preactivation`]), crossings
+//! surviving vertex** ([`TransformerState::process_layer`]), crossings
 //! are located by interpolating the carried pre-activations along edges —
 //! exact, because the prefix network is affine on every piece — and new
 //! crossing vertices get *interpolated* values instead of a recomputation of
 //! the whole network prefix.  This makes `LinRegions` linear in network
 //! depth, where the previous implementation re-evaluated the full prefix for
 //! every vertex at every layer (quadratic in depth).
+//!
+//! The segment pipeline ([`crate::line_regions`]) goes further within a
+//! layer.  It enumerates the layer's crossing functions once, into a table
+//! of one kind ([`UnitCrossing`] or [`PairCrossing`], in
+//! [`for_each_crossing`] order), and computes each point's [`side`] of
+//! every crossing once.  It evaluates a crossing again only on intervals
+//! whose two ends lie on opposite sides, and it builds the next layer's
+//! batch in one fused pass that interpolates and activates each new point.
+//! The splitter it replaced, which evaluates every crossing at both ends of
+//! every interval, is kept as a test oracle that the segment pipeline must
+//! match bit for bit.  The polygon pipeline ([`crate::plane_regions`])
+//! still evaluates [`Crossing`]s directly.
 
 use crate::SyrennError;
 use prdnn_nn::{CrossingSpec, Layer, Network};
@@ -107,9 +119,46 @@ impl Crossing {
     #[inline]
     pub(crate) fn eval(&self, z: &[f64]) -> f64 {
         match *self {
-            Crossing::Unit { unit, threshold } => z[unit] - threshold,
-            Crossing::Pair { i, j } => z[i] - z[j],
+            Crossing::Unit { unit, threshold } => UnitCrossing { unit, threshold }.eval(z),
+            Crossing::Pair { i, j } => PairCrossing { i, j }.eval(z),
         }
+    }
+}
+
+/// A crossing function of one statically known kind.  Loops generic over
+/// it are compiled once per kind, so evaluating a table of one kind never
+/// branches on the kind; [`Crossing::eval`] delegates here, so each
+/// kind's expression is written once.
+pub(crate) trait CrossingFn: Copy {
+    /// Evaluates the crossing function on a pre-activation vector.
+    fn eval(self, z: &[f64]) -> f64;
+}
+
+/// [`Crossing::Unit`]: `z[unit] - threshold`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct UnitCrossing {
+    pub(crate) unit: usize,
+    pub(crate) threshold: f64,
+}
+
+impl CrossingFn for UnitCrossing {
+    #[inline]
+    fn eval(self, z: &[f64]) -> f64 {
+        z[self.unit] - self.threshold
+    }
+}
+
+/// [`Crossing::Pair`]: `z[i] - z[j]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PairCrossing {
+    pub(crate) i: usize,
+    pub(crate) j: usize,
+}
+
+impl CrossingFn for PairCrossing {
+    #[inline]
+    fn eval(self, z: &[f64]) -> f64 {
+        z[self.i] - z[self.j]
     }
 }
 
@@ -136,15 +185,50 @@ pub(crate) fn for_each_crossing(spec: &CrossingSpec, width: usize, mut f: impl F
     }
 }
 
-/// Linear interpolation between two carried-value vectors.
-pub(crate) fn lerp(a: &[f64], b: &[f64], alpha: f64) -> Vec<f64> {
-    a.iter().zip(b).map(|(x, y)| x + alpha * (y - x)).collect()
-}
-
 /// Whether an affine function with endpoint values `ga`, `gb` crosses zero
 /// strictly between the endpoints (shared by the chain and polygon
 /// splitters so the two stay tolerance-consistent).
 #[inline]
 pub(crate) fn crosses(ga: f64, gb: f64) -> bool {
     (ga > crate::TOL && gb < -crate::TOL) || (ga < -crate::TOL && gb > crate::TOL)
+}
+
+/// The side of a crossing a value `g` lies on: `1` above `TOL`, `-1` below
+/// `-TOL`, and `0` inside the band or for NaN.  `side(ga) * side(gb) == -1`
+/// exactly when [`crosses`]`(ga, gb)`, so the chain splitter stores one
+/// side per point and crossing instead of evaluating every crossing at
+/// both ends of every interval.
+#[inline]
+pub(crate) fn side(g: f64) -> i8 {
+    i8::from(g > crate::TOL) - i8::from(g < -crate::TOL)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::TOL;
+
+    #[test]
+    fn opposite_sides_are_exactly_crossings() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1.0,
+            -TOL * 2.0,
+            -TOL,
+            -TOL / 2.0,
+            -0.0,
+            0.0,
+            TOL / 2.0,
+            TOL,
+            TOL * 2.0,
+            1.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for &ga in &values {
+            for &gb in &values {
+                assert_eq!(side(ga) * side(gb) == -1, crosses(ga, gb), "{ga} {gb}");
+            }
+        }
+    }
 }
