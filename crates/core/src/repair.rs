@@ -907,6 +907,63 @@ mod tests {
         }
     }
 
+    /// Requires row generation and the all-rows LP on `c`, which draws
+    /// `key_points` key points, both to find no repair: the verdict of the
+    /// dense tableau and the primal revised simplex on both programs.
+    fn assert_both_infeasible(c: &Case, key_points: usize) {
+        let (net, kps) = build(c);
+        assert_eq!(kps.len(), key_points, "the case draws its key points");
+        let ddnn = DecoupledNetwork::from_network(&net);
+        let config = RepairConfig {
+            norm: if c.linf {
+                RepairNorm::LInf
+            } else {
+                RepairNorm::L1
+            },
+            param_bound: c.param_bound,
+            ..RepairConfig::default()
+        };
+        let pool = prdnn_par::pool_for(Some(1));
+        let generated = repair_key_points(&ddnn, c.layer, &kps, &config, &pool, Duration::ZERO);
+        assert_eq!(generated.err(), Some(RepairError::Infeasible));
+        let all_rows = all_rows_delta(&ddnn, c.layer, &kps, &config);
+        assert_eq!(all_rows, Err(LpError::Infeasible));
+    }
+
+    #[test]
+    fn the_all_rows_lp_refuses_a_pivot_of_the_wrong_sign() {
+        // On the 240-row all-rows LP the ratio test picks α_q = −1.08e-9,
+        // and the FTRANed column reads 0 on a fresh factorisation.  The
+        // dual must pass that row over rather than break down.
+        let case = Case {
+            seed: 414675696838,
+            width: 6,
+            layer: 1,
+            kind: 2,
+            count: 5,
+            linf: false,
+            param_bound: Some(1.2391043351058015),
+        };
+        assert_both_infeasible(&case, 78);
+    }
+
+    #[test]
+    fn row_generation_refuses_noise_level_pivots() {
+        // At 183 rows the resumed dual picks α_q = −1.48e-9 whose FTRANed
+        // pivot is +7.1e-12, and the 364-row all-rows LP pivots its basis
+        // into a singular one.  Both must reach a verdict on the dual.
+        let case = Case {
+            seed: 282160999387,
+            width: 7,
+            layer: 1,
+            kind: 3,
+            count: 3,
+            linf: true,
+            param_bound: None,
+        };
+        assert_both_infeasible(&case, 42);
+    }
+
     #[test]
     fn a_satisfied_spec_returns_the_network_unchanged_without_an_lp() {
         let mut rng = StdRng::seed_from_u64(5);

@@ -30,6 +30,14 @@
 //!    CSR, the only layout of `A` the dual reads) and `τ = B⁻¹ ρ` (for the
 //!    weights), move `d` and `x_B`, and append one eta to the basis.
 //!
+//! The FTRANed pivot element `w_r` must be negative and not noise: below
+//! `PIVOT_REL_TOL` times the pivot row's largest nonbasic `|α_j|`, a step
+//! on it leaves a basis the factorisation cannot be trusted with.  Such a
+//! row is passed over until the next pivot, and another violated row
+//! leaves instead; each refusal spends an iteration of the budget.  When
+//! only refused rows are violated, the basis is refactorised, and on a
+//! fresh factorisation that is a numerical breakdown.
+//!
 //! The slack columns are the basis's unit columns ([`crate::basis`]), so
 //! the starting basis factorises in `O(m)` and a refactorisation after `k`
 //! structural pivots factorises only a `k × k` kernel.
@@ -84,6 +92,12 @@ use std::borrow::Cow;
 /// rows and `b_i` in the optimality check (against `1 + |b_i| + Σ_j
 /// |a_ij x_j|`, the size of the terms that cancel).
 const DRIFT_TOL: f64 = 1e-9;
+
+/// A pivot element below this fraction of the pivot row's largest nonbasic
+/// entry, `max_j |α_j|`, is noise: stepping on it would leave a basis the
+/// factorisation cannot be trusted with.  Relative, so a row whose every
+/// entry is tiny (`1.2e-9·x ≥ 1`) still pivots.
+const PIVOT_REL_TOL: f64 = 1e-7;
 
 /// Relative tolerance of the optimality check on a recomputed reduced cost,
 /// `−d_j` against `1 + c_j`: looser than `COST_EPS`, which the updated
@@ -284,19 +298,22 @@ impl Dual<'_> {
         let mut tau = vec![0.0; m];
         let mut alpha = vec![0.0; n];
         let mut degenerate_streak = 0usize;
+        // Violated rows whose pivot was refused since the last pivot.
+        let mut refused: Vec<usize> = Vec::new();
         loop {
             if self.basis.should_refactorize() {
                 self.refactorize_mid_solve()?;
             }
             let bland = degenerate_streak > BLAND_THRESHOLD;
-            let Some(r) = self.leaving_row(bland) else {
-                if self.certified() {
+            let Some(r) = self.leaving_row(bland, &refused) else {
+                if refused.is_empty() && self.certified() {
                     return Ok(self.optimal());
                 }
                 if self.fresh {
                     return Err(Breakdown);
                 }
                 self.refactorize_mid_solve()?;
+                refused.clear();
                 continue;
             };
             if self.iters_left == 0 {
@@ -327,8 +344,11 @@ impl Dual<'_> {
                 self.refactorize_mid_solve()?;
                 continue;
             }
-            if pivot >= -PIVOT_EPS {
-                return Err(Breakdown);
+            // A pivot of the wrong sign, or one that is noise next to the
+            // row's other entries: leave this row until the next pivot.
+            if pivot >= -PIVOT_EPS || -pivot < PIVOT_REL_TOL * self.largest_nonbasic(&alpha) {
+                refused.push(r);
+                continue;
             }
             tau.copy_from_slice(&rho);
             self.basis.ftran(&mut tau);
@@ -384,6 +404,7 @@ impl Dual<'_> {
             self.in_basis[q] = true;
             self.in_basis[leaving] = false;
             self.fresh = false;
+            refused.clear();
             if self.basis.update(r, &w) == UpdateOutcome::RefusedNeedsRefactor {
                 self.refactorize_mid_solve()?;
             }
@@ -461,13 +482,14 @@ impl Dual<'_> {
     }
 
     /// Dual steepest edge: the violated row maximising `x_r² / β_r`, or
-    /// under the fallback the violated row with the smallest basic column.
-    fn leaving_row(&self, bland: bool) -> Option<usize> {
+    /// under the fallback the violated row with the smallest basic column;
+    /// `refused` rows are passed over.
+    fn leaving_row(&self, bland: bool, refused: &[usize]) -> Option<usize> {
         let violated = self
             .x_b
             .iter()
             .enumerate()
-            .filter(|&(_, &x)| is_violated(x))
+            .filter(|&(i, &x)| is_violated(x) && !refused.contains(&i))
             .map(|(i, _)| i);
         if bland {
             violated.min_by_key(|&i| self.basis_cols[i])
@@ -490,6 +512,16 @@ impl Dual<'_> {
                 }
             }
         }
+    }
+
+    /// `max_j |α_j|` over the nonbasic columns: the scale a pivot element
+    /// is measured against.
+    fn largest_nonbasic(&self, alpha: &[f64]) -> f64 {
+        alpha
+            .iter()
+            .zip(&self.in_basis)
+            .filter(|&(_, &basic)| !basic)
+            .fold(0.0, |max, (a, _)| a.abs().max(max))
     }
 
     /// The entering column for a leaving row with pivot row `alpha`:
