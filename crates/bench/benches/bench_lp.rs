@@ -1,10 +1,9 @@
-//! Micro-benchmark: the LP solver on repair-shaped programs
-//! (free variables, ≤ constraints, ℓ1 objective), plus a head-to-head of
-//! the dense flat-tableau and sparse revised simplex backends on the wide
+//! Micro-benchmark: the LP solver on repair-shaped programs (free
+//! variables, ≤ constraints, ℓ1 objective), with dense rows and in the wide
 //! block-sparse shape the repair LPs actually have.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use prdnn_lp::{ConstraintOp, LpBackend, LpProblem, PricingRule, SolveOptions, VarKind};
+use prdnn_lp::{ConstraintOp, LpProblem, VarKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -53,34 +52,6 @@ fn block_sparse_lp(
     lp
 }
 
-fn solve_with(lp: &LpProblem, backend: LpBackend, pricing: PricingRule) {
-    prdnn_lp::solve_with_options(
-        lp,
-        &SolveOptions {
-            backend,
-            max_iters: 2_000_000,
-            pricing,
-        },
-    )
-    .unwrap();
-}
-
-/// The three configurations every head-to-head group compares: the dense
-/// oracle and the revised backend under both pricing rules.
-const CONTENDERS: [(&str, LpBackend, PricingRule); 3] = [
-    ("dense", LpBackend::DenseTableau, PricingRule::Auto),
-    (
-        "revised_dantzig",
-        LpBackend::RevisedSparse,
-        PricingRule::Dantzig,
-    ),
-    (
-        "revised_devex",
-        LpBackend::RevisedSparse,
-        PricingRule::Devex,
-    ),
-];
-
 fn bench_lp(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp_solve_l1");
     for &(vars, rows) in &[(20usize, 40usize), (60, 120), (120, 240)] {
@@ -93,31 +64,14 @@ fn bench_lp(c: &mut Criterion) {
     }
     group.finish();
 
-    // Backend/pricing head-to-head on the block-sparse repair shape
-    // (wide: n ≫ m) — the programs the Devex partial pricing exists for.
-    let mut group = c.benchmark_group("lp_backends_block_sparse");
+    // The block-sparse repair shape (wide: n ≫ m).
+    let mut group = c.benchmark_group("lp_solve_block_sparse");
     for &(blocks, bvars, brows) in &[(16usize, 8usize, 4usize), (32, 16, 4), (64, 16, 4)] {
         let lp = block_sparse_lp(blocks, bvars, brows, 11);
         let label = format!("{}v_{}c", blocks * bvars, blocks * brows);
-        for (name, backend, pricing) in CONTENDERS {
-            group.bench_with_input(BenchmarkId::new(name, &label), &lp, |b, lp| {
-                b.iter(|| solve_with(lp, backend, pricing))
-            });
-        }
-    }
-    group.finish();
-
-    // Same head-to-head on the fully dense repair-shaped programs, to keep
-    // the Auto policy's crossover honest.
-    let mut group = c.benchmark_group("lp_backends_dense_rows");
-    for &(vars, rows) in &[(60usize, 120usize), (120, 240)] {
-        let lp = repair_shaped_lp(vars, rows, 7);
-        let label = format!("{vars}v_{rows}c");
-        for (name, backend, pricing) in CONTENDERS {
-            group.bench_with_input(BenchmarkId::new(name, &label), &lp, |b, lp| {
-                b.iter(|| solve_with(lp, backend, pricing))
-            });
-        }
+        group.bench_with_input(BenchmarkId::from_parameter(label), &lp, |b, lp| {
+            b.iter(|| prdnn_lp::solve(lp).unwrap())
+        });
     }
     group.finish();
 }

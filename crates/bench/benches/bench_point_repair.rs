@@ -2,7 +2,7 @@
 //! repair points grows — the scaling dimension of Table 1.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use prdnn_core::{paper_example, repair_points, LpBackend, PointSpec, PricingRule, RepairConfig};
+use prdnn_core::{paper_example, repair_points, PointSpec, RepairConfig};
 use prdnn_nn::{Activation, Network};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,40 +32,18 @@ fn bench_point_repair(c: &mut Criterion) {
     }
     group.finish();
 
-    // Dense-tableau vs revised-simplex backends on a *wide* repair LP: a
-    // wider classifier repaired at its last layer gives the block-sparse
-    // shape the revised backend exists for (650 parameters -> ~1500 LP
-    // columns, one block of 9-face rows per key point).
+    // A *wide* repair LP: a wider classifier repaired at its last layer
+    // gives the block-sparse shape the repair LPs have (650 parameters ->
+    // ~1500 LP columns, one block of 9-face rows per key point).
     let wide = Network::mlp(&[10, 48, 64, 10], Activation::Relu, &mut rng);
     let points: Vec<Vec<f64>> = (0..24)
         .map(|_| (0..10).map(|_| rng.gen_range(-1.0..1.0)).collect())
         .collect();
     let labels: Vec<usize> = (0..24).map(|i| i % 10).collect();
     let spec = PointSpec::from_classification(&points, &labels, 10, 1e-4);
-    let mut group = c.benchmark_group("point_repair_wide_lp_backend");
-    for (name, backend, pricing) in [
-        ("dense", LpBackend::DenseTableau, PricingRule::Auto),
-        (
-            "revised_dantzig",
-            LpBackend::RevisedSparse,
-            PricingRule::Dantzig,
-        ),
-        (
-            "revised_devex",
-            LpBackend::RevisedSparse,
-            PricingRule::Devex,
-        ),
-    ] {
-        let config = RepairConfig {
-            lp_backend: backend,
-            lp_pricing: pricing,
-            ..RepairConfig::default()
-        };
-        group.bench_with_input(BenchmarkId::from_parameter(name), &spec, |b, spec| {
-            b.iter(|| repair_points(&wide, 2, spec, &config).ok())
-        });
-    }
-    group.finish();
+    c.bench_function("point_repair_wide", |b| {
+        b.iter(|| repair_points(&wide, 2, &spec, &RepairConfig::default()).ok())
+    });
 }
 
 criterion_group! {

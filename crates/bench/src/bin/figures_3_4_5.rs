@@ -4,6 +4,5 @@ use prdnn_bench::figures;
 
 fn main() {
     prdnn_bench::apply_threads_arg();
-    prdnn_bench::apply_pricing_arg();
     println!("{}", figures::format_figures());
 }

@@ -5,7 +5,6 @@ use prdnn_bench::task1;
 
 fn main() {
     prdnn_bench::apply_threads_arg();
-    prdnn_bench::apply_pricing_arg();
     let scale = Scale::from_env();
     eprintln!("running Task 1 at scale {scale:?} (set PRDNN_SCALE=tiny|small|full to change)");
     let results = task1::run(&Task1Params::for_scale(scale));

@@ -50,8 +50,8 @@ pub fn apply_threads_arg() {
 
 /// Scans the process arguments for `<flag> value` or `<flag>=value`,
 /// returning the last occurrence (matching the knobs' last-wins
-/// behaviour).  Shared by [`apply_threads_arg`], [`apply_pricing_arg`]
-/// and the bench binaries' own flags.
+/// behaviour).  Shared by [`apply_threads_arg`] and the bench binaries'
+/// own flags.
 pub fn flag_value(flag: &str) -> Option<String> {
     let mut args = std::env::args().skip(1);
     let mut found = None;
@@ -68,23 +68,4 @@ pub fn flag_value(flag: &str) -> Option<String> {
         }
     }
     found
-}
-
-/// Applies the bench binaries' `--pricing dantzig|devex` (or
-/// `--pricing=...`) knob by exporting it as `PRDNN_LP_PRICING`, mirroring
-/// [`apply_threads_arg`].
-///
-/// Precedence, highest first: an explicit `RepairConfig::lp_pricing` /
-/// `SolveOptions::pricing`, then this flag / `PRDNN_LP_PRICING`, then the
-/// built-in default (Devex).  Call this at the top of `main`, before any
-/// LP is solved.
-pub fn apply_pricing_arg() {
-    if let Some(rule) = flag_value("--pricing")
-        .filter(|v| v.eq_ignore_ascii_case("dantzig") || v.eq_ignore_ascii_case("devex"))
-    {
-        std::env::set_var("PRDNN_LP_PRICING", rule.to_ascii_lowercase());
-    }
-    if let Ok(rule) = std::env::var("PRDNN_LP_PRICING") {
-        eprintln!("lp pricing: {rule} (override with --pricing dantzig|devex or PRDNN_LP_PRICING)");
-    }
 }

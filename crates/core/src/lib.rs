@@ -42,7 +42,6 @@ mod spec;
 pub use ddnn::DecoupledNetwork;
 pub use point_repair::{repair_points, repair_points_ddnn, repair_points_ddnn_in};
 pub use polytope_repair::{repair_polytopes, repair_polytopes_ddnn, PolytopeRepairOutcome};
-pub use prdnn_lp::{LpBackend, PricingRule};
 pub use repair::{
     RepairConfig, RepairError, RepairNorm, RepairOutcome, RepairProvenance, RepairStats,
     RepairTiming,

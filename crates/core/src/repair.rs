@@ -5,8 +5,7 @@ use crate::ddnn::DecoupledNetwork;
 use crate::spec::OutputPolytope;
 use prdnn_linalg::{vector, Matrix};
 use prdnn_lp::{
-    is_violated, ConstraintOp, LpBackend, LpError, LpProblem, LpStats, PricingRule, ResumableLp,
-    SolveOptions, VarId, VarKind,
+    is_violated, ConstraintOp, LpError, LpProblem, LpStats, ResumableLp, VarId, VarKind,
 };
 use serde::json::Value;
 use std::time::{Duration, Instant};
@@ -29,24 +28,9 @@ pub struct RepairConfig {
     pub norm: RepairNorm,
     /// Optional hard bound `|Δ_i| ≤ bound` on every parameter change.
     pub param_bound: Option<f64>,
-    /// Iteration limit handed to the simplex solver.
+    /// Iteration limit handed to the simplex solver, shared by the
+    /// row-generation rounds.
     pub max_lp_iterations: usize,
-    /// Which simplex backend solves the repair LP.  Every repair LP
-    /// minimises a norm over inequality rows, so under the default (`Auto`)
-    /// and under `RevisedSparse` it is solved by the dual simplex from the
-    /// slack basis; only `DenseTableau` pins the flat tableau.  The primal
-    /// backends still take an LP on which the dual breaks down.
-    pub lp_backend: LpBackend,
-    /// Entering-column pricing rule for the primal revised simplex backend.
-    ///
-    /// It no longer affects any repair LP, since the dual simplex solves
-    /// them all; only an LP on which the dual breaks down reaches the
-    /// primal revised backend.  Deleting it (with `lp_backend`) is ROADMAP
-    /// item 1.  Precedence mirrors `threads`: an explicit `Dantzig`/`Devex`
-    /// wins over the `PRDNN_LP_PRICING` environment variable (the bench
-    /// binaries' `--pricing` flag sets it); `Auto` defers to the variable
-    /// and then to Devex.
-    pub lp_pricing: PricingRule,
     /// Thread count for the parallel hot paths (`LinRegions` and the
     /// per-key-point Jacobians).
     ///
@@ -64,8 +48,6 @@ impl Default for RepairConfig {
             norm: RepairNorm::L1,
             param_bound: None,
             max_lp_iterations: 2_000_000,
-            lp_backend: LpBackend::Auto,
-            lp_pricing: PricingRule::Auto,
             threads: None,
         }
     }
@@ -118,8 +100,8 @@ pub struct RepairStats {
     pub delta_l1: f64,
     /// ℓ∞ norm of the applied delta.
     pub delta_linf: f64,
-    /// Simplex pivots the repair LP took, on either backend, summed over
-    /// the row-generation rounds.
+    /// Simplex pivots the repair LP took, summed over the row-generation
+    /// rounds.
     pub lp_pivots: u64,
     /// Mid-solve basis refactorisations during the repair LP's solves.
     pub lp_refactorizations: u64,
@@ -187,7 +169,7 @@ pub struct RepairProvenance {
     /// ℓ∞ norm of the applied delta.
     pub delta_linf: f64,
     /// Simplex pivots the repair LP took (0 for records published before
-    /// the counter existed, or before dense-tableau solves counted theirs).
+    /// the counter existed).
     pub lp_pivots: u64,
     /// Basis refactorisations during the repair LP solve.
     pub lp_refactorizations: u64,
@@ -221,33 +203,14 @@ impl RepairConfig {
                 "max_lp_iterations",
                 Value::Num(self.max_lp_iterations as f64),
             ),
-            (
-                "lp_backend",
-                Value::Str(
-                    match self.lp_backend {
-                        LpBackend::Auto => "auto",
-                        LpBackend::DenseTableau => "dense_tableau",
-                        LpBackend::RevisedSparse => "revised_sparse",
-                    }
-                    .to_owned(),
-                ),
-            ),
-            (
-                "lp_pricing",
-                Value::Str(
-                    match self.lp_pricing {
-                        PricingRule::Auto => "auto",
-                        PricingRule::Dantzig => "dantzig",
-                        PricingRule::Devex => "devex",
-                    }
-                    .to_owned(),
-                ),
-            ),
         ])
     }
 
     /// Decodes a configuration from its JSON document.  Missing fields take
-    /// their defaults (`threads` is always `None`; see [`Self::to_json`]).
+    /// their defaults (`threads` is always `None`; see [`Self::to_json`]),
+    /// and unknown ones are ignored: records written when the LP solver
+    /// had selectable backends carry `lp_backend` and `lp_pricing`, which
+    /// no longer mean anything.
     ///
     /// # Errors
     ///
@@ -273,18 +236,6 @@ impl RepairConfig {
             config.max_lp_iterations = iters
                 .as_usize()
                 .ok_or("config: max_lp_iterations must be a non-negative integer")?;
-        }
-        match v.get("lp_backend").and_then(Value::as_str) {
-            Some("auto") | None => config.lp_backend = LpBackend::Auto,
-            Some("dense_tableau") => config.lp_backend = LpBackend::DenseTableau,
-            Some("revised_sparse") => config.lp_backend = LpBackend::RevisedSparse,
-            Some(other) => return Err(format!("config: unknown lp_backend {other:?}")),
-        }
-        match v.get("lp_pricing").and_then(Value::as_str) {
-            Some("auto") | None => config.lp_pricing = PricingRule::Auto,
-            Some("dantzig") => config.lp_pricing = PricingRule::Dantzig,
-            Some("devex") => config.lp_pricing = PricingRule::Devex,
-            Some(other) => return Err(format!("config: unknown lp_pricing {other:?}")),
         }
         Ok(config)
     }
@@ -371,8 +322,8 @@ pub enum RepairError {
     /// The LP solver exhausted its iteration budget (treated as a timeout in
     /// the evaluation, cf. the starred entries of Table 4).
     LpIterationLimit,
-    /// The LP solver broke down numerically: it declared the repair LP
-    /// unbounded, which its norm objective (bounded below by 0) cannot be.
+    /// The LP solver broke down numerically: a singular basis, or an
+    /// optimality check that failed, on a fresh factorisation.
     LpNumerical,
     /// The requested layer has no parameters (max/average pooling layers).
     LayerHasNoParameters {
@@ -407,10 +358,7 @@ impl std::fmt::Display for RepairError {
                 write!(f, "no single-layer repair of the requested layer exists")
             }
             RepairError::LpIterationLimit => write!(f, "LP solver iteration limit exceeded"),
-            RepairError::LpNumerical => write!(
-                f,
-                "LP solver broke down numerically (declared a norm objective unbounded)"
-            ),
+            RepairError::LpNumerical => write!(f, "LP solver broke down numerically"),
             RepairError::LayerHasNoParameters { layer } => {
                 write!(f, "layer {layer} has no parameters to repair")
             }
@@ -440,14 +388,12 @@ impl std::fmt::Display for RepairError {
 impl std::error::Error for RepairError {}
 
 impl From<LpError> for RepairError {
-    /// Maps an LP failure to its true cause.  The repair LP minimises a
-    /// norm, which is bounded below by 0, so an `Unbounded` verdict can
-    /// only be a numerical breakdown.
+    /// Maps an LP failure to its cause, one variant each.
     fn from(e: LpError) -> Self {
         match e {
             LpError::Infeasible => RepairError::Infeasible,
             LpError::IterationLimit => RepairError::LpIterationLimit,
-            LpError::Unbounded => RepairError::LpNumerical,
+            LpError::Numerical => RepairError::LpNumerical,
         }
     }
 }
@@ -689,13 +635,8 @@ pub(crate) fn repair_key_points(
         vec![0.0; num_params]
     } else {
         let (problem, vars) = encoding.lp(&violated, num_params, config);
-        let options = SolveOptions {
-            backend: config.lp_backend,
-            max_iters: config.max_lp_iterations,
-            pricing: config.lp_pricing,
-        };
         let lp_start = Instant::now();
-        let mut lp = ResumableLp::new(problem, &options);
+        let mut lp = ResumableLp::new(&problem, config.max_lp_iterations);
         lp_time += lp_start.elapsed();
         let (mut a_j, mut terms) = (vec![0.0; num_params], Vec::with_capacity(num_params));
         let delta = loop {
@@ -780,12 +721,7 @@ mod tests {
         let all: Vec<usize> = (0..encoding.rows.len()).collect();
         let num_params = ddnn.value_network().layer(layer).num_params();
         let (lp, _) = encoding.lp(&all, num_params, config);
-        let options = SolveOptions {
-            backend: config.lp_backend,
-            max_iters: config.max_lp_iterations,
-            pricing: config.lp_pricing,
-        };
-        prdnn_lp::solve_with_stats(&lp, &options).map(|(solution, _)| solution.values)
+        prdnn_lp::solve_with_limit(&lp, config.max_lp_iterations).map(|solution| solution.values)
     }
 
     /// A random repair: a ReLU MLP `2 → width → width → 3`, the layer to
@@ -908,8 +844,8 @@ mod tests {
     }
 
     /// Requires row generation and the all-rows LP on `c`, which draws
-    /// `key_points` key points, both to find no repair: the verdict of the
-    /// dense tableau and the primal revised simplex on both programs.
+    /// `key_points` key points, both to find no repair: the verdict the
+    /// dense tableau reaches on both programs.
     fn assert_both_infeasible(c: &Case, key_points: usize) {
         let (net, kps) = build(c);
         assert_eq!(kps.len(), key_points, "the case draws its key points");
@@ -1028,49 +964,33 @@ mod tests {
             solve(Err(LpError::IterationLimit)),
             Err(RepairError::LpIterationLimit)
         );
-        // A norm objective cannot be unbounded: that verdict is numerical
-        // breakdown, never an iteration limit.
-        let numerical = solve(Err(LpError::Unbounded)).unwrap_err();
+        // A breakdown is reported as one, never as an iteration limit.
+        let numerical = solve(Err(LpError::Numerical)).unwrap_err();
         assert_eq!(numerical, RepairError::LpNumerical);
         assert!(numerical.to_string().contains("numerically"));
         assert!(!numerical.to_string().contains("iteration"));
     }
 
     #[test]
-    fn default_config_uses_l1_and_auto_backend() {
+    fn default_config_uses_l1_without_a_bound() {
         let c = RepairConfig::default();
         assert_eq!(c.norm, RepairNorm::L1);
         assert!(c.param_bound.is_none());
-        assert_eq!(c.lp_backend, LpBackend::Auto);
-        // Default pricing defers to PRDNN_LP_PRICING, then Devex.
-        assert_eq!(c.lp_pricing, PricingRule::Auto);
         // Default thread count defers to PRDNN_THREADS / the machine.
         assert_eq!(c.threads, None);
     }
 
     #[test]
     fn config_and_provenance_round_trip_through_json() {
-        for (norm, bound, backend, pricing) in [
-            (RepairNorm::L1, None, LpBackend::Auto, PricingRule::Auto),
-            (
-                RepairNorm::LInf,
-                Some(0.25),
-                LpBackend::DenseTableau,
-                PricingRule::Dantzig,
-            ),
-            (
-                RepairNorm::L1,
-                Some(1e3),
-                LpBackend::RevisedSparse,
-                PricingRule::Devex,
-            ),
+        for (norm, bound) in [
+            (RepairNorm::L1, None),
+            (RepairNorm::LInf, Some(0.25)),
+            (RepairNorm::L1, Some(1e3)),
         ] {
             let config = RepairConfig {
                 norm,
                 param_bound: bound,
                 max_lp_iterations: 12_345,
-                lp_backend: backend,
-                lp_pricing: pricing,
                 threads: None,
             };
             let back = RepairConfig::from_json(&config.to_json()).unwrap();
@@ -1102,5 +1022,24 @@ mod tests {
         }
         assert!(RepairProvenance::from_json(&Value::obj([])).is_err());
         assert!(RepairConfig::from_json(&Value::obj([("norm", Value::Str("l7".into()))])).is_err());
+
+        // A config written with the LP backend settings decodes as if they
+        // were absent.
+        let old = Value::obj([
+            ("norm", Value::Str("linf".into())),
+            ("lp_backend", Value::Str("dense_tableau".into())),
+            ("lp_pricing", Value::Str("dantzig".into())),
+        ]);
+        let config = RepairConfig::from_json(&old).unwrap();
+        assert_eq!(config.norm, RepairNorm::LInf);
+        assert_eq!(
+            config.to_json().to_json(),
+            RepairConfig {
+                norm: RepairNorm::LInf,
+                ..RepairConfig::default()
+            }
+            .to_json()
+            .to_json()
+        );
     }
 }

@@ -2,7 +2,7 @@
 //! product-form eta file, with periodic refactorisation.
 //!
 //! Most basic columns of a simplex basis are *unit* columns with a single
-//! non-zero: the slacks, and on the primal path the artificials.  With the
+//! non-zero: the slacks.  With the
 //! unit columns ordered first and their rows on top, `B` is block upper
 //! triangular,
 //!

@@ -1,15 +1,16 @@
-//! Dual simplex from the all-slack basis.
+//! Dual simplex from the all-slack basis: the crate's one engine.
 //!
-//! Every repair LP minimises a norm, so every cost is `≥ 0` (+1 on the ℓ1
-//! split halves, +1 on the ℓ∞ bound `t`, 0 elsewhere), and every row is an
-//! inequality with a singleton ±1 slack column of zero cost.  The all-slack
-//! basis `B = diag(±1)` therefore prices every column at its own cost: it
-//! is *dual feasible*, and its basic values `x_B = B⁻¹ b` are negative
-//! exactly on the rows the unrepaired network violates.  The dual simplex
-//! starts there, needs no artificial variables and no phase 1, and pivots
-//! only while some row is violated, keeping every reduced cost `d ≥ 0`
-//! (Koberstein, *The dual simplex method, techniques for a fast and stable
-//! implementation*, PhD thesis, Paderborn 2005).
+//! Every program the modelling layer builds minimises a norm (or nothing),
+//! so every cost is `≥ 0` (+1 on the ℓ1 split halves, +1 on the lowered ℓ∞
+//! bound `t`, 0 elsewhere), and every row is an inequality with a singleton
+//! ±1 slack column of zero cost.  The all-slack basis `B = diag(±1)`
+//! therefore prices every column at its own cost: it is *dual feasible*,
+//! and its basic values `x_B = B⁻¹ b` are negative exactly on the rows the
+//! unrepaired network violates.  The dual simplex starts there, needs no
+//! artificial variables and no phase 1, and pivots only while some row is
+//! violated, keeping every reduced cost `d ≥ 0` (Koberstein, *The dual
+//! simplex method, techniques for a fast and stable implementation*, PhD
+//! thesis, Paderborn 2005).
 //!
 //! One iteration:
 //!
@@ -61,30 +62,44 @@
 //! choices fall back to the smallest index — leaving row by basic column,
 //! entering column among the ratio ties — which guarantees termination.
 //!
-//! `Optimal` is returned only after a check against the program itself:
+//! An optimum is returned only after a check against the program itself:
 //! `A x − b`, recomputed from the CSR rows, and the reduced costs,
 //! recomputed from a fresh BTRAN, must both be within tolerance.  Otherwise
-//! the basis is refactorised and the loop resumes; a check that still fails
-//! on a fresh factorisation is a numerical breakdown, and the caller takes
-//! the primal path instead.
+//! the basis is refactorised and the loop resumes.  A check that still
+//! fails on a fresh factorisation, like a singular refactorisation, is a
+//! numerical breakdown: [`LpError::Numerical`].  The solve is never
+//! unbounded, since costs `≥ 0` bound the objective below by 0.
 //!
-//! The classifying tolerances are the primal backends'.  A row is violated
-//! below `-FEAS_EPS`, the bound on the oracle's phase-1 value.  A column
-//! can enter only with `α_j < -COST_EPS`: with one violated row, `α_j` is
-//! the column's phase-1 reduced cost, which the primal backends enter only
+//! The classifying tolerances are the dense tableau oracle's
+//! (`simplex.rs`, a two-phase primal simplex kept for the tests).  A row is
+//! violated below `-FEAS_EPS`, the bound on the oracle's phase-1 value.  A
+//! column can enter only with `α_j < -COST_EPS`: with one violated row,
+//! `α_j` is the column's phase-1 reduced cost, which the oracle enters only
 //! below `-COST_EPS`.  A reduced cost within `COST_EPS` of zero is
 //! degenerate.  So on a program with one violated row the dual reports
 //! `Infeasible` exactly where the oracle's phase 1 does; with several, the
 //! two may spread a violation under `FEAS_EPS` over the rows differently.
-//! Only the optimality check has tolerances of its own.
+//! Only the optimality check and the pivot test have tolerances of their
+//! own.
 
 use crate::basis::{Basis, UpdateOutcome};
-use crate::revised::{RevisedStats, BLAND_THRESHOLD};
-#[cfg(test)]
-use crate::simplex::seed_basis_from_unit_columns;
-use crate::simplex::{solve_unconstrained, SimplexOutcome, COST_EPS, FEAS_EPS, PIVOT_EPS};
 use crate::sparse::{CsrMatrix, SparseStandardForm};
-use std::borrow::Cow;
+use crate::{LpError, LpStats};
+
+/// Pivot elements within this of zero are never taken (the unit columns
+/// of the slack basis are matched to ±1 within it, too).
+pub(crate) const PIVOT_EPS: f64 = 1e-10;
+
+/// A reduced cost within this of zero is zero: degenerate, and below
+/// `-COST_EPS` a column can enter.
+pub(crate) const COST_EPS: f64 = 1e-9;
+
+/// A row is violated when its slack is below `-FEAS_EPS`.
+pub(crate) const FEAS_EPS: f64 = 1e-7;
+
+/// Consecutive dual-degenerate pivots before both choices fall back to the
+/// smallest index.
+pub(crate) const BLAND_THRESHOLD: usize = 40;
 
 /// Relative disagreement between two computations of one quantity that
 /// marks the eta file as drifted: the pivot element from the pivot row and
@@ -104,53 +119,20 @@ const PIVOT_REL_TOL: f64 = 1e-7;
 /// values may drift past by rounding.
 const DUAL_CHECK_TOL: f64 = 1e-7;
 
-/// The all-slack basis, when it is dual feasible: every cost is `≥ 0`, and
-/// every row has a singleton ±1 column of zero cost (its slack).  `None`
-/// sends the program down the primal path.
-///
-/// The oracle for [`SparseStandardForm::dual_slacks`], which the
-/// conversion records without this second pass over every entry.
+/// The all-slack basis, or `None` when some row has no singleton ±1 column
+/// of zero cost: the oracle for [`SparseStandardForm::dual_slacks`], which
+/// the conversion records without this second pass over every entry.
 #[cfg(test)]
 pub(crate) fn dual_feasible_slack_basis(sf: &SparseStandardForm) -> Option<Vec<usize>> {
-    if sf.c.iter().any(|&c| c < 0.0) {
-        return None;
-    }
-    // The primal seeding scan with the signs dropped: the −1 surplus of a
+    // The oracle's seeding scan with the signs dropped: the −1 surplus of a
     // `≥` row starts the dual as well as a +1 slack does.
     let entries = (0..sf.num_rows()).flat_map(|i| {
         let (cols, vals) = sf.a.row(i);
         cols.iter().zip(vals).map(move |(&j, &v)| (i, j, v.abs()))
     });
-    seed_basis_from_unit_columns(sf.num_rows(), sf.num_cols(), &sf.c, entries)
+    crate::simplex::seed_basis_from_unit_columns(sf.num_rows(), sf.num_cols(), &sf.c, entries)
         .into_iter()
         .collect()
-}
-
-/// Dual simplex on a standard-form program from the dual-feasible basis
-/// `slacks` (one column per row, [`SparseStandardForm::dual_slacks`]).
-///
-/// `Err` is a numerical breakdown (a singular refactorisation, or an
-/// optimality check that fails on a fresh factorisation); it carries the
-/// work done so far.  The outcome is never `Unbounded`: costs `≥ 0` bound
-/// the objective below by 0.
-pub(crate) fn solve(
-    sf: &SparseStandardForm,
-    slacks: &[usize],
-    max_iters: usize,
-) -> Result<(SimplexOutcome, RevisedStats), RevisedStats> {
-    if sf.num_rows() == 0 {
-        return Ok((
-            solve_unconstrained(sf.num_cols(), &sf.c),
-            RevisedStats::default(),
-        ));
-    }
-    let Some(mut dual) = Dual::new(Cow::Borrowed(sf), slacks, max_iters) else {
-        return Err(RevisedStats::default());
-    };
-    match dual.run() {
-        Ok(outcome) => Ok((outcome, dual.stats)),
-        Err(Breakdown) => Err(dual.stats),
-    }
 }
 
 /// Whether a row whose slack takes the value `residual` — `b − a·x` for a
@@ -172,13 +154,10 @@ fn factorize(a: &CsrMatrix, unit: &[Option<(usize, f64)>], basis_cols: &[usize])
     )
 }
 
-/// A numerical breakdown of the dual loop.
-pub(crate) struct Breakdown;
-
-/// The dual simplex's state on one program, borrowed for a one-shot solve
-/// or owned by a [`crate::ResumableLp`], which appends rows between solves.
-pub(crate) struct Dual<'a> {
-    sf: Cow<'a, SparseStandardForm>,
+/// The dual simplex's state on one program, owned by a
+/// [`crate::ResumableLp`], which appends rows between solves.
+pub(crate) struct Dual {
+    sf: SparseStandardForm,
     /// `(row, value)` of each slack column's one entry, by column.
     unit: Vec<Option<(usize, f64)>>,
     /// Basic column per row.
@@ -195,33 +174,32 @@ pub(crate) struct Dual<'a> {
     /// breakdown, not stale eta-file error.
     fresh: bool,
     /// Iterations left of the budget every solve on this state shares.
-    pub(crate) iters_left: usize,
-    pub(crate) stats: RevisedStats,
+    iters_left: usize,
+    /// Work counters, cumulative over every solve on this state.
+    pub(crate) stats: LpStats,
 }
 
-impl<'a> Dual<'a> {
-    /// The state at the slack basis `slacks` (one column per row): `None`
-    /// if it does not factorise.
-    pub(crate) fn new(
-        sf: Cow<'a, SparseStandardForm>,
-        slacks: &[usize],
-        max_iters: usize,
-    ) -> Option<Self> {
+impl Dual {
+    /// The state at the program's slack basis
+    /// ([`SparseStandardForm::dual_slacks`]).
+    pub(crate) fn new(sf: SparseStandardForm, max_iters: usize) -> Self {
         let (m, n) = (sf.num_rows(), sf.num_cols());
+        let slacks = sf.dual_slacks.clone();
         // Each slack is a singleton column: a unit column of the basis.
         let mut unit = vec![None; n];
         for (i, &j) in slacks.iter().enumerate() {
             unit[j] = Some((i, sf.a.get(i, j)));
         }
-        let basis = factorize(&sf.a, &unit, slacks)?;
+        // One unit column per row, each within `PIVOT_EPS` of ±1.
+        let basis = factorize(&sf.a, &unit, &slacks).expect("the slack basis is a signed identity");
         let mut in_basis = vec![false; n];
-        for &j in slacks {
+        for &j in &slacks {
             in_basis[j] = true;
         }
         let mut dual = Dual {
             sf,
             unit,
-            basis_cols: slacks.to_vec(),
+            basis_cols: slacks,
             in_basis,
             basis,
             x_b: vec![0.0; m],
@@ -229,14 +207,12 @@ impl<'a> Dual<'a> {
             beta: vec![1.0; m],
             fresh: true,
             iters_left: max_iters,
-            stats: RevisedStats::default(),
+            stats: LpStats::default(),
         };
         dual.recompute_values();
-        Some(dual)
+        dual
     }
-}
 
-impl Dual<'_> {
     /// Number of standard-form columns; an appended row's slack takes the
     /// next one.
     pub(crate) fn num_cols(&self) -> usize {
@@ -248,7 +224,7 @@ impl Dual<'_> {
     /// after every existing one, of zero cost, entering the basis on the
     /// new row.  [`Self::resume`] makes the factorisation catch up.
     pub(crate) fn push_row(&mut self, entries: &[(usize, f64)], b: f64) {
-        let sf = self.sf.to_mut();
+        let sf = &mut self.sf;
         let (row, slack) = (sf.num_rows(), sf.num_cols());
         let (&(last, value), structural) = entries.split_last().expect("a slack entry");
         debug_assert_eq!(last, slack);
@@ -274,7 +250,10 @@ impl Dual<'_> {
     /// factorisation (not counted in `refactorizations`, which means
     /// mid-solve) restores `x_B` and the reduced costs, and one BTRAN per
     /// new row gives its exact steepest-edge weight.
-    pub(crate) fn resume(&mut self) -> Result<SimplexOutcome, Breakdown> {
+    ///
+    /// Returns the optimal point over the standard-form columns and its
+    /// objective.
+    pub(crate) fn resume(&mut self) -> Result<(Vec<f64>, f64), LpError> {
         let (m, weighted) = (self.basis_cols.len(), self.beta.len());
         if weighted < m {
             self.x_b.resize(m, 0.0);
@@ -291,7 +270,7 @@ impl Dual<'_> {
         self.run()
     }
 
-    fn run(&mut self) -> Result<SimplexOutcome, Breakdown> {
+    fn run(&mut self) -> Result<(Vec<f64>, f64), LpError> {
         let (m, n) = (self.sf.num_rows(), self.sf.num_cols());
         let mut rho = vec![0.0; m];
         let mut w = vec![0.0; m];
@@ -310,14 +289,14 @@ impl Dual<'_> {
                     return Ok(self.optimal());
                 }
                 if self.fresh {
-                    return Err(Breakdown);
+                    return Err(LpError::Numerical);
                 }
                 self.refactorize_mid_solve()?;
                 refused.clear();
                 continue;
             };
             if self.iters_left == 0 {
-                return Ok(SimplexOutcome::IterationLimit);
+                return Err(LpError::IterationLimit);
             }
             self.iters_left -= 1;
 
@@ -325,11 +304,12 @@ impl Dual<'_> {
             rho[r] = 1.0;
             self.basis.btran(&mut rho);
             self.pivot_row(&rho, &mut alpha);
-            let Some(q) = self.entering_column(&alpha, bland) else {
+            let (q, scale) = self.entering_column(&alpha, bland);
+            let Some(q) = q else {
                 // Row `r` is a Farkas certificate; trust it only from a
                 // fresh factorisation.
                 if self.fresh {
-                    return Ok(SimplexOutcome::Infeasible);
+                    return Err(LpError::Infeasible);
                 }
                 self.refactorize_mid_solve()?;
                 continue;
@@ -346,7 +326,7 @@ impl Dual<'_> {
             }
             // A pivot of the wrong sign, or one that is noise next to the
             // row's other entries: leave this row until the next pivot.
-            if pivot >= -PIVOT_EPS || -pivot < PIVOT_REL_TOL * self.largest_nonbasic(&alpha) {
+            if pivot >= -PIVOT_EPS || -pivot < PIVOT_REL_TOL * scale {
                 refused.push(r);
                 continue;
             }
@@ -414,13 +394,16 @@ impl Dual<'_> {
     /// Factorises the current basic set and recomputes `x_B` and the
     /// reduced costs from scratch.  The weights are kept: they depend only
     /// on the basis, not on how it was factorised.
-    fn refactorize_mid_solve(&mut self) -> Result<(), Breakdown> {
+    fn refactorize_mid_solve(&mut self) -> Result<(), LpError> {
         self.stats.refactorizations += 1;
         self.refactorize()
     }
 
-    fn refactorize(&mut self) -> Result<(), Breakdown> {
-        self.basis = factorize(&self.sf.a, &self.unit, &self.basis_cols).ok_or(Breakdown)?;
+    /// A singular basis is a numerical breakdown: a basis the pivots reach
+    /// is invertible in exact arithmetic.
+    fn refactorize(&mut self) -> Result<(), LpError> {
+        self.basis =
+            factorize(&self.sf.a, &self.unit, &self.basis_cols).ok_or(LpError::Numerical)?;
         self.recompute_values();
         self.fresh = true;
         Ok(())
@@ -514,43 +497,49 @@ impl Dual<'_> {
         }
     }
 
-    /// `max_j |α_j|` over the nonbasic columns: the scale a pivot element
-    /// is measured against.
-    fn largest_nonbasic(&self, alpha: &[f64]) -> f64 {
-        alpha
-            .iter()
-            .zip(&self.in_basis)
-            .filter(|&(_, &basic)| !basic)
-            .fold(0.0, |max, (a, _)| a.abs().max(max))
-    }
-
     /// The entering column for a leaving row with pivot row `alpha`:
     /// Harris' two-pass ratio test over the columns with `α_j < 0`, or
     /// under the fallback the smallest index among the exact minimum
-    /// ratios.  `None` proves the row infeasible.
-    fn entering_column(&self, alpha: &[f64], bland: bool) -> Option<usize> {
-        let eligible = (0..alpha.len()).filter(|&j| !self.in_basis[j] && alpha[j] < -COST_EPS);
-        if bland {
-            let mut best: Option<(usize, f64)> = None;
-            for j in eligible {
-                let ratio = self.d[j].max(0.0) / -alpha[j];
-                if best.is_none_or(|(_, b)| ratio < b) {
-                    best = Some((j, ratio));
+    /// ratios.  `None` proves the row infeasible.  Also returns
+    /// `max_j |α_j|` over the nonbasic columns, the scale the pivot element
+    /// is measured against, gathered by the first pass.
+    fn entering_column(&self, alpha: &[f64], bland: bool) -> (Option<usize>, f64) {
+        // First pass: the scale, and either the smallest-index minimum
+        // ratio or Harris' bound on the dual step with every reduced cost
+        // relaxed by `COST_EPS`.
+        let (mut scale, mut bound) = (0.0, f64::INFINITY);
+        let mut best: Option<(usize, f64)> = None;
+        for (j, &a) in alpha.iter().enumerate() {
+            if self.in_basis[j] {
+                continue;
+            }
+            if a.abs() > scale {
+                scale = a.abs();
+            }
+            if a < -COST_EPS {
+                let d = self.d[j].max(0.0);
+                if bland {
+                    let ratio = d / -a;
+                    if best.is_none_or(|(_, b)| ratio < b) {
+                        best = Some((j, ratio));
+                    }
+                } else {
+                    bound = bound.min((d + COST_EPS) / -a);
                 }
             }
-            return best.map(|(j, _)| j);
         }
-        let bound = eligible
-            .clone()
-            .map(|j| (self.d[j].max(0.0) + COST_EPS) / -alpha[j])
-            .fold(f64::INFINITY, f64::min);
-        let mut best: Option<(usize, f64)> = None;
-        for j in eligible {
-            if self.d[j].max(0.0) / -alpha[j] <= bound && best.is_none_or(|(_, a)| -alpha[j] > a) {
-                best = Some((j, -alpha[j]));
+        // Second pass: the largest `|α_j|` within the bound.
+        if !bland {
+            let eligible = (0..alpha.len()).filter(|&j| !self.in_basis[j] && alpha[j] < -COST_EPS);
+            for j in eligible {
+                if self.d[j].max(0.0) / -alpha[j] <= bound
+                    && best.is_none_or(|(_, a)| -alpha[j] > a)
+                {
+                    best = Some((j, -alpha[j]));
+                }
             }
         }
-        best.map(|(j, _)| j)
+        (best.map(|(j, _)| j), scale)
     }
 
     /// The optimality check: `A x − b` from the CSR rows, and the reduced
@@ -584,70 +573,31 @@ impl Dual<'_> {
         x
     }
 
-    fn optimal(&self) -> SimplexOutcome {
+    /// The basic point and its objective `c·x`.
+    fn optimal(&self) -> (Vec<f64>, f64) {
         let x = self.point();
         let objective = self.sf.c.iter().zip(&x).map(|(c, v)| c * v).sum();
-        SimplexOutcome::Optimal { x, objective }
+        (x, objective)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::revised::{solve_standard_sparse_with_stats, Pricing};
-    use crate::simplex::solve_standard;
-    use crate::solver::{solve_via, LpStats, Solution};
-    use crate::{ConstraintOp, LpError, LpProblem, ResumableLp, SolveOptions, VarKind};
+    use crate::simplex::solve_oracle;
+    use crate::{ConstraintOp, LpProblem, ResumableLp, Solution, VarKind};
     use proptest::prelude::*;
 
     const ITERS: usize = 100_000;
 
     type Engine = fn(&LpProblem) -> Result<(Solution, LpStats), LpError>;
 
-    fn dense(sf: &SparseStandardForm) -> (SimplexOutcome, LpStats) {
-        solve_standard(&sf.to_dense(), ITERS)
-    }
-
-    fn primal(sf: &SparseStandardForm, pricing: Pricing) -> (SimplexOutcome, LpStats) {
-        let (outcome, stats) =
-            solve_standard_sparse_with_stats(sf, ITERS, pricing).expect("no primal breakdown");
-        (outcome, stats.into())
-    }
-
-    fn dual(sf: &SparseStandardForm) -> (SimplexOutcome, LpStats) {
-        let slacks = sf
-            .dual_slacks
-            .as_ref()
-            .expect("a dual-feasible slack basis");
-        let Ok((outcome, stats)) = solve(sf, slacks, ITERS) else {
-            panic!("dual breakdown");
-        };
-        (outcome, stats.into())
-    }
-
-    /// The five engines the conformance test compares, the oracle first.
-    const ENGINES: [(&str, Engine); 5] = [
-        ("dense", |lp| solve_via(lp, &mut dense)),
-        ("primal+dantzig", |lp| {
-            solve_via(lp, &mut |sf| primal(sf, Pricing::Dantzig))
-        }),
-        ("primal+devex", |lp| {
-            solve_via(lp, &mut |sf| primal(sf, Pricing::Devex))
-        }),
-        ("dual", solve_dual),
-        ("dual+resume", solve_resumed),
-    ];
+    /// The two ways the dual solves a program, which the conformance test
+    /// compares with the dense tableau oracle.
+    const ENGINES: [(&str, Engine); 2] = [("dual", solve_dual), ("dual+resume", solve_resumed)];
 
     fn solve_dual(lp: &LpProblem) -> Result<(Solution, LpStats), LpError> {
-        solve_via(lp, &mut dual)
-    }
-
-    fn resumable(lp: LpProblem, max_iters: usize) -> ResumableLp {
-        let options = SolveOptions {
-            max_iters,
-            ..SolveOptions::default()
-        };
-        ResumableLp::new(lp, &options)
+        ResumableLp::new(lp, ITERS).solve()
     }
 
     /// The dual on the first half of `lp`'s rows, resumed after the rest
@@ -664,23 +614,19 @@ mod tests {
         for &(terms, op, rhs) in first {
             half.add_constraint(terms, op, rhs);
         }
-        let mut half = resumable(half, ITERS);
-        let first_solve = half.solve();
-        assert!(half.is_warm(), "dual breakdown");
-        first_solve?;
+        let mut half = ResumableLp::new(&half, ITERS);
+        half.solve()?;
         for &(terms, op, rhs) in rest {
             half.add_constraint(terms, op, rhs);
         }
-        let resumed = half.solve();
-        assert!(half.is_warm(), "dual breakdown");
-        resumed
+        half.solve()
     }
 
-    /// Solves with every engine and checks they agree on classification,
-    /// on the objective within `1e-6·(1+|obj|)`, and that every returned
-    /// point is feasible; returns the oracle's result.
-    fn five_way(lp: &LpProblem) -> Result<f64, LpError> {
-        let oracle = solve_via(lp, &mut dense).map(|(s, _)| s.objective);
+    /// Solves with every engine and checks they agree with the oracle on
+    /// classification, on the objective within `1e-6·(1+|obj|)`, and that
+    /// every returned point is feasible; returns the oracle's result.
+    fn three_way(lp: &LpProblem) -> Result<f64, LpError> {
+        let oracle = solve_oracle(lp, ITERS).map(|s| s.objective);
         for (name, engine) in ENGINES {
             match (engine(lp), &oracle) {
                 (Ok((solution, _)), Ok(reference)) => {
@@ -715,16 +661,7 @@ mod tests {
         // Columns: x0⁺ x0⁻ x1⁺ x1⁻, then one slack per row (−1 on both:
         // the `≥` row keeps its surplus, the `≤ −3` row flips into one).
         assert_eq!(dual_feasible_slack_basis(&sf), Some(vec![4, 5]));
-
-        // A negative cost, or an equality row without a slack, is not.
-        let mut negative = lp.clone();
-        negative.set_objective_linear(&[(x[0], -1.0)]);
-        let (sf, _) = crate::solver::to_standard_form(&negative);
-        assert_eq!(dual_feasible_slack_basis(&sf), None);
-        let mut equality = lp;
-        equality.add_constraint(&[(x[1], 1.0)], ConstraintOp::Eq, 2.0);
-        let (sf, _) = crate::solver::to_standard_form(&equality);
-        assert_eq!(dual_feasible_slack_basis(&sf), None);
+        assert_eq!(sf.dual_slacks, vec![4, 5]);
     }
 
     #[test]
@@ -764,7 +701,7 @@ mod tests {
         lp.add_constraint(&[(x[0], 1.0), (x[1], 1.0)], ConstraintOp::Le, 1.0);
         lp.minimize_linf_of(&x);
         assert_eq!(solve_dual(&lp).unwrap_err(), LpError::Infeasible);
-        assert_eq!(five_way(&lp), Err(LpError::Infeasible));
+        assert_eq!(three_way(&lp), Err(LpError::Infeasible));
     }
 
     #[test]
@@ -777,7 +714,7 @@ mod tests {
         lp.add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 1.0);
         lp.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 1.0 - 5e-8);
         lp.minimize_l1_of(&[x]);
-        let objective = five_way(&lp).expect("feasible within FEAS_EPS");
+        let objective = three_way(&lp).expect("feasible within FEAS_EPS");
         assert!((objective - 1.0).abs() < 1e-7, "{objective}");
 
         // With one violated row, a pivot-row entry is the column's phase-1
@@ -789,7 +726,7 @@ mod tests {
             let x = lp.add_var(VarKind::Free);
             lp.add_constraint(&[(x, coefficient)], ConstraintOp::Ge, 1.0);
             lp.minimize_l1_of(&[x]);
-            match five_way(&lp) {
+            match three_way(&lp) {
                 Ok(objective) if feasible => {
                     assert!((objective * coefficient - 1.0).abs() < 1e-9, "{objective}");
                 }
@@ -807,14 +744,9 @@ mod tests {
         }
         lp.minimize_l1_of(&x);
         let (sf, _) = crate::solver::to_standard_form(&lp);
-        let slacks = sf.dual_slacks.clone().unwrap();
-        assert!(matches!(
-            solve(&sf, &slacks, 2),
-            Ok((
-                SimplexOutcome::IterationLimit,
-                RevisedStats { pivots: 2, .. }
-            ))
-        ));
+        let mut dual = Dual::new(sf, 2);
+        assert_eq!(dual.resume(), Err(LpError::IterationLimit));
+        assert_eq!(dual.stats.pivots, 2);
     }
 
     #[test]
@@ -837,7 +769,7 @@ mod tests {
         );
         assert!((solution.objective - 1.0).abs() < 1e-9);
         assert!(lp.is_feasible(&solution.values, 1e-9));
-        assert_eq!(five_way(&lp), Ok(solution.objective));
+        assert_eq!(three_way(&lp), Ok(solution.objective));
     }
 
     #[test]
@@ -858,14 +790,14 @@ mod tests {
         let (solution, stats) = solve_dual(&lp).unwrap();
         assert!(stats.refactorizations >= 1, "{stats:?}");
         assert!(lp.is_feasible(&solution.values, 1e-9));
-        let (dense, _) = solve_via(&lp, &mut dense).unwrap();
+        let dense = solve_oracle(&lp, ITERS).unwrap();
         assert!(
             (solution.objective - dense.objective).abs() <= 1e-9 * dense.objective,
             "dual {} vs dense {}",
             solution.objective,
             dense.objective
         );
-        assert_eq!(five_way(&lp), Ok(dense.objective));
+        assert_eq!(three_way(&lp), Ok(dense.objective));
     }
 
     #[test]
@@ -875,7 +807,7 @@ mod tests {
         lp.add_constraint(&[(x[0], 1.0)], ConstraintOp::Ge, 1.0);
         lp.add_constraint(&[(x[1], 1.0)], ConstraintOp::Ge, 2.0);
         lp.minimize_l1_of(&x);
-        let mut lp = resumable(lp, ITERS);
+        let mut lp = ResumableLp::new(&lp, ITERS);
         let (first, stats) = lp.solve().unwrap();
         assert_eq!(first.values, vec![1.0, 2.0]);
         assert_eq!(stats.pivots, 2, "{stats:?}");
@@ -887,24 +819,22 @@ mod tests {
         let (second, resumed) = lp.solve().unwrap();
         assert_eq!(resumed, stats);
         assert_eq!(second, first);
-        assert!(lp.is_warm());
     }
 
     #[test]
     fn a_contradiction_appended_after_a_solve_is_infeasible() {
         // The appended row's Farkas certificate comes from the round's
         // fresh factorisation, so the dual reports it without breaking
-        // down (the handle stays warm).
+        // down.
         let mut lp = LpProblem::new();
         let x = lp.add_vars(2, VarKind::Free);
         lp.add_constraint(&[(x[0], 1.0), (x[1], 1.0)], ConstraintOp::Ge, 2.0);
         lp.minimize_linf_of(&x);
-        let mut lp = resumable(lp, ITERS);
+        let mut lp = ResumableLp::new(&lp, ITERS);
         let (solution, _) = lp.solve().unwrap();
         assert!((solution.objective - 1.0).abs() < 1e-12);
         lp.add_constraint(&[(x[0], 1.0), (x[1], 1.0)], ConstraintOp::Le, 1.0);
         assert_eq!(lp.solve().unwrap_err(), LpError::Infeasible);
-        assert!(lp.is_warm());
     }
 
     #[test]
@@ -918,7 +848,7 @@ mod tests {
                 lp.add_constraint(&[(*v, 1.0)], ConstraintOp::Ge, 1.0);
             }
             lp.minimize_l1_of(&x);
-            let mut lp = resumable(lp, budget);
+            let mut lp = ResumableLp::new(&lp, budget);
             assert_eq!(lp.solve().unwrap().1.pivots, 3);
             for v in &x[3..] {
                 lp.add_constraint(&[(*v, 1.0)], ConstraintOp::Ge, 1.0);
@@ -945,13 +875,12 @@ mod tests {
         let z = lp.add_var(VarKind::Free);
         lp.add_constraint(&[(x, 1.0), (z, 1.0)], ConstraintOp::Ge, 1.0);
         lp.minimize_l1_of(&[x]);
-        let mut lp = resumable(lp, ITERS);
+        let mut lp = ResumableLp::new(&lp, ITERS);
         let (solution, stats) = lp.solve().unwrap();
         assert_eq!((solution.values, stats.pivots), (vec![0.0, 1.0], 0));
         lp.add_constraint(&[(z, 1.0)], ConstraintOp::Le, 0.0);
         let (solution, stats) = lp.solve().unwrap();
         assert_eq!((solution.values, stats.pivots), (vec![1.0, 0.0], 1));
-        assert!(lp.is_warm());
     }
 
     /// A random dual-feasible program: every row an inequality, every cost
@@ -978,8 +907,8 @@ mod tests {
         /// `param_bound`-style box `|x_i| ≤ bound`.
         bound: f64,
         /// The coefficient of family 5's row, in `[2, 5)·1e-10` or
-        /// `[2, 5)·1e-9`: a factor 2 off `COST_EPS`, where the primal
-        /// backends' classifications can differ from each other.
+        /// `[2, 5)·1e-9`: a factor 2 off `COST_EPS`, on either side of the
+        /// entering threshold.
         tiny: f64,
     }
 
@@ -1055,7 +984,7 @@ mod tests {
         #[test]
         fn dense_primal_and_dual_agree_on_dual_feasible_programs(d in draw()) {
             let lp = build(&d);
-            let outcome = five_way(&lp);
+            let outcome = three_way(&lp);
             match d.family {
                 0 | 4 => {
                     prop_assert!(outcome.is_ok(), "family {} is feasible: {outcome:?}", d.family);

@@ -6,34 +6,28 @@
 //! this step).  This crate provides the equivalent capability from scratch:
 //!
 //! * [`LpProblem`] — a small modelling layer: free or non-negative variables,
-//!   `≤` / `≥` / `=` constraints, linear or norm-minimisation objectives.
+//!   `≤` / `≥` constraints, and an ℓ1 or ℓ∞ norm objective (or none).
 //! * [`solve`] — a simplex solve that returns an optimal solution, or
 //!   reports that the program is [infeasible](LpError::Infeasible) (the
-//!   paper's `⊥`: no single-layer repair exists) or unbounded.
+//!   paper's `⊥`: no single-layer repair exists), that the iteration budget
+//!   ran out, or that the simplex broke down numerically.
 //! * [`ResumableLp`] — the same solve on a program that grows: append
 //!   inequality rows to a solved program and resume from its basis.  The
 //!   repair algorithms generate their rows this way, appending only the
 //!   rows the current `Δ` violates by [`is_violated`], the dual simplex's
 //!   own leaving-row test.
 //!
-//! Every repair LP minimises a norm over inequality rows, so its all-slack
-//! basis is dual feasible, and a *dual simplex* started there solves it
-//! with no phase 1, pivoting only on the rows the unrepaired network
-//! violates.  It reads the constraint rows in the one CSR layout the
-//! standard-form conversion writes, and shares an eta-updated basis with
-//! the two-phase primal *revised* simplex (which takes every other program
-//! — negative costs, equality rows — and any program the dual breaks down
-//! on): the slack and artificial columns are placed without elimination,
-//! and only the structural kernel is LU-factorised.  An appended row enters
-//! with its slack basic, so the basis stays dual feasible and the dual
-//! resumes where it stopped.  The dense flat-tableau two-phase simplex is
-//! the primal backend's own numerical fallback and the differential-testing
-//! oracle.  The primal
-//! revised backend prices entering columns with Devex reference weights
-//! over a partial-pricing candidate list by default; [`PricingRule`] pins
-//! Dantzig or Devex explicitly (or via the `PRDNN_LP_PRICING` environment
-//! variable).  [`SolveOptions`]/[`LpBackend`] select explicitly; [`solve`]
-//! picks automatically per problem.
+//! Every program the modelling layer builds minimises a norm over
+//! inequality rows, so its all-slack basis is dual feasible, and one engine
+//! solves them all: a *dual simplex* started there, with no phase 1,
+//! pivoting only on the rows the unrepaired network violates.  It reads the
+//! constraint rows in the one CSR layout the standard-form conversion
+//! writes, and keeps an eta-updated basis whose slack columns are placed
+//! without elimination, so only the structural kernel is LU-factorised.  An
+//! appended row enters with its slack basic, so the basis stays dual
+//! feasible and the dual resumes where it stopped.  A dense flat-tableau
+//! two-phase primal simplex is compiled into the tests only, as the oracle
+//! the dual is checked against.
 //!
 //! # Example
 //!
@@ -58,17 +52,14 @@
 mod basis;
 mod dual;
 mod problem;
-mod revised;
+#[cfg(test)]
 mod simplex;
 mod solver;
 mod sparse;
 
 pub use dual::is_violated;
 pub use problem::{ConstraintOp, LpProblem, Objective, VarId, VarKind};
-pub use solver::{
-    solve, solve_with_limit, solve_with_options, solve_with_stats, LpBackend, LpStats, PricingRule,
-    ResumableLp, Solution, SolveOptions,
-};
+pub use solver::{solve, solve_with_limit, LpStats, ResumableLp, Solution};
 
 /// Errors returned by [`solve`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,8 +68,9 @@ pub enum LpError {
     /// algorithms this is the paper's `⊥`: no single-layer repair of the
     /// requested layer satisfies the specification.
     Infeasible,
-    /// The objective can be made arbitrarily small over the feasible region.
-    Unbounded,
+    /// The dual simplex broke down numerically: a singular basis, or an
+    /// optimality check that failed, on a fresh factorisation.
+    Numerical,
     /// The simplex iteration limit was exceeded before reaching optimality.
     IterationLimit,
 }
@@ -87,7 +79,7 @@ impl std::fmt::Display for LpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LpError::Infeasible => write!(f, "linear program is infeasible"),
-            LpError::Unbounded => write!(f, "linear program is unbounded"),
+            LpError::Numerical => write!(f, "simplex broke down numerically"),
             LpError::IterationLimit => write!(f, "simplex iteration limit exceeded"),
         }
     }

@@ -1,4 +1,5 @@
-//! The LP modelling layer: variables, constraints, objectives.
+//! The LP modelling layer: variables, inequality constraints, and norm
+//! objectives, the programs the dual simplex solves.
 
 /// Identifier of a variable in an [`LpProblem`].
 ///
@@ -30,17 +31,14 @@ pub enum ConstraintOp {
     Le,
     /// `a · x ≥ rhs`
     Ge,
-    /// `a · x = rhs`
-    Eq,
 }
 
-/// Objective of an [`LpProblem`]; always a minimisation.
+/// Objective of an [`LpProblem`]; always a minimisation, and bounded below
+/// by 0.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Objective {
     /// Any feasible point is acceptable (pure feasibility query).
     Feasibility,
-    /// Minimise `c · x` where `c` has one entry per variable.
-    Linear(Vec<f64>),
     /// Minimise `Σ_i |x_i|` over the listed variables.
     ///
     /// This is the repair-size measure the paper uses by default.
@@ -49,7 +47,7 @@ pub enum Objective {
     MinimizeLinf(Vec<VarId>),
 }
 
-/// One constraint `terms · x (≤ | ≥ | =) rhs`: its terms are
+/// One constraint `terms · x (≤ | ≥) rhs`: its terms are
 /// `LpProblem::terms[previous row's end..end]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Row {
@@ -59,7 +57,7 @@ pub(crate) struct Row {
 }
 
 /// A linear program in "modelling" form: free/non-negative variables,
-/// inequality/equality constraints, and a (possibly norm) objective.
+/// inequality constraints, and a norm objective (or none).
 ///
 /// Converted to standard simplex form by [`crate::solve`].
 ///
@@ -69,9 +67,9 @@ pub(crate) struct Row {
 /// use prdnn_lp::{ConstraintOp, LpProblem, VarKind};
 ///
 /// let mut lp = LpProblem::new();
-/// let x = lp.add_var(VarKind::NonNegative);
-/// lp.add_constraint(&[(x, 2.0)], ConstraintOp::Le, 8.0);
-/// lp.set_objective_linear(&[(x, -1.0)]);
+/// let x = lp.add_var(VarKind::Free);
+/// lp.add_constraint(&[(x, 2.0)], ConstraintOp::Ge, 8.0);
+/// lp.minimize_l1_of(&[x]);
 /// let solution = prdnn_lp::solve(&lp).unwrap();
 /// assert!((solution.values[x.index()] - 4.0).abs() < 1e-6);
 /// ```
@@ -157,25 +155,8 @@ impl LpProblem {
         });
     }
 
-    /// Sets a plain linear objective `minimize Σ coeffs_i · x_i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any referenced variable does not belong to this problem.
-    pub fn set_objective_linear(&mut self, coeffs: &[(VarId, f64)]) {
-        let mut dense = vec![0.0; self.kinds.len()];
-        for (v, c) in coeffs {
-            assert!(
-                v.0 < self.kinds.len(),
-                "objective references unknown variable {:?}",
-                v
-            );
-            dense[v.0] += c;
-        }
-        self.objective = Objective::Linear(dense);
-    }
-
-    /// Sets the objective to `minimize Σ |x_i|` over the given variables.
+    /// Sets the objective to `minimize Σ |x_i|` over the given variables;
+    /// a variable listed twice counts twice.
     ///
     /// # Panics
     ///
@@ -236,7 +217,6 @@ impl LpProblem {
             match op {
                 ConstraintOp::Le => lhs <= rhs + tol,
                 ConstraintOp::Ge => lhs >= rhs - tol,
-                ConstraintOp::Eq => (lhs - rhs).abs() <= tol,
             }
         })
     }
@@ -254,7 +234,7 @@ mod tests {
         assert_eq!(lp.num_vars(), 4);
         assert_eq!(x.index(), 0);
         assert_eq!(ys[2].index(), 3);
-        lp.add_constraint(&[(x, 1.0), (ys[0], -1.0)], ConstraintOp::Eq, 0.0);
+        lp.add_constraint(&[(x, 1.0), (ys[0], -1.0)], ConstraintOp::Le, 0.0);
         assert_eq!(lp.num_constraints(), 1);
         assert_eq!(*lp.objective(), Objective::Feasibility);
     }
@@ -274,10 +254,14 @@ mod tests {
 
     #[test]
     fn duplicate_objective_coefficients_sum() {
+        // |x| listed twice in the norm weighs 2: the optimum of x ≥ 1 is 2.
         let mut lp = LpProblem::new();
         let x = lp.add_var(VarKind::Free);
-        lp.set_objective_linear(&[(x, 1.0), (x, 2.0)]);
-        assert_eq!(*lp.objective(), Objective::Linear(vec![3.0]));
+        lp.add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 1.0);
+        lp.minimize_l1_of(&[x, x]);
+        assert_eq!(*lp.objective(), Objective::MinimizeL1(vec![x, x]));
+        let solution = crate::solve(&lp).unwrap();
+        assert_eq!((solution.values, solution.objective), (vec![1.0], 2.0));
     }
 
     #[test]

@@ -1,8 +1,11 @@
-//! Dense two-phase primal simplex on standard-form programs.
+//! Dense two-phase primal simplex on standard-form programs: the test
+//! oracle the dual simplex is checked against.
 //!
 //! Standard form: `minimize c·x  subject to  A x = b,  x ≥ 0,  b ≥ 0`.
-//! The caller ([`crate::solver`]) is responsible for converting modelling
-//! form (free variables, inequalities, norm objectives) into this shape.
+//! [`solve_oracle`] converts a modelling-form program as the solver does
+//! and solves it here; the unit tests also drive [`solve_standard`]
+//! directly, on equality rows and negative costs the modelling layer does
+//! not build.
 //!
 //! The tableau — every constraint row, the right-hand sides, *and* the
 //! reduced-cost row — lives in one contiguous row-major `Vec<f64>`
@@ -11,7 +14,9 @@
 //! phase-1 → phase-2 transition compacts the artificial columns away in
 //! place instead of rebuilding per-row vectors.
 
-use crate::solver::LpStats;
+use crate::dual::{COST_EPS, FEAS_EPS, PIVOT_EPS};
+use crate::solver::{lowered, to_standard_form};
+use crate::{LpError, LpProblem, LpStats, Solution};
 
 /// A standard-form LP: `min c·x  s.t.  A x = b, x ≥ 0` with `b ≥ 0`.
 #[derive(Debug, Clone)]
@@ -33,14 +38,26 @@ pub(crate) enum SimplexOutcome {
     IterationLimit,
 }
 
-pub(crate) const PIVOT_EPS: f64 = 1e-10;
-pub(crate) const COST_EPS: f64 = 1e-9;
-pub(crate) const FEAS_EPS: f64 = 1e-7;
+/// Converts `problem` as [`crate::ResumableLp`] does and solves it on the
+/// tableau.  A norm objective is bounded below by 0, so an `Unbounded`
+/// outcome panics.
+pub(crate) fn solve_oracle(problem: &LpProblem, max_iters: usize) -> Result<Solution, LpError> {
+    let (sf, mapping) = to_standard_form(&lowered(problem));
+    match solve_standard(&sf.to_dense(), max_iters).0 {
+        SimplexOutcome::Optimal { x, objective } => Ok(Solution {
+            values: mapping.values(&x, problem.num_vars()),
+            objective,
+        }),
+        SimplexOutcome::Infeasible => Err(LpError::Infeasible),
+        SimplexOutcome::IterationLimit => Err(LpError::IterationLimit),
+        SimplexOutcome::Unbounded => panic!("the oracle declared a norm objective unbounded"),
+    }
+}
 
 /// Solves the trivial constraint-free program `min c·x, x ≥ 0`: the optimum
 /// is `x = 0` unless some cost is negative (the variables are non-negative,
-/// so only negative costs cause unboundedness).  Shared by both backends.
-pub(crate) fn solve_unconstrained(n: usize, c: &[f64]) -> SimplexOutcome {
+/// so only negative costs cause unboundedness).
+fn solve_unconstrained(n: usize, c: &[f64]) -> SimplexOutcome {
     if c.iter().any(|&cj| cj < -COST_EPS) {
         return SimplexOutcome::Unbounded;
     }
@@ -50,17 +67,13 @@ pub(crate) fn solve_unconstrained(n: usize, c: &[f64]) -> SimplexOutcome {
     }
 }
 
-/// The ready-basis scan shared by both primal backends: a column usable as
-/// an initial basic variable for its row must be a singleton with
-/// coefficient (approximately) `+1` and (tolerance-consistent) zero cost —
-/// the slack columns the standard-form conversion arranges.  Rows left
-/// `None` need an artificial variable.  `entries` yields every stored
-/// `(row, col, value)` of the constraint matrix, in any order.  The dual
-/// simplex runs the same scan on the absolute values.
-///
-/// Both backends *must* seed identically for the differential tests'
-/// "identical classification" guarantee to hold, which is why this lives in
-/// one place.
+/// The ready-basis scan: a column usable as an initial basic variable for
+/// its row must be a singleton with coefficient (approximately) `+1` and
+/// (tolerance-consistent) zero cost — the slack columns the standard-form
+/// conversion arranges.  Rows left `None` need an artificial variable.
+/// `entries` yields every stored `(row, col, value)` of the constraint
+/// matrix, in any order.  Run on the absolute values, it is the oracle for
+/// the dual simplex's slack basis.
 pub(crate) fn seed_basis_from_unit_columns(
     m: usize,
     n: usize,
@@ -577,5 +590,126 @@ mod tests {
         assert_eq!(tab.m, 1);
         assert_eq!(tab.row(0), &[0.0, 1.0, 4.0]);
         assert_eq!(tab.obj(), &[5.0, 6.0, 7.0]);
+    }
+
+    // Random standard-form programs `min c·x s.t. A x = b, x ≥ 0`, feasible
+    // *by construction*: a non-negative witness `x₀` is drawn first and
+    // `b := A x₀`.  The tableau must then (i) return a feasible point,
+    // (ii) report an objective equal to `c · x` for the returned `x`, and
+    // (iii) never return an objective worse than the witness's.
+
+    use proptest::prelude::*;
+
+    #[derive(Debug, Clone)]
+    struct StandardProgram {
+        witness: Vec<f64>,
+        rows: Vec<Vec<f64>>,
+        cost: Vec<f64>,
+    }
+
+    fn standard_program(
+        num_vars: usize,
+        num_rows: usize,
+    ) -> impl Strategy<Value = StandardProgram> {
+        (
+            prop::collection::vec(0.0..3.0f64, num_vars),
+            prop::collection::vec(prop::collection::vec(-2.0..2.0f64, num_vars), num_rows),
+            prop::collection::vec(-1.0..1.0f64, num_vars),
+        )
+            .prop_map(|(witness, rows, cost)| StandardProgram {
+                witness,
+                rows,
+                cost,
+            })
+    }
+
+    /// `A x = A·witness` (each row negated if its right-hand side is
+    /// negative), then, with `bound`, the box `x_i + s_i = witness_i +
+    /// bound` on slack columns after the program's own.  `cost` is the
+    /// program's columns' costs.
+    fn build(program: &StandardProgram, bound: Option<f64>, cost: &[f64]) -> StandardForm {
+        let n = program.witness.len();
+        let width = n + bound.map_or(0, |_| n);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for row in &program.rows {
+            let rhs: f64 = row.iter().zip(&program.witness).map(|(a, w)| a * w).sum();
+            let sign = if rhs < 0.0 { -1.0 } else { 1.0 };
+            let mut dense = vec![0.0; width];
+            for (d, &v) in dense.iter_mut().zip(row) {
+                *d = sign * v;
+            }
+            a.push(dense);
+            b.push(sign * rhs);
+        }
+        if let Some(bound) = bound {
+            for (i, w) in program.witness.iter().enumerate() {
+                let mut dense = vec![0.0; width];
+                dense[i] = 1.0;
+                dense[n + i] = 1.0;
+                a.push(dense);
+                b.push(w + bound);
+            }
+        }
+        let mut c = cost.to_vec();
+        c.resize(width, 0.0);
+        StandardForm { a, b, c }
+    }
+
+    /// `A x = b` within `tol` on every row, and `x ≥ −tol`.
+    fn is_feasible(sf: &StandardForm, x: &[f64], tol: f64) -> bool {
+        x.iter().all(|&v| v >= -tol)
+            && sf.a.iter().zip(&sf.b).all(|(row, b)| {
+                let lhs: f64 = row.iter().zip(x).map(|(a, v)| a * v).sum();
+                (lhs - b).abs() <= tol
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn standard_form_feasibility_and_objective_invariants(
+            program in standard_program(5, 3),
+            bound in 4.0..8.0f64,
+        ) {
+            // The box keeps a negative cost from making the program
+            // unbounded.
+            let sf = build(&program, Some(bound), &program.cost);
+            let (x, objective) = optimal(&sf);
+            // (i) The returned point satisfies A x = b, x ≥ 0, and the boxes.
+            prop_assert!(is_feasible(&sf, &x, 1e-6));
+            // (ii) The reported objective is complementary to the point.
+            let recomputed: f64 = program.cost.iter().zip(&x).map(|(c, x)| c * x).sum();
+            prop_assert!(
+                (objective - recomputed).abs() < 1e-6,
+                "objective {} disagrees with c.x = {}",
+                objective,
+                recomputed
+            );
+            // (iii) The optimum is no worse than the witness.
+            let witness_obj: f64 =
+                program.cost.iter().zip(&program.witness).map(|(c, w)| c * w).sum();
+            prop_assert!(objective <= witness_obj + 1e-6);
+        }
+
+        #[test]
+        fn pure_feasibility_standard_form(program in standard_program(4, 4)) {
+            let sf = build(&program, None, &[]);
+            let (x, objective) = optimal(&sf);
+            prop_assert!(is_feasible(&sf, &x, 1e-6));
+            prop_assert_eq!(objective, 0.0);
+        }
+
+        #[test]
+        fn l1_objective_on_standard_form(program in standard_program(4, 2)) {
+            // For non-negative variables the ℓ1 norm is the plain sum.
+            let sf = build(&program, None, &[1.0; 4]);
+            let (x, objective) = optimal(&sf);
+            prop_assert!(is_feasible(&sf, &x, 1e-6));
+            let witness_norm: f64 = program.witness.iter().sum();
+            prop_assert!(objective <= witness_norm + 1e-6);
+            let norm: f64 = x.iter().map(|x| x.abs()).sum();
+            prop_assert!((objective - norm).abs() < 1e-6);
+        }
     }
 }

@@ -1,15 +1,13 @@
-//! Compressed sparse representations of standard-form constraint matrices.
+//! The sparse standard form the dual simplex reads.
 //!
 //! The repair LPs this crate exists for are *wide and block-sparse*: one
 //! block of rows per key point, each touching only the parameters of the
 //! output coordinates its constraint mentions, plus a singleton slack
-//! column.  Storing those rows densely (as `StandardForm` does) makes every
-//! simplex pivot pay for the zeros.  This module provides the CSR rows the
-//! standard-form conversion writes directly from the (already sparse)
-//! modelling constraints — the only layout the dual simplex reads — and the
-//! CSC view the primal revised simplex prices columns from.
-
-use crate::simplex::StandardForm;
+//! column.  Storing those rows densely (as the test oracle's
+//! `StandardForm` does) makes every pivot pay for the zeros.  This module
+//! provides the CSR rows the standard-form conversion writes directly from
+//! the (already sparse) modelling constraints: the only layout the dual
+//! simplex reads.
 
 /// A sparse matrix in compressed-sparse-row form.
 ///
@@ -117,6 +115,7 @@ impl CsrMatrix {
     }
 
     /// Number of stored (non-zero) entries.
+    #[cfg(test)]
     pub(crate) fn nnz(&self) -> usize {
         self.indices.len()
     }
@@ -147,87 +146,11 @@ impl CsrMatrix {
     pub(crate) fn parts(&self) -> (&[usize], &[usize], &[f64]) {
         (&self.indptr, &self.indices, &self.values)
     }
-
-    /// The same matrix compressed by columns (for the primal revised
-    /// simplex's column pricing and FTRAN).
-    pub(crate) fn to_csc(&self) -> CscMatrix {
-        // Counting sort of the entries by column: stable, O(nnz + ncols).
-        let mut counts = vec![0usize; self.ncols + 1];
-        for &j in &self.indices {
-            counts[j + 1] += 1;
-        }
-        for j in 0..self.ncols {
-            counts[j + 1] += counts[j];
-        }
-        let indptr = counts.clone();
-        let mut indices = vec![0usize; self.nnz()];
-        let mut values = vec![0.0f64; self.nnz()];
-        for i in 0..self.nrows {
-            let (cols, vals) = self.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                let dst = counts[j];
-                counts[j] += 1;
-                indices[dst] = i;
-                values[dst] = v;
-            }
-        }
-        CscMatrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            indptr,
-            indices,
-            values,
-        }
-    }
-}
-
-/// A sparse matrix in compressed-sparse-column form (transposed CSR layout).
-#[derive(Debug, Clone)]
-pub(crate) struct CscMatrix {
-    nrows: usize,
-    ncols: usize,
-    indptr: Vec<usize>,
-    indices: Vec<usize>,
-    values: Vec<f64>,
-}
-
-impl CscMatrix {
-    pub(crate) fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    pub(crate) fn ncols(&self) -> usize {
-        self.ncols
-    }
-
-    /// Column `j` as parallel `(row ids, values)` slices.
-    pub(crate) fn col(&self, j: usize) -> (&[usize], &[f64]) {
-        let span = self.indptr[j]..self.indptr[j + 1];
-        (&self.indices[span.clone()], &self.values[span])
-    }
-
-    /// The sparse dot product `y · A_j` used by reduced-cost pricing.
-    pub(crate) fn col_dot(&self, j: usize, y: &[f64]) -> f64 {
-        let (rows, vals) = self.col(j);
-        rows.iter().zip(vals).map(|(&i, &v)| y[i] * v).sum()
-    }
-
-    /// Scatters column `j` into the dense buffer `out` (zeroed first).
-    pub(crate) fn scatter_col(&self, j: usize, out: &mut [f64]) {
-        out.fill(0.0);
-        let (rows, vals) = self.col(j);
-        for (&i, &v) in rows.iter().zip(vals) {
-            out[i] = v;
-        }
-    }
 }
 
 /// A standard-form LP `min c·x  s.t.  A x = b, x ≥ 0, b ≥ 0` with the
-/// constraint matrix kept sparse.
-///
-/// This is what [`crate::solver`] now produces from the modelling form; the
-/// dense [`StandardForm`] consumed by the flat-tableau oracle is
-/// materialised from it on demand via [`SparseStandardForm::to_dense`].
+/// constraint matrix kept sparse, as [`crate::solver`] writes it from the
+/// modelling form.
 #[derive(Debug, Clone)]
 pub(crate) struct SparseStandardForm {
     pub a: CsrMatrix,
@@ -236,34 +159,16 @@ pub(crate) struct SparseStandardForm {
     /// `mirror[j] = Some(k)` records that column `k` is the exact negation
     /// of column `j` (the `x = x⁺ − x⁻` split of a free variable, which the
     /// conversion always lays out as adjacent columns `k = j + 1`).  The
-    /// revised simplex prices both with a single sparse dot product.
+    /// dual prices both reduced costs from one sum.
     pub mirror: Vec<Option<usize>>,
-    /// The all-slack basis the dual simplex starts from (one column per
-    /// row), when it is dual feasible: every cost is `≥ 0` and every row
-    /// has a singleton ±1 column of zero cost.  Per row it is the lowest
-    /// such column, the one the primal seeding scan
-    /// ([`crate::simplex::seed_basis_from_unit_columns`], with the signs
-    /// dropped) picks; the conversion records it as it writes the rows.
-    pub dual_slacks: Option<Vec<usize>>,
+    /// The all-slack basis the dual simplex starts from, one column per
+    /// row: the lowest singleton ±1 column of zero cost, which is the row's
+    /// own slack unless a variable column comes first.  Every cost is
+    /// `≥ 0`, so the basis is dual feasible.
+    pub dual_slacks: Vec<usize>,
 }
 
 impl SparseStandardForm {
-    /// Wraps a standard form with no recorded mirror pairs (tests build
-    /// their programs directly; the conversion fills `mirror` itself).
-    #[cfg(test)]
-    pub(crate) fn new(a: CsrMatrix, b: Vec<f64>, c: Vec<f64>) -> Self {
-        let mirror = vec![None; a.ncols()];
-        let mut sf = SparseStandardForm {
-            a,
-            b,
-            c,
-            mirror,
-            dual_slacks: None,
-        };
-        sf.dual_slacks = crate::dual::dual_feasible_slack_basis(&sf);
-        sf
-    }
-
     pub(crate) fn num_rows(&self) -> usize {
         self.a.nrows()
     }
@@ -272,8 +177,9 @@ impl SparseStandardForm {
         self.a.ncols()
     }
 
-    /// Densifies into the flat-tableau solver's input form.
-    pub(crate) fn to_dense(&self) -> StandardForm {
+    /// Densifies into the tableau oracle's input form.
+    #[cfg(test)]
+    pub(crate) fn to_dense(&self) -> crate::simplex::StandardForm {
         let n = self.a.ncols();
         let a = (0..self.a.nrows())
             .map(|i| {
@@ -285,7 +191,7 @@ impl SparseStandardForm {
                 dense
             })
             .collect();
-        StandardForm {
+        crate::simplex::StandardForm {
             a,
             b: self.b.clone(),
             c: self.c.clone(),
@@ -311,6 +217,11 @@ mod tests {
         assert_eq!(m.row(0), (&[0usize][..], &[3.0][..]));
         assert_eq!(m.row(1), (&[][..], &[][..]));
         assert_eq!(m.row(2), (&[1usize, 3][..], &[-4.0, 2.0][..]));
+        // Columns and single entries are looked up row by row.
+        assert_eq!(m.col(0).collect::<Vec<_>>(), vec![(0, 3.0)]);
+        assert_eq!(m.col(2).collect::<Vec<_>>(), vec![]);
+        assert_eq!(m.col(3).collect::<Vec<_>>(), vec![(2, 2.0)]);
+        assert_eq!((m.get(2, 1), m.get(0, 2), m.get(1, 0)), (-4.0, 0.0, 0.0));
     }
 
     #[test]
@@ -331,42 +242,14 @@ mod tests {
     }
 
     #[test]
-    fn csc_transposition_round_trips() {
-        let rows = vec![
-            vec![(0, 1.0), (2, 2.0)],
-            vec![(1, 3.0)],
-            vec![(0, -1.0), (1, 4.0), (2, 5.0)],
-        ];
-        let csr = CsrMatrix::from_rows(3, &rows);
-        let csc = csr.to_csc();
-        assert_eq!((csc.nrows(), csc.ncols()), (3, 3));
-        assert_eq!(csc.col(0), (&[0usize, 2][..], &[1.0, -1.0][..]));
-        assert_eq!(csc.col(1), (&[1usize, 2][..], &[3.0, 4.0][..]));
-        assert_eq!(csc.col(2), (&[0usize, 2][..], &[2.0, 5.0][..]));
-        assert_eq!(csc.col_dot(2, &[1.0, 10.0, 100.0]), 502.0);
-        let mut buf = vec![9.0; 3];
-        csc.scatter_col(1, &mut buf);
-        assert_eq!(buf, vec![0.0, 3.0, 4.0]);
-        // The row-by-row lookups read the same columns off the CSR.
-        for j in 0..3 {
-            let (rows, vals) = csc.col(j);
-            let expected: Vec<(usize, f64)> =
-                rows.iter().copied().zip(vals.iter().copied()).collect();
-            assert_eq!(csr.col(j).collect::<Vec<_>>(), expected);
-            for i in 0..3 {
-                let stored = rows.iter().position(|&r| r == i).map_or(0.0, |k| vals[k]);
-                assert_eq!(csr.get(i, j), stored);
-            }
-        }
-    }
-
-    #[test]
     fn sparse_standard_form_densifies() {
-        let sf = SparseStandardForm::new(
-            CsrMatrix::from_rows(3, &[vec![(0, 1.0), (2, -2.0)], vec![(1, 4.0)]]),
-            vec![1.0, 2.0],
-            vec![0.5, 0.0, 0.0],
-        );
+        let sf = SparseStandardForm {
+            a: CsrMatrix::from_rows(3, &[vec![(0, 1.0), (2, -2.0)], vec![(1, 4.0)]]),
+            b: vec![1.0, 2.0],
+            c: vec![0.5, 0.0, 0.0],
+            mirror: vec![None; 3],
+            dual_slacks: Vec::new(),
+        };
         assert_eq!(sf.num_rows(), 2);
         assert_eq!(sf.num_cols(), 3);
         assert_eq!(sf.a.nnz(), 3);

@@ -68,22 +68,4 @@ proptest! {
         // For any vector, ||x||_inf <= ||x||_1; the same holds for the optima.
         prop_assert!(linf <= l1 + 1e-6);
     }
-
-    #[test]
-    fn linear_objective_optimum_beats_witness(spec in random_lp(4, 5),
-                                              cost in prop::collection::vec(-1.0..1.0f64, 4)) {
-        let (mut lp, vars) = build_problem(&spec);
-        // Keep the feasible region bounded so the LP cannot be unbounded:
-        // box constraints containing the witness.
-        for (v, w) in vars.iter().zip(&spec.witness) {
-            lp.add_constraint(&[(*v, 1.0)], ConstraintOp::Le, w.abs() + 5.0);
-            lp.add_constraint(&[(*v, 1.0)], ConstraintOp::Ge, -(w.abs() + 5.0));
-        }
-        let terms: Vec<_> = vars.iter().copied().zip(cost.iter().copied()).collect();
-        lp.set_objective_linear(&terms);
-        let sol = solve(&lp).expect("feasible");
-        prop_assert!(lp.is_feasible(&sol.values, 1e-6));
-        let witness_obj: f64 = cost.iter().zip(&spec.witness).map(|(c, w)| c * w).sum();
-        prop_assert!(sol.objective <= witness_obj + 1e-6);
-    }
 }

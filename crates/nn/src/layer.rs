@@ -818,35 +818,13 @@ impl Layer {
         self.activate(&self.preactivation(input))
     }
 
-    /// Computes the pre-activation of every vector in `inputs` (the affine
-    /// map applied per vector; pooling layers share one identity fast path).
+    /// Computes the pre-activation of every vector in a batch-major flat
+    /// buffer (the affine map applied per vector; the identity for pooling
+    /// layers).
     ///
     /// This is the entry point the incremental SyReNN transformer pipeline
     /// uses to push all carried vertex values through a layer together —
     /// once per layer, instead of re-running the network prefix per vertex.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input has the wrong dimension.
-    pub fn preactivation_batch(&self, inputs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        match self {
-            // Pooling pre-activations are the identity; avoid the flat
-            // round-trip and just copy, with the same dimension check as
-            // `preactivation`.
-            Layer::MaxPool2d(_) | Layer::AvgPool2d(_) => inputs
-                .iter()
-                .map(|v| {
-                    assert_eq!(v.len(), self.input_dim(), "layer input dimension mismatch");
-                    v.to_vec()
-                })
-                .collect(),
-            _ => self
-                .preactivation_batch_flat(&FlatBatch::from_rows(self.input_dim(), inputs))
-                .to_rows(),
-        }
-    }
-
-    /// [`Self::preactivation_batch`] on a batch-major flat buffer.
     ///
     /// For dense layers the whole batch goes through **one** blocked GEMM
     /// call (`Z = X · Wᵀ`, then the bias is added row-wise): one packed
@@ -904,19 +882,13 @@ impl Layer {
         matches!(self, Layer::MaxPool2d(_) | Layer::AvgPool2d(_))
     }
 
-    /// Applies the layer's activation to every pre-activation in `zs`.
+    /// Applies the layer's activation to every pre-activation in a
+    /// batch-major flat buffer.
     ///
     /// For pooling layers the window index set is computed once and shared
     /// across the whole batch (computing it per vector is what makes
-    /// [`Self::activate`] expensive in vertex-heavy loops).
-    pub fn activate_batch(&self, zs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        self.activate_batch_flat(&FlatBatch::from_rows(self.preactivation_dim(), zs))
-            .to_rows()
-    }
-
-    /// [`Self::activate_batch`] on a batch-major flat buffer.
-    ///
-    /// One [`ActivationKernel`] serves the whole batch: element-wise rows
+    /// [`Self::activate`] expensive in vertex-heavy loops).  One
+    /// [`ActivationKernel`] serves the whole batch: element-wise rows
     /// dispatch once per row, and pooling layers share one flat window
     /// index map ([`Pool2dLayer::flat_windows`]) — no per-window or
     /// per-vector index allocations.
@@ -929,13 +901,7 @@ impl Layer {
         out
     }
 
-    /// Full forward pass for a batch of inputs.
-    pub fn forward_batch(&self, inputs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        self.forward_batch_flat(&FlatBatch::from_rows(self.input_dim(), inputs))
-            .to_rows()
-    }
-
-    /// [`Self::forward_batch`] on a batch-major flat buffer.
+    /// Full forward pass for a batch of inputs in a batch-major flat buffer.
     pub fn forward_batch_flat(&self, inputs: &FlatBatch) -> FlatBatch {
         if self.preactivation_is_identity() {
             // Pooling: the pre-activation is the identity, so activate
@@ -987,25 +953,15 @@ impl Layer {
         }
     }
 
-    /// Linearises the layer's activation around every centre in `z_centers`
-    /// (the batch form of [`Self::linearize_activation`]).
+    /// Linearises the layer's activation around every centre in a
+    /// batch-major flat buffer (the batch form of
+    /// [`Self::linearize_activation`]).
     ///
     /// For pooling layers the window index set is computed once and shared
     /// across the whole batch — the per-centre selection/averaging is built
     /// from the shared windows, where the per-vector call re-enumerates
     /// them every time.  This is what makes the batched DDNN channels cheap
     /// in vertex-heavy repair loops.
-    pub fn linearize_activation_batch(
-        &self,
-        z_centers: &[Vec<f64>],
-    ) -> Vec<ActivationLinearization> {
-        self.linearize_activation_batch_flat(&FlatBatch::from_rows(
-            self.preactivation_dim(),
-            z_centers,
-        ))
-    }
-
-    /// [`Self::linearize_activation_batch`] on a batch-major flat buffer.
     pub fn linearize_activation_batch_flat(
         &self,
         z_centers: &FlatBatch,
@@ -1370,13 +1326,14 @@ mod tests {
             let batch: Vec<Vec<f64>> = (0..5)
                 .map(|k| (0..dim).map(|i| (k * dim + i) as f64 * 0.3 - 2.0).collect())
                 .collect();
-            let zs = layer.preactivation_batch(&batch);
-            let outs = layer.forward_batch(&batch);
+            let flat = FlatBatch::from_rows(dim, &batch);
+            let zs = layer.preactivation_batch_flat(&flat);
+            let outs = layer.forward_batch_flat(&flat);
             for (i, input) in batch.iter().enumerate() {
-                assert_eq!(zs[i], layer.preactivation(input));
-                assert_eq!(outs[i], layer.forward(input));
+                assert_eq!(zs.row(i), layer.preactivation(input));
+                assert_eq!(outs.row(i), layer.forward(input));
             }
-            assert_eq!(layer.activate_batch(&zs), outs);
+            assert_eq!(layer.activate_batch_flat(&zs).to_rows(), outs.to_rows());
         }
     }
 
@@ -1491,7 +1448,7 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let batch = layer.linearize_activation_batch(&zs);
+            let batch = layer.linearize_activation_batch_flat(&FlatBatch::from_rows(dim, &zs));
             assert_eq!(batch.len(), zs.len());
             for (z, lin) in zs.iter().zip(&batch) {
                 assert_eq!(*lin, layer.linearize_activation(z));

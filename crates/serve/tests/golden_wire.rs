@@ -4,7 +4,7 @@
 //! on the wire fails here, and each pinned text must also decode back to
 //! the instance it was encoded from.
 
-use prdnn_core::{LpBackend, OutputPolytope, PointSpec, PricingRule, RepairConfig, RepairNorm};
+use prdnn_core::{OutputPolytope, PointSpec, RepairConfig, RepairNorm};
 use prdnn_linalg::Matrix;
 use prdnn_serve::protocol::{
     ErrorKind, JobState, ModelRef, RegionWire, Request, Response, ServerStats, VersionInfo,
@@ -67,8 +67,6 @@ fn requests() -> Vec<Request> {
                 norm: RepairNorm::LInf,
                 param_bound: Some(0.5),
                 max_lp_iterations: 5000,
-                lp_backend: LpBackend::RevisedSparse,
-                lp_pricing: PricingRule::Devex,
                 threads: None,
             },
         },
@@ -224,7 +222,7 @@ const REQUEST_TEXTS: [&str; 14] = [
     r##"{"type":"load_network","name":"n1","network":{"kind":"network","weights":[0.5,-0.0,1e-7],"nested":[null,true]}}"##,
     r##"{"type":"eval","model":"digits@v3","inputs":[[0.1,-0.0,1e-7],[0.3333333333333333,25000000000.0,-7.0]],"deadline_ms":250.0}"##,
     r##"{"type":"lin_regions","model":"acas@latest","polytopes":[[[0.0,0.0],[1.0,0.0],[0.0,1.0]],[[-1.5,2.0],[3.25,-4.0]]],"deadline_ms":null}"##,
-    r##"{"type":"repair","model":"n1@latest","layer":1.0,"spec":{"points":[[0.5,-1.25],[1.5,2.0]],"constraints":[{"rows":2.0,"cols":2.0,"a":[1.0,0.0,-1.0,0.1],"b":[0.2,0.3333333333333333]},{"rows":2.0,"cols":1.0,"a":[1.0,-1.0],"b":[0.0,0.2]}]},"config":{"norm":"linf","param_bound":0.5,"max_lp_iterations":5000.0,"lp_backend":"revised_sparse","lp_pricing":"devex"}}"##,
+    r##"{"type":"repair","model":"n1@latest","layer":1.0,"spec":{"points":[[0.5,-1.25],[1.5,2.0]],"constraints":[{"rows":2.0,"cols":2.0,"a":[1.0,0.0,-1.0,0.1],"b":[0.2,0.3333333333333333]},{"rows":2.0,"cols":1.0,"a":[1.0,-1.0],"b":[0.0,0.2]}]},"config":{"norm":"linf","param_bound":0.5,"max_lp_iterations":5000.0}}"##,
     r##"{"type":"job_status","job":42.0}"##,
     r##"{"type":"get_network","model":"n1@v2"}"##,
     r##"{"type":"list_models"}"##,
@@ -256,6 +254,11 @@ const RESPONSE_TEXTS: [&str; 18] = [
     r##"{"type":"error","kind":"overloaded","message":"batch queue full (256 pending items)","retry_after_ms":25.0}"##,
     r##"{"type":"error","kind":"unknown_model","message":"unknown model \"m\"","retry_after_ms":null}"##,
 ];
+
+/// The `repair` request as it was written while the LP solver had
+/// selectable backends: its config carries `lp_backend` and `lp_pricing`,
+/// which are now ignored.  Decode-only: no encoder writes it any more.
+const LEGACY_REPAIR_TEXT: &str = r##"{"type":"repair","model":"n1@latest","layer":1.0,"spec":{"points":[[0.5,-1.25],[1.5,2.0]],"constraints":[{"rows":2.0,"cols":2.0,"a":[1.0,0.0,-1.0,0.1],"b":[0.2,0.3333333333333333]},{"rows":2.0,"cols":1.0,"a":[1.0,-1.0],"b":[0.0,0.2]}]},"config":{"norm":"linf","param_bound":0.5,"max_lp_iterations":5000.0,"lp_backend":"revised_sparse","lp_pricing":"devex"}}"##;
 
 /// Fixed observations for the histogram part of the exposition.
 fn recorded_telemetry() -> std::sync::Arc<Telemetry> {
@@ -297,6 +300,20 @@ fn every_request_variant_encodes_to_its_pinned_text_and_decodes_back() {
         tags.insert(request.kind());
     }
     assert_eq!(tags.len(), 14, "one instance of every request variant");
+}
+
+#[test]
+fn a_repair_request_with_lp_backend_settings_decodes_as_without_them() {
+    let request = Request::from_value(&Value::parse(LEGACY_REPAIR_TEXT).unwrap()).unwrap();
+    let pinned = REQUEST_TEXTS
+        .iter()
+        .find(|text| text.starts_with(r#"{"type":"repair""#))
+        .unwrap();
+    assert_eq!(
+        request,
+        Request::from_value(&Value::parse(pinned).unwrap()).unwrap()
+    );
+    assert!(requests().contains(&request));
 }
 
 #[test]

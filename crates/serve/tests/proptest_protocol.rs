@@ -4,7 +4,7 @@
 //! frames must be rejected, never mis-parsed), the two fault classes, and
 //! the number writer against `{:?}`.
 
-use prdnn_core::{LpBackend, OutputPolytope, PointSpec, PricingRule, RepairConfig, RepairNorm};
+use prdnn_core::{OutputPolytope, PointSpec, RepairConfig, RepairNorm};
 use prdnn_linalg::Matrix;
 use prdnn_serve::protocol::{
     read_frame, read_frame_text, DecodeError, ErrorKind, FrameError, JobState, ModelRef,
@@ -67,21 +67,13 @@ fn spec() -> impl Strategy<Value = PointSpec> {
 }
 
 fn config() -> impl Strategy<Value = RepairConfig> {
-    (0usize..2, 0usize..3, 0usize..3, 0usize..3, 1usize..1000).prop_map(
-        |(norm, backend, pricing, bound, iters)| RepairConfig {
-            norm: [RepairNorm::L1, RepairNorm::LInf][norm],
-            param_bound: [None, Some(0.5), Some(1e3)][bound],
-            max_lp_iterations: iters * 1000,
-            lp_backend: [
-                LpBackend::Auto,
-                LpBackend::DenseTableau,
-                LpBackend::RevisedSparse,
-            ][backend],
-            lp_pricing: [PricingRule::Auto, PricingRule::Dantzig, PricingRule::Devex][pricing],
-            // Not on the wire: the server owns its pool.
-            threads: None,
-        },
-    )
+    (0usize..2, 0usize..3, 1usize..1000).prop_map(|(norm, bound, iters)| RepairConfig {
+        norm: [RepairNorm::L1, RepairNorm::LInf][norm],
+        param_bound: [None, Some(0.5), Some(1e3)][bound],
+        max_lp_iterations: iters * 1000,
+        // Not on the wire: the server owns its pool.
+        threads: None,
+    })
 }
 
 fn request() -> impl Strategy<Value = Request> {

@@ -3,8 +3,8 @@
 //! LP, to a verified repaired network.
 
 use prdnn::core::{
-    repair_points, repair_polytopes, DecoupledNetwork, InputPolytope, LpBackend, OutputPolytope,
-    PointSpec, PolytopeSpec, PricingRule, RepairConfig, RepairError, RepairNorm,
+    repair_points, repair_polytopes, DecoupledNetwork, InputPolytope, OutputPolytope, PointSpec,
+    PolytopeSpec, RepairConfig, RepairError, RepairNorm,
 };
 use prdnn::datasets::{acas, corruptions, digits, imagenet_like, natural_adversarial};
 use prdnn::nn::{Activation, Network};
@@ -15,14 +15,14 @@ use rand::SeedableRng;
 /// Golden end-to-end repair fixture: the paper's running example (repair
 /// `N1`'s layer 0 against Equation 2) must produce *identical* results —
 /// success, norm of the parameter delta, and drawdown away from the repair
-/// points — under every backend × pricing × thread-count combination, so a
-/// pricing or factorisation change can never silently alter a repair.
+/// points — at every thread count, so a factorisation change can never
+/// silently alter a repair.
 ///
 /// Golden values measured from the dense oracle: the ℓ1-minimal *objective*
 /// `‖Δ‖₁ = 31/30` is unique, so it is pinned exactly; the optimal *vertex*
 /// is not necessarily unique, so `‖Δ‖∞` and the drawdown are pinned as
-/// upper bounds (`11/15` and `7/6`, the values every current configuration
-/// attains).
+/// upper bounds (`11/15` and `7/6`, the values the dual simplex and the
+/// dense oracle both attain).
 #[test]
 fn golden_paper_example_repair_is_invariant_across_configurations() {
     const GOLDEN_DELTA_L1: f64 = 31.0 / 30.0;
@@ -30,48 +30,42 @@ fn golden_paper_example_repair_is_invariant_across_configurations() {
     const GOLDEN_DRAWDOWN: f64 = 7.0 / 6.0;
     let n1 = prdnn::core::paper_example::n1();
     let spec = prdnn::core::paper_example::equation_2_spec();
-    for backend in [LpBackend::DenseTableau, LpBackend::RevisedSparse] {
-        for pricing in [PricingRule::Dantzig, PricingRule::Devex] {
-            for threads in [1usize, 4] {
-                let label = format!("{backend:?}/{pricing:?}/threads={threads}");
-                let config = RepairConfig {
-                    lp_backend: backend,
-                    lp_pricing: pricing,
-                    threads: Some(threads),
-                    ..RepairConfig::default()
-                };
-                let outcome = repair_points(&n1, 0, &spec, &config)
-                    .unwrap_or_else(|e| panic!("{label}: repair failed: {e}"));
-                // Success: the specification holds on the repaired network.
-                assert!(
-                    spec.is_satisfied_by(|x| outcome.repaired.forward(x), 1e-7),
-                    "{label}: repaired network violates Equation 2"
-                );
-                // Parameter-delta norms are pinned to the golden optimum.
-                assert!(
-                    (outcome.stats.delta_l1 - GOLDEN_DELTA_L1).abs() < 1e-6,
-                    "{label}: delta l1 {} != golden {GOLDEN_DELTA_L1}",
-                    outcome.stats.delta_l1
-                );
-                assert!(
-                    outcome.stats.delta_linf <= GOLDEN_DELTA_LINF + 1e-6,
-                    "{label}: delta linf {} exceeds golden bound {GOLDEN_DELTA_LINF}",
-                    outcome.stats.delta_linf
-                );
-                // Drawdown: the repair moves no point of the domain by more
-                // than the golden bound.
-                let mut drawdown = 0.0f64;
-                for i in 0..=300 {
-                    let x = -1.0 + 3.0 * i as f64 / 300.0;
-                    let moved = (outcome.repaired.forward(&[x])[0] - n1.forward(&[x])[0]).abs();
-                    drawdown = drawdown.max(moved);
-                }
-                assert!(
-                    drawdown <= GOLDEN_DRAWDOWN + 1e-6,
-                    "{label}: drawdown {drawdown} exceeds golden {GOLDEN_DRAWDOWN}"
-                );
-            }
+    for threads in [1usize, 4] {
+        let label = format!("threads={threads}");
+        let config = RepairConfig {
+            threads: Some(threads),
+            ..RepairConfig::default()
+        };
+        let outcome = repair_points(&n1, 0, &spec, &config)
+            .unwrap_or_else(|e| panic!("{label}: repair failed: {e}"));
+        // Success: the specification holds on the repaired network.
+        assert!(
+            spec.is_satisfied_by(|x| outcome.repaired.forward(x), 1e-7),
+            "{label}: repaired network violates Equation 2"
+        );
+        // Parameter-delta norms are pinned to the golden optimum.
+        assert!(
+            (outcome.stats.delta_l1 - GOLDEN_DELTA_L1).abs() < 1e-6,
+            "{label}: delta l1 {} != golden {GOLDEN_DELTA_L1}",
+            outcome.stats.delta_l1
+        );
+        assert!(
+            outcome.stats.delta_linf <= GOLDEN_DELTA_LINF + 1e-6,
+            "{label}: delta linf {} exceeds golden bound {GOLDEN_DELTA_LINF}",
+            outcome.stats.delta_linf
+        );
+        // Drawdown: the repair moves no point of the domain by more than
+        // the golden bound.
+        let mut drawdown = 0.0f64;
+        for i in 0..=300 {
+            let x = -1.0 + 3.0 * i as f64 / 300.0;
+            let moved = (outcome.repaired.forward(&[x])[0] - n1.forward(&[x])[0]).abs();
+            drawdown = drawdown.max(moved);
         }
+        assert!(
+            drawdown <= GOLDEN_DRAWDOWN + 1e-6,
+            "{label}: drawdown {drawdown} exceeds golden {GOLDEN_DRAWDOWN}"
+        );
     }
 }
 
