@@ -503,6 +503,54 @@ mod tests {
         assert_eq!(hash, 0x37b7_125d_d9ab_098b);
     }
 
+    /// The DDNN value channel's and Jacobian pass's bits on the trained
+    /// CNN, pinned: one FNV-1a hash over the outputs and value-parameter
+    /// Jacobians of eleven `(activation, value)` pairs of consecutive
+    /// repair-pool images, batched and per point, for the unrepaired DDNN
+    /// and for a copy whose value channel is perturbed at layer idx 2.  A
+    /// linearisation or backward step that reorders or re-rounds a single
+    /// term changes this hash.
+    #[test]
+    fn tiny_task1_ddnn_pass_keeps_its_bits() {
+        use prdnn_core::DecoupledNetwork;
+        let setup = setup(&Task1Params::for_scale(Scale::Tiny));
+        let pool = &setup.repair_pool.inputs;
+        assert_eq!(pool.len(), 12);
+        let pairs: Vec<(&[f64], &[f64])> = (0..11)
+            .map(|k| (pool[k].as_slice(), pool[k + 1].as_slice()))
+            .collect();
+        let unrepaired = DecoupledNetwork::from_network(&setup.network);
+        let mut perturbed = unrepaired.clone();
+        let n = perturbed.value_layer(2).num_params();
+        let delta: Vec<f64> = (0..n).map(|i| 0.05 * (0.37 * i as f64).sin()).collect();
+        perturbed.apply_value_delta(2, &delta);
+
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |values: &[f64]| {
+            for v in values {
+                for byte in v.to_bits().to_le_bytes() {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        };
+        for ddnn in [&unrepaired, &perturbed] {
+            for row in ddnn.forward_decoupled_batch(&pairs) {
+                mix(&row);
+            }
+            for layer in [0, 2, 4, 5] {
+                for jacobian in ddnn.value_param_jacobian_batch(layer, &pairs) {
+                    mix(jacobian.as_slice());
+                }
+            }
+            for (a, v) in &pairs {
+                mix(&ddnn.forward_decoupled(a, v));
+                mix(ddnn.value_param_jacobian(2, a, v).as_slice());
+            }
+        }
+        assert_eq!(hash, 0x38ef_c84f_85d3_b527);
+    }
+
     #[test]
     fn failed_repairs_keep_their_cause() {
         let outcomes = [
