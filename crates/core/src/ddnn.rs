@@ -9,7 +9,7 @@
 //! facts the repair algorithms rely on.
 
 use prdnn_linalg::{vector, Matrix};
-use prdnn_nn::{FlatBatch, Layer, Network};
+use prdnn_nn::{ActivationKernel, FlatBatch, Layer, Network};
 use serde::{Deserialize, Serialize};
 
 /// Splits `(act, val)` input pairs into the two channel batches, stored
@@ -24,16 +24,35 @@ fn channel_batches(in_dim: usize, pairs: &[(&[f64], &[f64])]) -> (FlatBatch, Fla
     (v_act, v_val)
 }
 
-/// Applies per-point linearisations to a flat batch of value-channel
-/// pre-activations (the `v_val = lin(z_val)` step of Definition 4.3).
-fn apply_lins_flat(
-    lins: &[prdnn_nn::ActivationLinearization],
+/// Every layer's activation kernel, built once per pass and read by both
+/// channels and the backward accumulation.
+fn kernels(net: &Network) -> Vec<ActivationKernel> {
+    net.layers().iter().map(Layer::activation_kernel).collect()
+}
+
+/// The value channel's step for one point (Definition 4.3): `z_val`
+/// through the activation linearised at the activation channel's
+/// pre-activation `z_act`.
+fn apply_linearized(kernel: &ActivationKernel, z_act: &[f64], z_val: &[f64]) -> Vec<f64> {
+    // Allocated and then written, as `FlatBatch::zeros` is: a zeroed
+    // allocation (`vec![0.0; n]`) bypasses glibc's per-thread cache.
+    let len = kernel.output_dim(z_val.len());
+    let mut out = Vec::with_capacity(len);
+    out.resize(len, 0.0);
+    kernel.apply_linearized_row(z_act, z_val, &mut out);
+    out
+}
+
+/// [`apply_linearized`] for a batch: row `k` of `z_val` through the
+/// activation linearised at row `k` of `z_act`.
+fn apply_linearized_batch(
+    kernel: &ActivationKernel,
+    z_act: &FlatBatch,
     z_val: &FlatBatch,
-    out_dim: usize,
 ) -> FlatBatch {
-    let mut out = FlatBatch::with_capacity(out_dim, z_val.count());
-    for (lin, z) in lins.iter().zip(z_val.rows()) {
-        out.push_row(&lin.apply(z));
+    let mut out = FlatBatch::zeros(kernel.output_dim(z_val.dim()), z_val.count());
+    for (k, (c, z)) in z_act.rows().zip(z_val.rows()).enumerate() {
+        kernel.apply_linearized_row(c, z, out.row_mut(k));
     }
     out
 }
@@ -162,16 +181,13 @@ impl DecoupledNetwork {
     pub fn forward_decoupled(&self, act_input: &[f64], val_input: &[f64]) -> Vec<f64> {
         let mut v_act = act_input.to_vec();
         let mut v_val = val_input.to_vec();
-        for i in 0..self.num_layers() {
-            let layer_a = self.activation.layer(i);
-            let layer_v = self.value.layer(i);
-            let z_act = layer_a.preactivation(&v_act);
-            let z_val = layer_v.preactivation(&v_val);
+        for (i, kernel) in kernels(&self.activation).iter().enumerate() {
+            let z_act = self.activation.layer(i).preactivation(&v_act);
+            let z_val = self.value.layer(i).preactivation(&v_val);
             // The value channel applies the linearisation of σ around the
             // activation channel's pre-activation (Definition 4.3).
-            let lin = layer_a.linearize_activation(&z_act);
-            v_val = lin.apply(&z_val);
-            v_act = layer_a.activate(&z_act);
+            v_val = apply_linearized(kernel, &z_act, &z_val);
+            v_act = self.activation.layer(i).activate(&z_act);
         }
         v_val
     }
@@ -180,24 +196,21 @@ impl DecoupledNetwork {
     /// every `(act_input, val_input)` pair in `pairs`.
     ///
     /// The whole batch is pushed through one layer at a time — mirroring
-    /// [`prdnn_nn::Network::forward_batch`] — so per-layer setup (pooling
-    /// window enumeration in the batched linearisation) is paid once per
-    /// layer instead of once per point.  Per-point results are identical to
-    /// [`Self::forward_decoupled`].
+    /// [`prdnn_nn::Network::forward_batch`] — so per-layer setup (each
+    /// layer's activation kernel, with its pooling window table) is paid
+    /// once per layer instead of once per point.  Per-point results are
+    /// identical to [`Self::forward_decoupled`].
     ///
     /// # Panics
     ///
     /// Panics if any input has the wrong dimension.
     pub fn forward_decoupled_batch(&self, pairs: &[(&[f64], &[f64])]) -> Vec<Vec<f64>> {
         let (mut v_act, mut v_val) = channel_batches(self.input_dim(), pairs);
-        for i in 0..self.num_layers() {
-            let layer_a = self.activation.layer(i);
-            let layer_v = self.value.layer(i);
-            let z_act = layer_a.preactivation_batch_flat(&v_act);
-            let z_val = layer_v.preactivation_batch_flat(&v_val);
-            let lins = layer_a.linearize_activation_batch_flat(&z_act);
-            v_val = apply_lins_flat(&lins, &z_val, layer_a.output_dim());
-            v_act = layer_a.activate_batch_flat(&z_act);
+        for (i, kernel) in kernels(&self.activation).iter().enumerate() {
+            let z_act = self.activation.layer(i).preactivation_batch_flat(&v_act);
+            let z_val = self.value.layer(i).preactivation_batch_flat(&v_val);
+            v_val = apply_linearized_batch(kernel, &z_act, &z_val);
+            v_act = self.activation.layer(i).activate_batch_flat(&z_act);
         }
         v_val.to_rows()
     }
@@ -264,42 +277,35 @@ impl DecoupledNetwork {
         );
         // Forward both channels, remembering the activation pre-activations
         // (they fix every linearisation) and the value-channel layer inputs.
+        let kernels = kernels(&self.activation);
         let mut v_act = act_input.to_vec();
         let mut v_val = val_input.to_vec();
         let mut act_preacts: Vec<Vec<f64>> = Vec::with_capacity(self.num_layers());
         let mut val_inputs: Vec<Vec<f64>> = Vec::with_capacity(self.num_layers());
-        for i in 0..self.num_layers() {
-            let layer_a = self.activation.layer(i);
-            let layer_v = self.value.layer(i);
+        for (i, kernel) in kernels.iter().enumerate() {
             val_inputs.push(v_val.clone());
-            let z_act = layer_a.preactivation(&v_act);
-            let z_val = layer_v.preactivation(&v_val);
-            let lin = layer_a.linearize_activation(&z_act);
-            v_val = lin.apply(&z_val);
-            v_act = layer_a.activate(&z_act);
+            let z_act = self.activation.layer(i).preactivation(&v_act);
+            let z_val = self.value.layer(i).preactivation(&v_val);
+            v_val = apply_linearized(kernel, &z_act, &z_val);
+            v_act = self.activation.layer(i).activate(&z_act);
             act_preacts.push(z_act);
         }
 
         // Backward accumulation of M = ∂ output / ∂ v_val^(j), starting from
         // the output (identity) down to the repaired layer's output.
-        let out_dim = self.output_dim();
-        let mut m = Matrix::identity(out_dim);
+        let mut m = Matrix::identity(self.output_dim());
         for j in (layer + 1..self.num_layers()).rev() {
-            let layer_a = self.activation.layer(j);
-            let layer_v = self.value.layer(j);
-            let lin = layer_a.linearize_activation(&act_preacts[j]);
             // v^(j) = lin(z^(j)), z^(j) = W_v^(j) v^(j-1) + b.
-            let dz = lin.vjp(&m);
-            m = layer_v.preact_input_vjp(&dz);
+            let dz = kernels[j].vjp(&act_preacts[j], &m);
+            m = self.value.layer(j).preact_input_vjp(&dz);
         }
         // Through the repaired layer itself: output depends on its
         // pre-activation via the linearisation, and the pre-activation
         // depends linearly on the parameters.
-        let layer_a = self.activation.layer(layer);
-        let layer_v = self.value.layer(layer);
-        let lin = layer_a.linearize_activation(&act_preacts[layer]);
-        let dz = lin.vjp(&m);
-        layer_v.preact_param_vjp(&dz, &val_inputs[layer])
+        let dz = kernels[layer].vjp(&act_preacts[layer], &m);
+        self.value
+            .layer(layer)
+            .preact_param_vjp(&dz, &val_inputs[layer])
     }
 
     /// The batch form of [`Self::value_param_jacobian`]: one Jacobian per
@@ -307,9 +313,9 @@ impl DecoupledNetwork {
     ///
     /// The forward phase runs batched (per-layer setup shared across the
     /// whole batch, like [`Self::forward_decoupled_batch`]); the backward
-    /// accumulation is inherently per point and reuses the linearisations
-    /// recorded on the way forward.  Per-point results are identical to
-    /// [`Self::value_param_jacobian`].
+    /// accumulation is inherently per point and reads the activation-channel
+    /// pre-activations recorded on the way forward.  Per-point results are
+    /// identical to [`Self::value_param_jacobian`].
     ///
     /// # Panics
     ///
@@ -367,9 +373,10 @@ impl DecoupledNetwork {
     }
 
     /// The shared batched Jacobian pass.  A batched forward pass records
-    /// every layer's activation-channel linearisations (they fix the
-    /// backward pass) and the value-channel inputs of the repaired layer;
-    /// the backward accumulation then runs per point.  The value channel is
+    /// every layer's activation-channel pre-activations (they fix every
+    /// linearisation of the backward pass) and the value-channel inputs of
+    /// the repaired layer; the backward accumulation then runs per point,
+    /// through the same kernels.  The value channel is
     /// propagated up to the repaired layer — beyond it the Jacobian depends
     /// on the activation channel alone — or, with `with_outputs`, through
     /// to the output, which is returned as the second element (empty
@@ -384,14 +391,12 @@ impl DecoupledNetwork {
             layer < self.num_layers(),
             "layer index {layer} out of bounds"
         );
+        let kernels = kernels(&self.activation);
         let (mut v_act, mut v_val) = channel_batches(self.input_dim(), pairs);
-        let mut lins_per_layer: Vec<Vec<prdnn_nn::ActivationLinearization>> =
-            Vec::with_capacity(self.num_layers());
+        let mut act_preacts: Vec<FlatBatch> = Vec::with_capacity(self.num_layers());
         let mut repaired_layer_inputs = FlatBatch::default();
-        for i in 0..self.num_layers() {
-            let layer_a = self.activation.layer(i);
-            let z_act = layer_a.preactivation_batch_flat(&v_act);
-            let lins = layer_a.linearize_activation_batch_flat(&z_act);
+        for (i, kernel) in kernels.iter().enumerate() {
+            let z_act = self.activation.layer(i).preactivation_batch_flat(&v_act);
             if i == layer {
                 repaired_layer_inputs = if with_outputs {
                     v_val.clone()
@@ -400,12 +405,11 @@ impl DecoupledNetwork {
                 };
             }
             if i < layer || with_outputs {
-                let layer_v = self.value.layer(i);
-                let z_val = layer_v.preactivation_batch_flat(&v_val);
-                v_val = apply_lins_flat(&lins, &z_val, layer_a.output_dim());
+                let z_val = self.value.layer(i).preactivation_batch_flat(&v_val);
+                v_val = apply_linearized_batch(kernel, &z_act, &z_val);
             }
-            v_act = layer_a.activate_batch_flat(&z_act);
-            lins_per_layer.push(lins);
+            v_act = self.activation.layer(i).activate_batch_flat(&z_act);
+            act_preacts.push(z_act);
         }
 
         // Backward accumulation per point (see `value_param_jacobian`).
@@ -414,10 +418,10 @@ impl DecoupledNetwork {
             .map(|p| {
                 let mut m = Matrix::identity(out_dim);
                 for j in (layer + 1..self.num_layers()).rev() {
-                    let dz = lins_per_layer[j][p].vjp(&m);
+                    let dz = kernels[j].vjp(act_preacts[j].row(p), &m);
                     m = self.value.layer(j).preact_input_vjp(&dz);
                 }
-                let dz = lins_per_layer[layer][p].vjp(&m);
+                let dz = kernels[layer].vjp(act_preacts[layer].row(p), &m);
                 self.value
                     .layer(layer)
                     .preact_param_vjp(&dz, repaired_layer_inputs.row(p))
@@ -630,7 +634,7 @@ mod tests {
 
     #[test]
     fn batched_channels_work_with_pooling_layers() {
-        // Max pooling exercises the shared-window batched linearisation.
+        // Max pooling exercises the kernel's shared window table.
         let net = Network::new(vec![
             Layer::MaxPool2d(prdnn_nn::Pool2dLayer {
                 channels: 1,

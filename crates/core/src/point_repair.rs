@@ -248,7 +248,7 @@ mod tests {
     }
 
     #[test]
-    fn lp_backends_agree_on_classifier_repair() {
+    fn classifier_repair_reaches_the_dense_tableau_optimum() {
         // A wide, block-sparse repair LP whose minimal ℓ1 norm the dense
         // tableau oracle measured; the dual simplex must reach it, and the
         // repaired network must satisfy the spec exactly.

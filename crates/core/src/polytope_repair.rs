@@ -70,28 +70,26 @@ pub fn repair_polytopes(
     spec: &PolytopeSpec,
     config: &RepairConfig,
 ) -> Result<PolytopeRepairOutcome, RepairError> {
-    let ddnn = DecoupledNetwork::from_network(net);
-    repair_polytopes_ddnn(net, &ddnn, layer, spec, config)
+    repair_polytopes_ddnn(&DecoupledNetwork::from_network(net), layer, spec, config)
 }
 
-/// Provable Polytope Repair starting from an existing DDNN whose activation
-/// channel is `activation_net`.
+/// Provable Polytope Repair starting from an existing DDNN.
 ///
-/// The linear regions are those of the *activation channel*, which by
-/// Theorem 4.6 are also the linear regions of any value-channel repair of the
-/// DDNN.
+/// The linear regions are those of the DDNN's *activation channel*
+/// ([`DecoupledNetwork::activation_network`]), which by Theorem 4.6 are
+/// also the linear regions of any value-channel repair of the DDNN.
 ///
 /// # Errors
 ///
 /// See [`repair_polytopes`].
 pub fn repair_polytopes_ddnn(
-    activation_net: &Network,
     ddnn: &DecoupledNetwork,
     layer: usize,
     spec: &PolytopeSpec,
     config: &RepairConfig,
 ) -> Result<PolytopeRepairOutcome, RepairError> {
     validate(ddnn, layer, &spec.constraints)?;
+    let activation_net = ddnn.activation_network();
     if !activation_net.is_piecewise_linear() {
         return Err(RepairError::NotPiecewiseLinear);
     }
@@ -269,13 +267,26 @@ mod tests {
         }
     }
 
+    /// The points at `t = i / 100` for `i` in `0..=100` along a segment.
+    fn samples(start: &[f64], end: &[f64]) -> Vec<Vec<f64>> {
+        (0..=100)
+            .map(|i| {
+                let t = i as f64 / 100.0;
+                start
+                    .iter()
+                    .zip(end)
+                    .map(|(s, e)| s + t * (e - s))
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
-    fn lp_backends_agree_on_polytope_repair() {
-        // Algorithm 2 feeds the vertex key points into the same repair LP.
-        // Its minimal norm is the dense tableau oracle's, 0: the network
-        // already classifies the whole segment as 0, so no row is violated
-        // and no LP is solved.  The result must satisfy the whole segment.
-        const DENSE_TABLEAU_L1: f64 = 0.0;
+    fn polytope_repair_reaches_the_all_rows_optimum() {
+        // Algorithm 2 feeds the vertex key points into the repair LP.  The
+        // seed-17 network does not classify the whole segment as 1, so row
+        // generation must solve an LP, reach the norm of the LP over every
+        // key point's rows, and repair every point of the segment.
         let mut rng = StdRng::seed_from_u64(17);
         let net = prdnn_nn::Network::mlp(&[3, 10, 8, 2], Activation::Relu, &mut rng);
         let start = vec![-0.4, 0.3, 0.6];
@@ -283,25 +294,65 @@ mod tests {
         let mut spec = PolytopeSpec::new();
         spec.push(
             InputPolytope::segment(start.clone(), end.clone()),
-            OutputPolytope::classification(0, 2, 1e-4),
+            OutputPolytope::classification(1, 2, 1e-4),
         );
-        let result = repair_polytopes(&net, 2, &spec, &RepairConfig::default())
-            .expect("repair must succeed");
-        for i in 0..=100 {
-            let t = i as f64 / 100.0;
-            let p: Vec<f64> = start
-                .iter()
-                .zip(&end)
-                .map(|(s, e)| s + t * (e - s))
-                .collect();
-            assert_eq!(result.outcome.repaired.classify(&p), 0);
+        let config = RepairConfig::default();
+        let result = repair_polytopes(&net, 2, &spec, &config).expect("repair must succeed");
+        assert!(result.outcome.stats.lp_rounds >= 1, "no LP was solved");
+        for p in samples(&start, &end) {
+            assert_eq!(result.outcome.repaired.classify(&p), 1, "violated at {p:?}");
         }
-        assert!(
-            (result.outcome.stats.delta_l1 - DENSE_TABLEAU_L1).abs() < 1e-6,
-            "minimal-repair norm {} vs the dense tableau's {DENSE_TABLEAU_L1}",
-            result.outcome.stats.delta_l1
+        let pool = prdnn_par::pool_for(Some(1));
+        let (key_points, _) = region_key_points(&pool, &net, &spec).unwrap();
+        assert_eq!(key_points.len(), result.num_key_points);
+        let ddnn = DecoupledNetwork::from_network(&net);
+        let oracle = crate::repair::all_rows_delta(&ddnn, 2, &key_points, &config)
+            .expect("the all-rows LP must be feasible");
+        let (norm, expected) = (
+            result.outcome.stats.delta_l1,
+            prdnn_linalg::vector::norm_l1(&oracle),
         );
-        assert_eq!(result.outcome.stats.lp_rounds, 0);
+        assert!(
+            (norm - expected).abs() <= 1e-9 * norm.abs().max(expected.abs()),
+            "row generation {norm} vs all rows {expected}"
+        );
+    }
+
+    #[test]
+    fn polytope_repair_of_a_decoupled_network_splits_on_its_activation_channel() {
+        // After a point repair of layer idx 1 the two channels differ; a
+        // polytope repair of layer idx 2 must take its linear regions from
+        // the activation channel (Theorem 4.6) and hold on the whole
+        // segment.
+        let mut rng = StdRng::seed_from_u64(15);
+        let net = prdnn_nn::Network::mlp(&[3, 10, 8, 2], Activation::Relu, &mut rng);
+        let points: Vec<Vec<f64>> = (0..4)
+            .map(|_| (0..3).map(|_| rng.gen_range(-1.0..1.0)).collect())
+            .collect();
+        let labels = [0, 1, 0, 1];
+        let point_spec = crate::PointSpec::from_classification(&points, &labels, 2, 1e-4);
+        let config = RepairConfig::default();
+        let ddnn = crate::repair_points(&net, 1, &point_spec, &config)
+            .expect("point repair succeeds")
+            .repaired;
+        assert_ne!(ddnn.activation_network(), ddnn.value_network());
+        let (start, end) = (vec![-0.5, 0.2, 0.8], vec![0.9, -0.7, -0.2]);
+        let mut spec = PolytopeSpec::new();
+        spec.push(
+            InputPolytope::segment(start.clone(), end.clone()),
+            OutputPolytope::classification(1, 2, 1e-4),
+        );
+        let result = repair_polytopes_ddnn(&ddnn, 2, &spec, &config).expect("repair succeeds");
+        let segment = [start.clone(), end.clone()];
+        let regions = |net| prdnn_syrenn::lin_regions(net, &segment).unwrap().len();
+        assert_eq!(result.num_regions, regions(ddnn.activation_network()));
+        // The value channel splits the segment differently, so the count
+        // tells the channels apart.
+        assert_ne!(result.num_regions, regions(ddnn.value_network()));
+        assert!(result.outcome.stats.lp_rounds >= 1, "no LP was solved");
+        for p in samples(&start, &end) {
+            assert_eq!(result.outcome.repaired.classify(&p), 1, "violated at {p:?}");
+        }
     }
 
     #[test]

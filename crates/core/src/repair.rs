@@ -694,6 +694,28 @@ pub(crate) fn repair_key_points(
     })
 }
 
+/// The oracle row generation must agree with: every key point's rows,
+/// from the same encoder, in one LP solved in one shot.
+#[cfg(test)]
+pub(crate) fn all_rows_delta(
+    ddnn: &DecoupledNetwork,
+    layer: usize,
+    key_points: &[KeyPoint],
+    config: &RepairConfig,
+) -> Result<Vec<f64>, LpError> {
+    let pairs: Vec<(&[f64], &[f64])> = key_points
+        .iter()
+        .map(|kp| (kp.activation_point.as_slice(), kp.point.as_slice()))
+        .collect();
+    let pool = prdnn_par::pool_for(Some(1));
+    let (jacobians, outputs) = ddnn.jacobians_and_outputs_batch_in(&pool, layer, &pairs);
+    let encoding = KeyPointRows::new(key_points, &jacobians, &outputs);
+    let all: Vec<usize> = (0..encoding.rows.len()).collect();
+    let num_params = ddnn.value_network().layer(layer).num_params();
+    let (lp, _) = encoding.lp(&all, num_params, config);
+    prdnn_lp::solve_with_limit(&lp, config.max_lp_iterations).map(|solution| solution.values)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -703,27 +725,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// The oracle row generation must agree with: every key point's rows,
-    /// from the same encoder, in one LP solved in one shot.
-    fn all_rows_delta(
-        ddnn: &DecoupledNetwork,
-        layer: usize,
-        key_points: &[KeyPoint],
-        config: &RepairConfig,
-    ) -> Result<Vec<f64>, LpError> {
-        let pairs: Vec<(&[f64], &[f64])> = key_points
-            .iter()
-            .map(|kp| (kp.activation_point.as_slice(), kp.point.as_slice()))
-            .collect();
-        let pool = prdnn_par::pool_for(Some(1));
-        let (jacobians, outputs) = ddnn.jacobians_and_outputs_batch_in(&pool, layer, &pairs);
-        let encoding = KeyPointRows::new(key_points, &jacobians, &outputs);
-        let all: Vec<usize> = (0..encoding.rows.len()).collect();
-        let num_params = ddnn.value_network().layer(layer).num_params();
-        let (lp, _) = encoding.lp(&all, num_params, config);
-        prdnn_lp::solve_with_limit(&lp, config.max_lp_iterations).map(|solution| solution.values)
-    }
-
     /// A random repair: a ReLU MLP `2 → width → width → 3`, the layer to
     /// repair, and a spec of `count` items of one kind.
     #[derive(Debug, Clone)]
@@ -732,7 +733,9 @@ mod tests {
         width: usize,
         layer: usize,
         /// 0: classification points; 1: interval points, some already
-        /// satisfied; 2: classification segments; 3: interval segments.
+        /// satisfied; 2: classification segments; 3: interval segments;
+        /// 4 and 5: interval points and segments that a drawn `Δ`
+        /// satisfies ([`feasible_key_points`]).
         kind: u8,
         count: usize,
         linf: bool,
@@ -742,7 +745,7 @@ mod tests {
     fn case() -> impl Strategy<Value = Case> {
         (
             (0u64..1 << 40, 3usize..8, 0usize..3),
-            (0u8..4, 1usize..6, 0u8..2),
+            (0u8..6, 1usize..6, 0u8..2),
             (0u8..2, 0.05..2.0f64),
         )
             .prop_map(
@@ -758,6 +761,10 @@ mod tests {
             )
     }
 
+    fn random_point(rng: &mut StdRng) -> Vec<f64> {
+        vec![rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)]
+    }
+
     /// The case's network and key points, built as the public entry points
     /// build them.
     fn build(c: &Case) -> (prdnn_nn::Network, Vec<KeyPoint>) {
@@ -767,7 +774,10 @@ mod tests {
             prdnn_nn::Activation::Relu,
             &mut rng,
         );
-        let point = |rng: &mut StdRng| vec![rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)];
+        if c.kind >= 4 {
+            let key_points = feasible_key_points(c, &net, &mut rng);
+            return (net, key_points);
+        }
         let constraint = |rng: &mut StdRng, y: Vec<f64>| match c.kind % 2 {
             0 => OutputPolytope::classification(rng.gen_range(0..3), 3, 1e-3),
             _ => {
@@ -779,7 +789,7 @@ mod tests {
         let key_points = if c.kind < 2 {
             (0..c.count)
                 .map(|_| {
-                    let x = point(&mut rng);
+                    let x = random_point(&mut rng);
                     let constraint = constraint(&mut rng, net.forward(&x));
                     KeyPoint::pointwise(x, constraint)
                 })
@@ -787,7 +797,7 @@ mod tests {
         } else {
             let mut spec = PolytopeSpec::new();
             for _ in 0..c.count {
-                let (start, end) = (point(&mut rng), point(&mut rng));
+                let (start, end) = (random_point(&mut rng), random_point(&mut rng));
                 let constraint = constraint(&mut rng, net.forward(&start));
                 spec.push(InputPolytope::segment(start, end), constraint);
             }
@@ -795,6 +805,49 @@ mod tests {
             region_key_points(&pool, &net, &spec).expect("segments").0
         };
         (net, key_points)
+    }
+
+    /// Kinds 4 (points) and 5 (segments): a spec that a drawn `Δ` for the
+    /// case's layer satisfies, within the case's bound, so both LPs are
+    /// feasible.  Each item is an interval box around the `Δ`-repaired
+    /// DDNN's outputs at all of the item's key points (a segment's are its
+    /// region vertices), widened by a margin narrow enough that `Δ = 0`
+    /// violates a row in most cases.
+    fn feasible_key_points(c: &Case, net: &prdnn_nn::Network, rng: &mut StdRng) -> Vec<KeyPoint> {
+        let scale = 0.9 * c.param_bound.unwrap_or(0.5);
+        let delta: Vec<f64> = (0..net.layer(c.layer).num_params())
+            .map(|_| rng.gen_range(-scale..scale))
+            .collect();
+        let mut repaired = DecoupledNetwork::from_network(net);
+        repaired.apply_value_delta(c.layer, &delta);
+        let pool = prdnn_par::pool_for(Some(1));
+        let placeholder = OutputPolytope::interval(&[0.0; 3], &[0.0; 3]);
+        let mut key_points = Vec::new();
+        for _ in 0..c.count {
+            let mut item = if c.kind == 4 {
+                vec![KeyPoint::pointwise(random_point(rng), placeholder.clone())]
+            } else {
+                let mut spec = PolytopeSpec::new();
+                let segment = InputPolytope::segment(random_point(rng), random_point(rng));
+                spec.push(segment, placeholder.clone());
+                region_key_points(&pool, net, &spec).expect("segments").0
+            };
+            let margin = rng.gen_range(1e-4..1e-2);
+            let (mut lo, mut hi) = ([f64::INFINITY; 3], [f64::NEG_INFINITY; 3]);
+            for kp in &item {
+                let y = repaired.forward_decoupled(&kp.activation_point, &kp.point);
+                for (k, &yk) in y.iter().enumerate() {
+                    lo[k] = lo[k].min(yk - margin);
+                    hi[k] = hi[k].max(yk + margin);
+                }
+            }
+            let constraint = OutputPolytope::interval(&lo, &hi);
+            for kp in &mut item {
+                kp.constraint = constraint.clone();
+            }
+            key_points.extend(item);
+        }
+        key_points
     }
 
     proptest! {
@@ -831,6 +884,7 @@ mod tests {
                     prop_assert_eq!(stats.lp_rounds == 0, stats.lp_rows == 0);
                 }
                 (Err(generated), Err(oracle)) => {
+                    prop_assert!(c.kind < 4, "a feasible spec was not repaired: {:?}", generated);
                     prop_assert_eq!(generated, RepairError::from(oracle));
                 }
                 (generated, oracle) => prop_assert!(

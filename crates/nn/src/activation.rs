@@ -5,15 +5,17 @@
 //! the corresponding activation-channel pre-activation.  This module provides
 //! the activation functions used in the evaluation (ReLU for the image and
 //! ACAS networks) together with the smooth ones (Tanh, Sigmoid) used to show
-//! point repair works for non-piecewise-linear networks.
+//! point repair works for non-piecewise-linear networks.  A layer's
+//! activation as a whole — element-wise or pooling — is described by
+//! [`crate::ActivationKernel`], which calls the slice kernels below.
 //!
 //! # Slice kernels
 //!
 //! Each function is defined once, per scalar: [`Activation::apply_scalar`]
 //! and [`Activation::derivative_scalar`].  The slice kernels
-//! ([`Activation::apply_into`], [`Activation::linearize_into`]) and every
-//! `Vec` entry point built on them call those scalar functions, but from a
-//! loop that is expanded once per variant with the variant fixed.  After
+//! ([`Activation::apply_into`], [`Activation::apply_linearized_into`]) and
+//! every `Vec` entry point call those scalar functions, but from a loop
+//! that is expanded once per variant with the variant fixed.  After
 //! inlining, the scalar `match` folds away, so a slice pays one dispatch
 //! per call instead of one per element, and the element loop is free to
 //! vectorise.  Each element is still the scalar function's own expression,
@@ -174,34 +176,43 @@ impl Activation {
 
     /// The linearisation of `σ` around `center` (Definition 4.2), returned as
     /// per-component `(slope, intercept)` pairs such that
-    /// `Linearize[σ, center](x)_i = slope_i · x_i + intercept_i`.
+    /// `Linearize[σ, center](x)_i = slope_i · x_i + intercept_i`, with
+    /// slope `σ'(c)` ([`Self::derivative_scalar`]) and intercept
+    /// `σ(c) − σ'(c)·c`.
     ///
     /// The linearisation is exact at its centre: `slope·center + intercept =
     /// σ(center)`.
     pub fn linearize(self, center: &[f64]) -> Vec<(f64, f64)> {
-        let (mut slopes, mut intercepts) = (zeros(center.len()), zeros(center.len()));
-        self.linearize_into(center, &mut slopes, &mut intercepts);
-        slopes.into_iter().zip(intercepts).collect()
+        per_variant!(self, |act| {
+            center
+                .iter()
+                .map(|&c| {
+                    let slope = act.derivative_scalar(c);
+                    (slope, act.apply_scalar(c) - slope * c)
+                })
+                .collect()
+        })
     }
 
-    /// [`Self::linearize`] as a slice kernel: writes each component's slope
-    /// `σ'(c)` ([`Self::derivative_scalar`]) and intercept `σ(c) − σ'(c)·c`
-    /// into two caller-owned slices, with no `(slope, intercept)` pairs in
-    /// between.
+    /// Writes `Linearize[σ, center](z)` into `out`: each component's
+    /// `slope·z + intercept`, with [`Self::linearize`]'s slope and
+    /// intercept at the matching component of `center`.  This is the DDNN
+    /// value channel's step (Definition 4.3), with `center` the activation
+    /// channel's pre-activation.
     ///
     /// # Panics
     ///
-    /// Panics unless `center`, `slopes` and `intercepts` have one length.
-    pub fn linearize_into(self, center: &[f64], slopes: &mut [f64], intercepts: &mut [f64]) {
+    /// Panics unless `center`, `z` and `out` have one length.
+    pub fn apply_linearized_into(self, center: &[f64], z: &[f64], out: &mut [f64]) {
         assert!(
-            slopes.len() == center.len() && intercepts.len() == center.len(),
-            "linearize_into: length mismatch"
+            z.len() == center.len() && out.len() == center.len(),
+            "apply_linearized_into: length mismatch"
         );
         per_variant!(self, |act| {
-            for ((s, b), &c) in slopes.iter_mut().zip(intercepts.iter_mut()).zip(center) {
+            for ((o, &c), &x) in out.iter_mut().zip(center).zip(z) {
                 let slope = act.derivative_scalar(c);
-                *s = slope;
-                *b = act.apply_scalar(c) - slope * c;
+                let intercept = act.apply_scalar(c) - slope * c;
+                *o = slope * x + intercept;
             }
         })
     }
@@ -218,11 +229,11 @@ impl Activation {
     /// or `None` for smooth activations.
     ///
     /// These are the values the linear-region computation subdivides on.
-    pub fn breakpoints(self) -> Option<Vec<f64>> {
+    pub fn breakpoints(self) -> Option<&'static [f64]> {
         match self {
-            Activation::Relu | Activation::LeakyRelu { .. } => Some(vec![0.0]),
-            Activation::HardTanh => Some(vec![-1.0, 1.0]),
-            Activation::Identity => Some(vec![]),
+            Activation::Relu | Activation::LeakyRelu { .. } => Some(&[0.0]),
+            Activation::HardTanh => Some(&[-1.0, 1.0]),
+            Activation::Identity => Some(&[]),
             Activation::Tanh | Activation::Sigmoid => None,
         }
     }
@@ -236,7 +247,7 @@ impl Activation {
             None => 0,
             Some(bps) => {
                 let mut idx = 0i8;
-                for b in bps {
+                for &b in bps {
                     if x >= b {
                         idx += 1;
                     }
@@ -319,9 +330,34 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// [`bits`] with every NaN read as one pattern.  The linearised kernels
+    /// add two terms that are both NaN where the centre is infinite and the
+    /// value NaN; Rust promises no sign or payload for such a sum, and an
+    /// optimised build may commute the operands, so only NaN-ness is
+    /// compared there.
+    fn bits_any_nan(xs: &[f64]) -> Vec<u64> {
+        xs.iter()
+            .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    /// `slope·z + intercept` with [`Activation::linearize`]'s slope and
+    /// intercept at `center`, written out per scalar.
+    fn linearized_scalar(act: Activation, center: &[f64], z: &[f64]) -> Vec<f64> {
+        center
+            .iter()
+            .zip(z)
+            .map(|(&c, &x)| {
+                let slope = act.derivative_scalar(c);
+                slope * x + (act.apply_scalar(c) - slope * c)
+            })
+            .collect()
+    }
+
     #[test]
     fn slice_kernels_equal_the_scalar_functions_bit_for_bit() {
         let xs = edge_inputs();
+        let zs: Vec<f64> = xs.iter().rev().copied().collect();
         for act in VARIANTS {
             let apply: Vec<f64> = xs.iter().map(|&x| act.apply_scalar(x)).collect();
             let slopes: Vec<f64> = xs.iter().map(|&x| act.derivative_scalar(x)).collect();
@@ -340,23 +376,24 @@ mod tests {
                 bits(&slopes),
                 "{act}: derivative"
             );
-            let (mut s, mut b) = (vec![0.0; xs.len()], vec![0.0; xs.len()]);
-            act.linearize_into(&xs, &mut s, &mut b);
-            assert_eq!(bits(&s), bits(&slopes), "{act}: linearize_into slopes");
-            assert_eq!(
-                bits(&b),
-                bits(&intercepts),
-                "{act}: linearize_into intercepts"
-            );
             let (s, b): (Vec<f64>, Vec<f64>) = act.linearize(&xs).into_iter().unzip();
             assert_eq!(bits(&s), bits(&slopes), "{act}: linearize slopes");
             assert_eq!(bits(&b), bits(&intercepts), "{act}: linearize intercepts");
+            // The value channel's step, at its centre and at another input.
+            for z in [&xs, &zs] {
+                act.apply_linearized_into(&xs, z, &mut out);
+                assert_eq!(
+                    bits_any_nan(&out),
+                    bits_any_nan(&linearized_scalar(act, &xs, z)),
+                    "{act}: apply_linearized_into"
+                );
+            }
         }
     }
 
     #[test]
     fn layer_entry_points_equal_the_scalar_functions_bit_for_bit() {
-        use crate::{ActivationLinearization, FlatBatch, Layer, Pool2dLayer};
+        use crate::{FlatBatch, Layer, Pool2dLayer};
         use prdnn_linalg::Matrix;
         let z = edge_inputs();
         let reversed: Vec<f64> = z.iter().rev().copied().collect();
@@ -376,26 +413,21 @@ mod tests {
                 bits(&apply(&reversed)),
                 "{act}: batch row 1"
             );
-            let want = |xs: &[f64]| {
-                let lin = act.linearize(xs);
-                (
-                    bits(&lin.iter().map(|p| p.0).collect::<Vec<_>>()),
-                    bits(&lin.iter().map(|p| p.1).collect::<Vec<_>>()),
-                )
-            };
-            let got = |lin: &ActivationLinearization| match lin {
-                ActivationLinearization::Elementwise { slopes, intercepts } => {
-                    (bits(slopes), bits(intercepts))
-                }
-                other => panic!("{act}: not element-wise: {other:?}"),
-            };
-            assert_eq!(got(&layer.linearize_activation(&z)), want(&z), "{act}");
-            let lins = layer.linearize_activation_batch_flat(&batch);
-            assert_eq!(got(&lins[0]), want(&z), "{act}: batch row 0");
-            assert_eq!(got(&lins[1]), want(&reversed), "{act}: batch row 1");
+            let kernel = layer.activation_kernel();
+            let mut out = vec![0.0; z.len()];
+            for (center, value) in [(&z, &z), (&z, &reversed), (&reversed, &z)] {
+                kernel.apply_linearized_row(center, value, &mut out);
+                assert_eq!(
+                    bits_any_nan(&out),
+                    bits_any_nan(&linearized_scalar(act, center, value)),
+                    "{act}: apply_linearized_row"
+                );
+            }
         }
         // Max pooling over the same values: 2×2 windows (a loop of their
-        // own) and 3×3 windows, against the fold written out.
+        // own) and 3×3 windows, against the fold written out; and the
+        // linearised pool, which copies each window's first strict
+        // maximum of the centre, so ties and NaNs keep the earlier entry.
         for side in [2, 3] {
             let (h, w) = (3, 25);
             let layer = Layer::MaxPool2d(Pool2dLayer {
@@ -407,24 +439,51 @@ mod tests {
                 stride: 1,
             });
             let z: Vec<f64> = EDGES.iter().cycle().take(h * w).copied().collect();
-            let want: Vec<f64> = (0..=h - side)
+            let windows: Vec<Vec<usize>> = (0..=h - side)
                 .flat_map(|oy| (0..=w - side).map(move |ox| (oy, ox)))
                 .map(|(oy, ox)| {
                     (0..side * side)
-                        .map(|k| z[(oy + k / side) * w + ox + k % side])
-                        .fold(f64::NEG_INFINITY, f64::max)
+                        .map(|k| (oy + k / side) * w + ox + k % side)
+                        .collect()
                 })
+                .collect();
+            let want: Vec<f64> = windows
+                .iter()
+                .map(|win| win.iter().map(|&i| z[i]).fold(f64::NEG_INFINITY, f64::max))
                 .collect();
             assert_eq!(
                 bits(&layer.activate(&z)),
                 bits(&want),
                 "{side}x{side} max pool"
             );
-            let out = layer.activate_batch_flat(&FlatBatch::from_rows(h * w, &[z]));
+            let out =
+                layer.activate_batch_flat(&FlatBatch::from_rows(h * w, std::slice::from_ref(&z)));
             assert_eq!(
                 bits(out.row(0)),
                 bits(&want),
                 "{side}x{side} max pool batch"
+            );
+            let value: Vec<f64> = (0..h * w).map(|i| i as f64).collect();
+            let selected: Vec<f64> = windows
+                .iter()
+                .map(|win| {
+                    let mut best = win[0];
+                    for &i in win {
+                        if z[i] > z[best] {
+                            best = i;
+                        }
+                    }
+                    value[best]
+                })
+                .collect();
+            let mut out = vec![0.0; windows.len()];
+            layer
+                .activation_kernel()
+                .apply_linearized_row(&z, &value, &mut out);
+            assert_eq!(
+                bits(&out),
+                bits(&selected),
+                "{side}x{side} linearised max pool"
             );
         }
     }
@@ -485,7 +544,7 @@ mod tests {
         assert!(Activation::HardTanh.is_piecewise_linear());
         assert!(!Activation::Tanh.is_piecewise_linear());
         assert!(!Activation::Sigmoid.is_piecewise_linear());
-        assert_eq!(Activation::Relu.breakpoints(), Some(vec![0.0]));
+        assert_eq!(Activation::Relu.breakpoints(), Some(&[0.0][..]));
         assert_eq!(Activation::Tanh.breakpoints(), None);
     }
 

@@ -15,9 +15,11 @@
 //!   *input* and with respect to the *parameters*, which are used both to
 //!   build the repair LP (Algorithm 1, line 5) and for gradient-descent
 //!   training of the fine-tuning baselines, and
-//! * the layer's activation-linearisation around an activation-channel
-//!   pre-activation (Definition 4.2/4.3), which defines the value channel of
-//!   a Decoupled DNN.
+//! * the layer's activation as one [`ActivationKernel`], which activates,
+//!   applies the activation linearised around an activation-channel
+//!   pre-activation (Definition 4.2/4.3, the value channel of a Decoupled
+//!   DNN), back-propagates through that linearisation, and tells the
+//!   linear-region computation where the activation changes piece.
 //!
 //! # Convolutions on the GEMM
 //!
@@ -56,116 +58,6 @@ use crate::activation::Activation;
 use crate::batch::{zeros, FlatBatch};
 use prdnn_linalg::{gemm, Matrix};
 use serde::{Deserialize, Serialize};
-
-/// How a layer's activation can cross between linear pieces.
-///
-/// This is the information the linear-region computation
-/// (`prdnn-syrenn`) needs from each layer: where, as a function of the
-/// pre-activation vector, the layer switches from one affine piece to
-/// another.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CrossingSpec {
-    /// The layer is affine: it never introduces new linear regions.
-    None,
-    /// Element-wise PWL activation: unit `i` crosses whenever its
-    /// pre-activation equals one of the listed thresholds.
-    ElementwiseThresholds(Vec<f64>),
-    /// Max-pooling: a crossing happens whenever two pre-activation entries
-    /// inside the same window become equal.  Each inner vector lists the
-    /// pre-activation indices belonging to one window.
-    WindowPairs(Vec<Vec<usize>>),
-    /// The layer's activation is not piecewise linear (Tanh/Sigmoid); linear
-    /// regions are not defined for it.
-    NotPiecewiseLinear,
-}
-
-/// The (affine) linearisation of a layer's activation around a fixed
-/// pre-activation, as used by the value channel of a DDNN.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ActivationLinearization {
-    /// Element-wise: `out_i = slope_i · z_i + intercept_i`.
-    Elementwise {
-        /// Per-component slope of the linearisation.
-        slopes: Vec<f64>,
-        /// Per-component intercept of the linearisation.
-        intercepts: Vec<f64>,
-    },
-    /// Selection (max-pooling): `out_w = z[selected[w]]`.
-    Selection {
-        /// For each output, the input index it copies.
-        selected: Vec<usize>,
-        /// Dimension of the pre-activation the selection reads from.
-        in_dim: usize,
-    },
-    /// Fixed averaging (average pooling): `out_w = mean(z[window_w])`.
-    Averaging {
-        /// For each output, the input indices it averages.
-        windows: Vec<Vec<usize>>,
-        /// Dimension of the pre-activation the averaging reads from.
-        in_dim: usize,
-    },
-}
-
-impl ActivationLinearization {
-    /// Applies the linearisation to a pre-activation vector.
-    pub fn apply(&self, z: &[f64]) -> Vec<f64> {
-        match self {
-            ActivationLinearization::Elementwise { slopes, intercepts } => z
-                .iter()
-                .zip(slopes.iter().zip(intercepts))
-                .map(|(zi, (s, b))| s * zi + b)
-                .collect(),
-            ActivationLinearization::Selection { selected, .. } => {
-                selected.iter().map(|&i| z[i]).collect()
-            }
-            ActivationLinearization::Averaging { windows, .. } => windows
-                .iter()
-                .map(|w| w.iter().map(|&i| z[i]).sum::<f64>() / w.len() as f64)
-                .collect(),
-        }
-    }
-
-    /// Computes `rows · D`, where `D` is the Jacobian of the linearisation
-    /// (i.e. the slopes/selection/averaging matrix) and `rows` has one column
-    /// per linearisation *output*.
-    pub fn vjp(&self, rows: &Matrix) -> Matrix {
-        match self {
-            ActivationLinearization::Elementwise { slopes, .. } => {
-                Matrix::from_fn(rows.rows(), slopes.len(), |r, c| rows[(r, c)] * slopes[c])
-            }
-            ActivationLinearization::Selection { selected, in_dim } => {
-                let mut out = Matrix::zeros(rows.rows(), *in_dim);
-                for r in 0..rows.rows() {
-                    for (w, &i) in selected.iter().enumerate() {
-                        out[(r, i)] += rows[(r, w)];
-                    }
-                }
-                out
-            }
-            ActivationLinearization::Averaging { windows, in_dim } => {
-                let mut out = Matrix::zeros(rows.rows(), *in_dim);
-                for r in 0..rows.rows() {
-                    for (w, idxs) in windows.iter().enumerate() {
-                        let coeff = rows[(r, w)] / idxs.len() as f64;
-                        for &i in idxs {
-                            out[(r, i)] += coeff;
-                        }
-                    }
-                }
-                out
-            }
-        }
-    }
-
-    /// Output dimension of the linearised activation.
-    pub fn output_dim(&self) -> usize {
-        match self {
-            ActivationLinearization::Elementwise { slopes, .. } => slopes.len(),
-            ActivationLinearization::Selection { selected, .. } => selected.len(),
-            ActivationLinearization::Averaging { windows, .. } => windows.len(),
-        }
-    }
-}
 
 /// A fully-connected layer `σ(W x + b)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -510,20 +402,11 @@ impl Pool2dLayer {
         (self.in_width - self.pool_w) / self.stride + 1
     }
 
-    /// The input indices covered by each pooling window, in output order.
-    pub fn windows(&self) -> Vec<Vec<usize>> {
-        let flat = self.flat_windows();
-        flat.iter().map(|w| w.to_vec()).collect()
-    }
-
-    /// The window index map as one flat buffer ([`PoolWindows`]).
-    ///
-    /// Every window of a pooling layer has the same size
-    /// (`pool_h × pool_w`), so the nested `Vec<Vec<usize>>` of
-    /// [`Self::windows`] — one heap allocation per window — carries no
-    /// information a flat `windows × window_len` index table doesn't.  The
-    /// batch entry points compute this table once per call and share it
-    /// across the whole batch.
+    /// The input indices covered by each pooling window, in output order,
+    /// as one flat `windows × window_len` table ([`PoolWindows`]): every
+    /// window has the same size (`pool_h × pool_w`).  The batch entry
+    /// points compute this table once per call and share it across the
+    /// whole batch.
     pub fn flat_windows(&self) -> PoolWindows {
         let (oh, ow) = (self.out_height(), self.out_width());
         let window_len = self.pool_h * self.pool_w;
@@ -549,8 +432,7 @@ impl Pool2dLayer {
 }
 
 /// The input-index map of a pooling layer, flattened: window `w` reads the
-/// input positions `self.window(w)`.  One allocation for the whole map,
-/// where the nested [`Pool2dLayer::windows`] form allocates per window.
+/// input positions `self.window(w)`.  One allocation for the whole map.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolWindows {
     indices: Vec<usize>,
@@ -580,12 +462,14 @@ impl PoolWindows {
 /// A layer's activation, prepared once for many rows: the element-wise
 /// function, or the pooling window table ([`Layer::activation_kernel`]).
 ///
-/// Every activation pass runs through [`Self::apply_row`]:
-/// [`Layer::activate`], [`Layer::activate_batch_flat`], and the SyReNN
-/// transformers, which activate each row of the next layer's batch the
-/// moment they build it.  Element-wise rows go through
-/// [`Activation::apply_into`], whose `match` sits outside the element
-/// loop.
+/// Every pass reads this one description of the activation:
+/// [`Self::apply_row`] activates (the forward passes and the SyReNN
+/// transformers), [`Self::apply_linearized_row`] is the DDNN value
+/// channel, [`Self::vjp`] the DDNN Jacobian's and training's backward step,
+/// and [`Self::is_affine`] with the variants' data (an activation's
+/// breakpoints, a pool's windows) gives SyReNN its crossings.
+/// Element-wise rows go through the [`Activation`] slice kernels, whose
+/// `match` sits outside the element loop.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ActivationKernel {
     /// An element-wise activation.
@@ -605,6 +489,31 @@ impl ActivationKernel {
             ActivationKernel::Elementwise(_) => input_dim,
             ActivationKernel::Max(w) | ActivationKernel::Average(w) => w.count(),
         }
+    }
+
+    /// Whether the activation is affine (Identity, average pooling), so
+    /// that it never splits a linear region.  Smooth activations are not.
+    pub fn is_affine(&self) -> bool {
+        match self {
+            ActivationKernel::Elementwise(activation) => {
+                matches!(activation.breakpoints(), Some([]))
+            }
+            ActivationKernel::Max(_) => false,
+            ActivationKernel::Average(_) => true,
+        }
+    }
+
+    /// The position in `window` of its first strict maximum of `z`: a tie,
+    /// or a NaN, keeps the earlier position.  Max pooling's linearisation,
+    /// its backward step and its activation pattern all select by it.
+    fn argmax(window: &[usize], z: &[f64]) -> usize {
+        let mut best = 0;
+        for (k, &i) in window.iter().enumerate() {
+            if z[i] > z[window[best]] {
+                best = k;
+            }
+        }
+        best
     }
 
     /// Writes the activation of pre-activation `z` into `out`.
@@ -637,6 +546,70 @@ impl ActivationKernel {
                 for (o, w) in out.iter_mut().zip(windows.iter()) {
                     *o = w.iter().map(|&i| z[i]).sum::<f64>() / w.len() as f64;
                 }
+            }
+        }
+    }
+
+    /// Writes the activation linearised at `center` (Definition 4.2),
+    /// applied to `z`, into `out`: the DDNN value channel's step
+    /// (Definition 4.3), with `center` the activation channel's
+    /// pre-activation and `z` the value channel's.  Max pooling copies the
+    /// entry of `z` at each window's argmax of `center`; average pooling is
+    /// affine, so it is its own linearisation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not [`Self::output_dim`] of `z.len()`, if
+    /// an element-wise `center` and `z` differ in length, or if a pooling
+    /// window reads past `center` or `z`.
+    pub fn apply_linearized_row(&self, center: &[f64], z: &[f64], out: &mut [f64]) {
+        match self {
+            ActivationKernel::Elementwise(activation) => {
+                activation.apply_linearized_into(center, z, out)
+            }
+            ActivationKernel::Max(windows) => {
+                let count = windows.count();
+                assert_eq!(out.len(), count, "apply_linearized_row: output mismatch");
+                for (o, w) in out.iter_mut().zip(windows.iter()) {
+                    *o = z[w[Self::argmax(w, center)]];
+                }
+            }
+            ActivationKernel::Average(_) => self.apply_row(z, out),
+        }
+    }
+
+    /// Computes `rows · D`, where `D` is the Jacobian of the activation
+    /// linearised at `center` ([`Self::apply_linearized_row`] as a function
+    /// of `z`) and `rows` has one column per activation output.  The result
+    /// has one column per entry of `center`.
+    pub fn vjp(&self, center: &[f64], rows: &Matrix) -> Matrix {
+        match self {
+            ActivationKernel::Elementwise(activation) => {
+                let slopes = activation.derivative(center);
+                Matrix::from_fn(rows.rows(), slopes.len(), |r, c| rows[(r, c)] * slopes[c])
+            }
+            ActivationKernel::Max(windows) => {
+                let selected: Vec<usize> =
+                    windows.iter().map(|w| w[Self::argmax(w, center)]).collect();
+                let mut out = Matrix::zeros(rows.rows(), center.len());
+                for r in 0..rows.rows() {
+                    for (w, &i) in selected.iter().enumerate() {
+                        out[(r, i)] += rows[(r, w)];
+                    }
+                }
+                out
+            }
+            ActivationKernel::Average(windows) => {
+                let mut out = Matrix::zeros(rows.rows(), center.len());
+                for r in 0..rows.rows() {
+                    for (w, idxs) in windows.iter().enumerate() {
+                        let coeff = rows[(r, w)] / idxs.len() as f64;
+                        for &i in idxs {
+                            out[(r, i)] += coeff;
+                        }
+                    }
+                }
+                out
             }
         }
     }
@@ -916,96 +889,6 @@ impl Layer {
         self.activate_batch_flat(&self.preactivation_batch_flat(inputs))
     }
 
-    /// The linearisation of the layer's activation around pre-activation
-    /// `z_center` (Definition 4.2), used by the DDNN value channel.
-    pub fn linearize_activation(&self, z_center: &[f64]) -> ActivationLinearization {
-        let elementwise = |activation: Activation| {
-            let (mut slopes, mut intercepts) = (zeros(z_center.len()), zeros(z_center.len()));
-            activation.linearize_into(z_center, &mut slopes, &mut intercepts);
-            ActivationLinearization::Elementwise { slopes, intercepts }
-        };
-        match self {
-            Layer::Dense(d) => elementwise(d.activation),
-            Layer::Conv2d(c) => elementwise(c.activation),
-            Layer::MaxPool2d(p) => {
-                let selected = p
-                    .flat_windows()
-                    .iter()
-                    .map(|w| {
-                        let mut best = w[0];
-                        for &i in w {
-                            if z_center[i] > z_center[best] {
-                                best = i;
-                            }
-                        }
-                        best
-                    })
-                    .collect();
-                ActivationLinearization::Selection {
-                    selected,
-                    in_dim: self.input_dim(),
-                }
-            }
-            Layer::AvgPool2d(p) => ActivationLinearization::Averaging {
-                windows: p.windows(),
-                in_dim: self.input_dim(),
-            },
-        }
-    }
-
-    /// Linearises the layer's activation around every centre in a
-    /// batch-major flat buffer (the batch form of
-    /// [`Self::linearize_activation`]).
-    ///
-    /// For pooling layers the window index set is computed once and shared
-    /// across the whole batch — the per-centre selection/averaging is built
-    /// from the shared windows, where the per-vector call re-enumerates
-    /// them every time.  This is what makes the batched DDNN channels cheap
-    /// in vertex-heavy repair loops.
-    pub fn linearize_activation_batch_flat(
-        &self,
-        z_centers: &FlatBatch,
-    ) -> Vec<ActivationLinearization> {
-        match self {
-            Layer::Dense(_) | Layer::Conv2d(_) => z_centers
-                .rows()
-                .map(|z| self.linearize_activation(z))
-                .collect(),
-            Layer::MaxPool2d(p) => {
-                let windows = p.flat_windows();
-                let in_dim = self.input_dim();
-                z_centers
-                    .rows()
-                    .map(|z| {
-                        let selected = windows
-                            .iter()
-                            .map(|w| {
-                                let mut best = w[0];
-                                for &i in w {
-                                    if z[i] > z[best] {
-                                        best = i;
-                                    }
-                                }
-                                best
-                            })
-                            .collect();
-                        ActivationLinearization::Selection { selected, in_dim }
-                    })
-                    .collect()
-            }
-            Layer::AvgPool2d(p) => {
-                let windows = p.windows();
-                let in_dim = self.input_dim();
-                (0..z_centers.count())
-                    .map(|_| ActivationLinearization::Averaging {
-                        windows: windows.clone(),
-                        in_dim,
-                    })
-                    .collect()
-            }
-        }
-    }
-
     /// The element-wise activation of a dense/conv layer, if any.
     pub fn activation(&self) -> Option<Activation> {
         match self {
@@ -1024,38 +907,18 @@ impl Layer {
         }
     }
 
-    /// How this layer's activation crosses between linear pieces, as a
-    /// function of its pre-activation.
-    pub fn crossing_spec(&self) -> CrossingSpec {
-        match self {
-            Layer::Dense(d) => elementwise_crossing(d.activation),
-            Layer::Conv2d(c) => elementwise_crossing(c.activation),
-            Layer::MaxPool2d(p) => CrossingSpec::WindowPairs(p.windows()),
-            Layer::AvgPool2d(_) => CrossingSpec::None,
-        }
-    }
-
     /// The activation pattern of the layer at pre-activation `z`
     /// (Definition 2.5): one small integer per pre-activation unit (the
-    /// linear piece it falls in) or per window (the argmax position).
+    /// linear piece it falls in) or per max-pool window (the position of
+    /// its argmax, the entry the linearised pool copies).
     pub fn activation_pattern(&self, z: &[f64]) -> Vec<i8> {
-        match self {
-            Layer::Dense(d) => z.iter().map(|&x| d.activation.piece_index(x)).collect(),
-            Layer::Conv2d(c) => z.iter().map(|&x| c.activation.piece_index(x)).collect(),
-            Layer::MaxPool2d(p) => p
-                .flat_windows()
+        match self.activation_kernel() {
+            ActivationKernel::Elementwise(a) => z.iter().map(|&x| a.piece_index(x)).collect(),
+            ActivationKernel::Max(windows) => windows
                 .iter()
-                .map(|w| {
-                    let mut best = 0usize;
-                    for (k, &i) in w.iter().enumerate() {
-                        if z[i] > z[w[best]] {
-                            best = k;
-                        }
-                    }
-                    best as i8
-                })
+                .map(|w| ActivationKernel::argmax(w, z) as i8)
                 .collect(),
-            Layer::AvgPool2d(_) => Vec::new(),
+            ActivationKernel::Average(_) => Vec::new(),
         }
     }
 
@@ -1118,14 +981,6 @@ impl Layer {
             Layer::Conv2d(c) => c.param_vjp(rows, input),
             Layer::MaxPool2d(_) | Layer::AvgPool2d(_) => Matrix::zeros(rows.rows(), 0),
         }
-    }
-}
-
-fn elementwise_crossing(activation: Activation) -> CrossingSpec {
-    match activation.breakpoints() {
-        None => CrossingSpec::NotPiecewiseLinear,
-        Some(bps) if bps.is_empty() => CrossingSpec::None,
-        Some(bps) => CrossingSpec::ElementwiseThresholds(bps),
     }
 }
 
@@ -1292,11 +1147,19 @@ mod tests {
         // Window 0 covers indices [0,1,4,5]; argmax is position 1 (value 5).
         assert_eq!(layer.activation_pattern(&input), vec![1, 2]);
         // The linearisation selects the argmax entries.
-        let lin = layer.linearize_activation(&input);
-        assert_eq!(lin.apply(&input), vec![5.0, 9.0]);
+        let kernel = layer.activation_kernel();
+        let mut out = vec![0.0; 2];
+        kernel.apply_linearized_row(&input, &input, &mut out);
+        assert_eq!(out, vec![5.0, 9.0]);
         // On a *different* value-channel vector it still selects positions 1 and 6.
         let other: Vec<f64> = (0..8).map(|i| i as f64 * 10.0).collect();
-        assert_eq!(lin.apply(&other), vec![10.0, 60.0]);
+        kernel.apply_linearized_row(&input, &other, &mut out);
+        assert_eq!(out, vec![10.0, 60.0]);
+        // A tie keeps the earlier position, in the pattern and the selection.
+        let tied = vec![7.0, 7.0, 2.0, 0.0, 7.0, -1.0, 9.0, 9.0];
+        assert_eq!(layer.activation_pattern(&tied), vec![0, 2]);
+        kernel.apply_linearized_row(&tied, &other, &mut out);
+        assert_eq!(out, vec![0.0, 60.0]);
     }
 
     #[test]
@@ -1386,13 +1249,6 @@ mod tests {
                     .zip(&layer.forward(input))
                     .all(|(a, b)| a.to_bits() == b.to_bits()));
             }
-            assert_eq!(
-                layer.linearize_activation_batch_flat(&z_flat),
-                z_flat
-                    .rows()
-                    .map(|z| layer.linearize_activation(z))
-                    .collect::<Vec<_>>()
-            );
             // Empty batches flow through every entry point.
             let empty = FlatBatch::new(dim);
             assert!(layer.forward_batch_flat(&empty).is_empty());
@@ -1409,50 +1265,20 @@ mod tests {
             pool_w: 3,
             stride: 1,
         };
-        let nested = p.windows();
+        // Each window written out: channel-major, then output row and
+        // column, then the window's own rows and columns.
+        let nested: Vec<Vec<usize>> = (0..2)
+            .flat_map(|c| (0..3).flat_map(move |oy| (0..4).map(move |ox| (c, oy, ox))))
+            .map(|(c, oy, ox)| {
+                (0..2)
+                    .flat_map(|py| (0..3).map(move |px| (c * 4 + oy + py) * 6 + ox + px))
+                    .collect()
+            })
+            .collect();
         let flat = p.flat_windows();
         assert_eq!(flat.count(), nested.len());
         for (w, expected) in flat.iter().zip(&nested) {
             assert_eq!(w, expected.as_slice());
-        }
-    }
-
-    #[test]
-    fn linearize_activation_batch_matches_per_vector_calls() {
-        let layers = vec![
-            dense_example(),
-            conv_example(),
-            Layer::MaxPool2d(Pool2dLayer {
-                channels: 1,
-                in_height: 2,
-                in_width: 4,
-                pool_h: 2,
-                pool_w: 2,
-                stride: 2,
-            }),
-            Layer::AvgPool2d(Pool2dLayer {
-                channels: 1,
-                in_height: 2,
-                in_width: 4,
-                pool_h: 2,
-                pool_w: 2,
-                stride: 2,
-            }),
-        ];
-        for layer in layers {
-            let dim = layer.preactivation_dim();
-            let zs: Vec<Vec<f64>> = (0..4)
-                .map(|k| {
-                    (0..dim)
-                        .map(|i| ((k * dim + i) as f64 * 0.7).cos())
-                        .collect()
-                })
-                .collect();
-            let batch = layer.linearize_activation_batch_flat(&FlatBatch::from_rows(dim, &zs));
-            assert_eq!(batch.len(), zs.len());
-            for (z, lin) in zs.iter().zip(&batch) {
-                assert_eq!(*lin, layer.linearize_activation(z));
-            }
         }
     }
 
@@ -1468,7 +1294,16 @@ mod tests {
         });
         let input = vec![1.0, 2.0, 3.0, 4.0];
         assert_eq!(layer.forward(&input), vec![2.5]);
-        assert_eq!(layer.crossing_spec(), CrossingSpec::None);
+        let kernel = layer.activation_kernel();
+        assert!(kernel.is_affine());
+        // Its own linearisation, wherever it is centred.
+        let mut out = vec![0.0];
+        kernel.apply_linearized_row(&[9.0, -3.0, 0.0, 1.0], &input, &mut out);
+        assert_eq!(out, vec![2.5]);
+        assert_eq!(
+            kernel.vjp(&input, &Matrix::from_rows(&[vec![2.0]])),
+            Matrix::from_rows(&[vec![0.5; 4]])
+        );
         assert_eq!(layer.num_params(), 0);
     }
 
@@ -1476,18 +1311,37 @@ mod tests {
     fn linearization_matches_activation_at_center() {
         let layer = dense_example();
         let z = vec![-0.5, 1.5];
-        let lin = layer.linearize_activation(&z);
-        assert!(approx_eq_slice(&lin.apply(&z), &layer.activate(&z), 1e-12));
+        let mut out = vec![0.0; 2];
+        layer
+            .activation_kernel()
+            .apply_linearized_row(&z, &z, &mut out);
+        assert!(approx_eq_slice(&out, &layer.activate(&z), 1e-12));
     }
 
     #[test]
-    fn crossing_specs() {
-        assert_eq!(
-            dense_example().crossing_spec(),
-            CrossingSpec::ElementwiseThresholds(vec![0.0])
-        );
+    fn activation_kernels_know_their_crossings() {
+        // The kernel says where a layer can change piece: at its
+        // activation's breakpoints, or where two entries of a max-pool
+        // window tie; an affine kernel never.
+        let relu = dense_example().activation_kernel();
+        assert_eq!(relu, ActivationKernel::Elementwise(Activation::Relu));
+        assert!(!relu.is_affine());
+        let identity = Layer::dense(Matrix::identity(2), vec![0.0; 2], Activation::Identity);
+        assert!(identity.activation_kernel().is_affine());
+        let pool = Pool2dLayer {
+            channels: 1,
+            in_height: 2,
+            in_width: 2,
+            pool_h: 2,
+            pool_w: 2,
+            stride: 2,
+        };
+        assert!(!Layer::MaxPool2d(pool.clone())
+            .activation_kernel()
+            .is_affine());
+        assert!(Layer::AvgPool2d(pool).activation_kernel().is_affine());
         let tanh_layer = Layer::dense(Matrix::identity(2), vec![0.0, 0.0], Activation::Tanh);
-        assert_eq!(tanh_layer.crossing_spec(), CrossingSpec::NotPiecewiseLinear);
+        assert!(!tanh_layer.activation_kernel().is_affine());
         assert!(!tanh_layer.is_piecewise_linear());
     }
 
@@ -1665,11 +1519,26 @@ mod tests {
 
     #[test]
     fn activation_linearization_vjp_elementwise() {
-        let lin = ActivationLinearization::Elementwise {
-            slopes: vec![0.0, 1.0, 2.0],
-            intercepts: vec![0.0; 3],
-        };
-        let rows = Matrix::from_rows(&[vec![1.0, 1.0, 1.0]]);
-        assert_eq!(lin.vjp(&rows), Matrix::from_rows(&[vec![0.0, 1.0, 2.0]]));
+        let kernel = ActivationKernel::Elementwise(Activation::LeakyRelu { alpha: 0.5 });
+        let rows = Matrix::from_rows(&[vec![1.0, 1.0, 1.0], vec![2.0, -4.0, 8.0]]);
+        assert_eq!(
+            kernel.vjp(&[-1.0, 0.0, 3.0], &rows),
+            Matrix::from_rows(&[vec![0.5, 1.0, 1.0], vec![1.0, -4.0, 8.0]])
+        );
+        // Max pooling: each column lands on its window's argmax input, a
+        // tie on the earlier one.
+        let pool = Layer::MaxPool2d(Pool2dLayer {
+            channels: 1,
+            in_height: 1,
+            in_width: 4,
+            pool_h: 1,
+            pool_w: 2,
+            stride: 1,
+        });
+        let rows = Matrix::from_rows(&[vec![1.0, 2.0, 4.0]]);
+        assert_eq!(
+            pool.activation_kernel().vjp(&[3.0, 3.0, 5.0, 1.0], &rows),
+            Matrix::from_rows(&[vec![1.0, 0.0, 6.0, 0.0]])
+        );
     }
 }

@@ -36,9 +36,6 @@ pub mod train;
 pub use activation::Activation;
 pub use batch::FlatBatch;
 pub use io::{network_content_hash, network_from_json, network_to_json};
-pub use layer::{
-    ActivationKernel, ActivationLinearization, Conv2dLayer, CrossingSpec, DenseLayer, Layer,
-    Pool2dLayer, PoolWindows,
-};
+pub use layer::{ActivationKernel, Conv2dLayer, DenseLayer, Layer, Pool2dLayer, PoolWindows};
 pub use network::{ActivationPattern, ForwardTrace, Network};
 pub use train::{backprop, cross_entropy, sgd_train, softmax, Dataset, Loss, TrainConfig};

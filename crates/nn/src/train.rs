@@ -78,9 +78,8 @@ pub fn backprop(net: &Network, input: &[f64], label: usize, loss: Loss) -> (f64,
         };
         let z = &trace.preactivations[i];
         // dL/dz = upstream · D where D is the activation Jacobian at z.
-        let lin = layer.linearize_activation(z);
         let upstream_row = Matrix::from_flat(1, upstream.len(), std::mem::take(&mut upstream));
-        let dz = lin.vjp(&upstream_row);
+        let dz = layer.activation_kernel().vjp(z, &upstream_row);
         // Parameter gradient: dL/dθ = dz · ∂z/∂θ.
         grads[i] = layer.preact_param_vjp(&dz, layer_input).into_flat();
         // Input gradient for the next (earlier) layer: dL/dx = dz · ∂z/∂x.

@@ -34,7 +34,7 @@ use crate::transformer::{
     UnitCrossing,
 };
 use crate::{LinearRegion, SyrennError, TOL};
-use prdnn_nn::{ActivationKernel, CrossingSpec, FlatBatch, Layer, Network};
+use prdnn_nn::{ActivationKernel, FlatBatch, Layer, Network};
 
 /// Pipeline state for a segment: an ordered subdivision of `[0, 1]` whose
 /// points carry their running network value.
@@ -59,7 +59,7 @@ struct Cut {
 }
 
 impl TransformerState for ChainState {
-    fn process_layer(&mut self, layer: &Layer, spec: &CrossingSpec) {
+    fn process_layer(&mut self, layer: &Layer, kernel: &ActivationKernel) {
         // Pooling pre-activations are the identity: the carried values
         // already are the pre-activation, so skip the copy.
         let z = if layer.preactivation_is_identity() {
@@ -70,7 +70,7 @@ impl TransformerState for ChainState {
         // A layer's crossings are all of one kind, so at most one of the
         // two tables is non-empty.
         let (mut units, mut pairs) = (Vec::new(), Vec::new());
-        for_each_crossing(spec, layer.preactivation_dim(), |g| match g {
+        for_each_crossing(kernel, layer.preactivation_dim(), |g| match g {
             Crossing::Unit { unit, threshold } => units.push(UnitCrossing { unit, threshold }),
             Crossing::Pair { i, j } => pairs.push(PairCrossing { i, j }),
         });
@@ -79,7 +79,7 @@ impl TransformerState for ChainState {
         } else {
             find_cuts(&pairs, &self.ts, &z)
         };
-        self.merge_and_activate(&z, &cuts, &layer.activation_kernel());
+        self.merge_and_activate(&z, &cuts, kernel);
     }
 }
 
@@ -278,7 +278,7 @@ fn regions_of(start: &[f64], end: &[f64], ts: &[f64]) -> Vec<LinearRegion> {
 mod oracle {
     use crate::transformer::{crosses, for_each_crossing, propagate, TransformerState};
     use crate::{SyrennError, TOL};
-    use prdnn_nn::{CrossingSpec, FlatBatch, Layer, Network};
+    use prdnn_nn::{ActivationKernel, FlatBatch, Layer, Network};
 
     struct ChainState {
         ts: Vec<f64>,
@@ -286,12 +286,12 @@ mod oracle {
     }
 
     impl TransformerState for ChainState {
-        fn process_layer(&mut self, layer: &Layer, spec: &CrossingSpec) {
+        fn process_layer(&mut self, layer: &Layer, kernel: &ActivationKernel) {
             if !layer.preactivation_is_identity() {
                 self.vals = layer.preactivation_batch_flat(&self.vals);
             }
-            if !matches!(spec, CrossingSpec::None) {
-                self.split(spec, layer.preactivation_dim());
+            if !kernel.is_affine() {
+                self.split(kernel, layer.preactivation_dim());
             }
             self.vals = layer.activate_batch_flat(&self.vals);
         }
@@ -302,14 +302,14 @@ mod oracle {
     }
 
     impl ChainState {
-        fn split(&mut self, spec: &CrossingSpec, width: usize) {
+        fn split(&mut self, kernel: &ActivationKernel, width: usize) {
             let mut new_points: Vec<(usize, f64, Vec<f64>)> = Vec::new(); // (interval, t, z)
             let mut local: Vec<(f64, f64)> = Vec::new(); // (t, alpha) within one interval
             for i in 1..self.ts.len() {
                 let (za, zb) = (self.vals.row(i - 1), self.vals.row(i));
                 let (ta, tb) = (self.ts[i - 1], self.ts[i]);
                 local.clear();
-                for_each_crossing(spec, width, |g| {
+                for_each_crossing(kernel, width, |g| {
                     let (ga, gb) = (g.eval(za), g.eval(zb));
                     if crosses(ga, gb) {
                         let alpha = ga / (ga - gb);

@@ -3,7 +3,7 @@
 use crate::transformer::{crosses, for_each_crossing, propagate, Crossing, TransformerState};
 use crate::{LinearRegion, SyrennError, TOL};
 use prdnn_linalg::linf_distance;
-use prdnn_nn::{CrossingSpec, FlatBatch, Layer, Network};
+use prdnn_nn::{ActivationKernel, FlatBatch, Layer, Network};
 use prdnn_par::arena::Arena;
 use prdnn_par::ThreadPool;
 use std::cell::RefCell;
@@ -50,7 +50,7 @@ struct PolygonState<'p> {
 }
 
 impl TransformerState for PolygonState<'_> {
-    fn process_layer(&mut self, layer: &Layer, spec: &CrossingSpec) {
+    fn process_layer(&mut self, layer: &Layer, kernel: &ActivationKernel) {
         // Unlike the 1-D case, polygon pieces must be split one crossing
         // function at a time: a later crossing's zero set can cut the
         // sub-polygons created by an earlier one, so the splits compose
@@ -76,7 +76,7 @@ impl TransformerState for PolygonState<'_> {
                 if !layer.preactivation_is_identity() {
                     piece.vals = layer.preactivation_batch_flat(&piece.vals);
                 }
-                let mut sub = split_piece_by_layer(piece, spec, width);
+                let mut sub = split_piece_by_layer(piece, kernel, width);
                 for piece in &mut sub {
                     piece.vals = layer.activate_batch_flat(&piece.vals);
                 }
@@ -96,8 +96,8 @@ impl TransformerState for PolygonState<'_> {
 /// (O(1), no row copies), split sides are appended at the arena tail, and
 /// degenerate sides are rolled back with a truncate.  The arenas are reset
 /// per piece task, so steady-state splitting does no heap allocation.
-fn split_piece_by_layer(piece: Piece, spec: &CrossingSpec, width: usize) -> Vec<Piece> {
-    if matches!(spec, CrossingSpec::None | CrossingSpec::NotPiecewiseLinear) {
+fn split_piece_by_layer(piece: Piece, kernel: &ActivationKernel, width: usize) -> Vec<Piece> {
+    if kernel.is_affine() {
         return vec![piece];
     }
     SCRATCH.with(|cell| {
@@ -115,7 +115,7 @@ fn split_piece_by_layer(piece: Piece, spec: &CrossingSpec, width: usize) -> Vec<
             vals,
             n: piece.verts.count(),
         });
-        for_each_crossing(spec, width, |g| {
+        for_each_crossing(kernel, width, |g| {
             s.next.clear();
             for i in 0..s.cur.len() {
                 let p = s.cur[i];

@@ -30,7 +30,7 @@
 //! still evaluates [`Crossing`]s directly.
 
 use crate::SyrennError;
-use prdnn_nn::{CrossingSpec, Layer, Network};
+use prdnn_nn::{ActivationKernel, Layer, Network};
 
 /// A set of pieces being pushed through the network, with per-vertex carried
 /// values.
@@ -45,9 +45,10 @@ pub(crate) trait TransformerState {
     /// 1. replace every vertex's carried value `v` with the layer's
     ///    pre-activation `W v + b` (one affine application per vertex;
     ///    skipped when the pre-activation is the identity, i.e. pooling),
-    /// 2. split every piece at the crossings described by `spec`, evaluated
-    ///    on the carried pre-activations — new crossing vertices must
-    ///    interpolate *both* the geometry and the carried pre-activation,
+    /// 2. split every piece at the crossings of the layer's activation
+    ///    `kernel` ([`for_each_crossing`]), evaluated on the carried
+    ///    pre-activations — new crossing vertices must interpolate *both*
+    ///    the geometry and the carried pre-activation,
     /// 3. replace every carried pre-activation `z` with the activation
     ///    output `sigma(z)` (exact even at crossing vertices: the
     ///    activations are continuous, so their value at a piece boundary
@@ -57,35 +58,34 @@ pub(crate) trait TransformerState {
     /// The three sub-steps are one method so that a state which fans its
     /// pieces across a thread pool can push each piece through the whole
     /// layer as a single task.
-    fn process_layer(&mut self, layer: &Layer, spec: &CrossingSpec);
+    fn process_layer(&mut self, layer: &Layer, kernel: &ActivationKernel);
 }
 
 /// Drives a [`TransformerState`] through every layer of `net`.
 ///
 /// The caller initialises the state with the input pieces (carried values
 /// equal to the vertex positions) and reads the final subdivision out of the
-/// state afterwards.  Propagation stops after the last crossing-capable
+/// state afterwards.  Each layer's [`ActivationKernel`] is built once and
+/// handed to the state.  Propagation stops after the last crossing-capable
 /// layer — trailing affine layers cannot subdivide further, so the carried
 /// values are only advanced as far as the subdivision needs them.
 pub(crate) fn propagate<S: TransformerState>(
     net: &Network,
     state: &mut S,
 ) -> Result<(), SyrennError> {
-    let specs: Vec<CrossingSpec> = net.layers().iter().map(Layer::crossing_spec).collect();
-    if specs
-        .iter()
-        .any(|s| matches!(s, CrossingSpec::NotPiecewiseLinear))
-    {
+    if !net.is_piecewise_linear() {
         return Err(SyrennError::NotPiecewiseLinear);
     }
+    let kernels: Vec<ActivationKernel> =
+        net.layers().iter().map(Layer::activation_kernel).collect();
     // A trailing run of affine layers cannot introduce crossings, so the
     // subdivision is final once the last crossing-capable layer is done;
     // pushing values further would be wasted work.
-    let Some(last_splitting) = specs.iter().rposition(|s| !matches!(s, CrossingSpec::None)) else {
+    let Some(last_splitting) = kernels.iter().rposition(|k| !k.is_affine()) else {
         return Ok(());
     };
-    for (layer, spec) in net.layers().iter().zip(&specs).take(last_splitting + 1) {
-        state.process_layer(layer, spec);
+    for (layer, kernel) in net.layers().iter().zip(&kernels).take(last_splitting + 1) {
+        state.process_layer(layer, kernel);
     }
     Ok(())
 }
@@ -162,19 +162,25 @@ impl CrossingFn for PairCrossing {
     }
 }
 
-/// Enumerates the crossing functions of a layer, calling `f` with each one.
-pub(crate) fn for_each_crossing(spec: &CrossingSpec, width: usize, mut f: impl FnMut(Crossing)) {
-    match spec {
-        CrossingSpec::None | CrossingSpec::NotPiecewiseLinear => {}
-        CrossingSpec::ElementwiseThresholds(thresholds) => {
+/// Enumerates the crossing functions of a layer with activation `kernel`
+/// and `width` pre-activation entries, calling `f` with each one: per
+/// unit, each breakpoint; per max-pool window, each pair of its entries.
+pub(crate) fn for_each_crossing(
+    kernel: &ActivationKernel,
+    width: usize,
+    mut f: impl FnMut(Crossing),
+) {
+    match kernel {
+        ActivationKernel::Elementwise(activation) => {
+            let thresholds = activation.breakpoints().unwrap_or_default();
             for unit in 0..width {
                 for &threshold in thresholds {
                     f(Crossing::Unit { unit, threshold });
                 }
             }
         }
-        CrossingSpec::WindowPairs(windows) => {
-            for w in windows {
+        ActivationKernel::Max(windows) => {
+            for w in windows.iter() {
                 for (pos, &i) in w.iter().enumerate() {
                     for &j in &w[pos + 1..] {
                         f(Crossing::Pair { i, j });
@@ -182,6 +188,7 @@ pub(crate) fn for_each_crossing(spec: &CrossingSpec, width: usize, mut f: impl F
                 }
             }
         }
+        ActivationKernel::Average(_) => {}
     }
 }
 

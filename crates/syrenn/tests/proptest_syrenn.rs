@@ -10,7 +10,7 @@
 //! the network inside each region, and a union that covers the input
 //! polytope's vertices.
 
-use prdnn_nn::{Activation, CrossingSpec, Layer, Network, Pool2dLayer};
+use prdnn_nn::{Activation, ActivationKernel, Layer, Network, Pool2dLayer};
 use prdnn_syrenn::{exact_line, plane_regions, LinearRegion};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -34,8 +34,8 @@ fn ref_exact_line(net: &Network, start: &[f64], end: &[f64]) -> Vec<f64> {
     };
     let mut ts: Vec<f64> = vec![0.0, 1.0];
     for layer_idx in 0..net.num_layers() {
-        let spec = net.layer(layer_idx).crossing_spec();
-        if matches!(spec, CrossingSpec::None) {
+        let kernel = net.layer(layer_idx).activation_kernel();
+        if kernel.is_affine() {
             continue;
         }
         let zs: Vec<Vec<f64>> = ts.iter().map(|&t| prefix_preact(t, layer_idx)).collect();
@@ -52,16 +52,16 @@ fn ref_exact_line(net: &Network, start: &[f64], end: &[f64]) -> Vec<f64> {
                     }
                 }
             };
-            match &spec {
-                CrossingSpec::ElementwiseThresholds(thresholds) => {
+            match &kernel {
+                ActivationKernel::Elementwise(activation) => {
                     for unit in 0..za.len() {
-                        for &thr in thresholds {
+                        for &thr in activation.breakpoints().unwrap() {
                             push_crossing(za[unit] - thr, zb[unit] - thr);
                         }
                     }
                 }
-                CrossingSpec::WindowPairs(windows) => {
-                    for w in windows {
+                ActivationKernel::Max(windows) => {
+                    for w in windows.iter() {
                         for (pos, &i) in w.iter().enumerate() {
                             for &j in &w[pos + 1..] {
                                 push_crossing(za[i] - za[j], zb[i] - zb[j]);
@@ -69,7 +69,7 @@ fn ref_exact_line(net: &Network, start: &[f64], end: &[f64]) -> Vec<f64> {
                         }
                     }
                 }
-                CrossingSpec::None | CrossingSpec::NotPiecewiseLinear => unreachable!(),
+                ActivationKernel::Average(_) => unreachable!(),
             }
         }
         ts.extend(new_ts);
@@ -140,21 +140,21 @@ fn ref_plane_regions(net: &Network, vertices: &[Vec<f64>]) -> Vec<Polygon> {
 
     let mut polygons: Vec<Polygon> = vec![vertices.to_vec()];
     for layer_idx in 0..net.num_layers() {
-        let spec = net.layer(layer_idx).crossing_spec();
-        if matches!(spec, CrossingSpec::None) {
+        let kernel = net.layer(layer_idx).activation_kernel();
+        if kernel.is_affine() {
             continue;
         }
         let mut crossings: Vec<CrossingFn> = Vec::new();
-        match &spec {
-            CrossingSpec::ElementwiseThresholds(thresholds) => {
+        match &kernel {
+            ActivationKernel::Elementwise(activation) => {
                 for unit in 0..net.layer(layer_idx).preactivation_dim() {
-                    for &thr in thresholds {
+                    for &thr in activation.breakpoints().unwrap() {
                         crossings.push(Box::new(move |z: &[f64]| z[unit] - thr));
                     }
                 }
             }
-            CrossingSpec::WindowPairs(windows) => {
-                for w in windows {
+            ActivationKernel::Max(windows) => {
+                for w in windows.iter() {
                     for (pos, &i) in w.iter().enumerate() {
                         for &j in &w[pos + 1..] {
                             crossings.push(Box::new(move |z: &[f64]| z[i] - z[j]));
@@ -162,7 +162,7 @@ fn ref_plane_regions(net: &Network, vertices: &[Vec<f64>]) -> Vec<Polygon> {
                     }
                 }
             }
-            CrossingSpec::None | CrossingSpec::NotPiecewiseLinear => unreachable!(),
+            ActivationKernel::Average(_) => unreachable!(),
         }
         for g in &crossings {
             let mut next: Vec<Polygon> = Vec::with_capacity(polygons.len());

@@ -5,7 +5,8 @@
 //! users can depend on a single crate:
 //!
 //! * [`linalg`] — dense matrices and vectors,
-//! * [`lp`] — an LP solver (two-phase simplex, ℓ1/ℓ∞ objectives),
+//! * [`lp`] — an LP solver (a dual simplex from the slack basis,
+//!   resumable after rows are appended; ℓ1/ℓ∞ norm objectives),
 //! * [`nn`] — the DNN substrate (layers, activations, training),
 //! * [`par`] — the work-stealing thread pool behind the parallel hot paths,
 //! * [`syrenn`] — exact linear-region computation for PWL networks,
