@@ -24,8 +24,8 @@ fn channel_batches(in_dim: usize, pairs: &[(&[f64], &[f64])]) -> (FlatBatch, Fla
     (v_act, v_val)
 }
 
-/// Every layer's activation kernel, built once per pass and read by both
-/// channels and the backward accumulation.
+/// Every layer's activation kernel, built once per pass and read by the
+/// value channel and the backward accumulation.
 fn kernels(net: &Network) -> Vec<ActivationKernel> {
     net.layers().iter().map(Layer::activation_kernel).collect()
 }
