@@ -160,6 +160,28 @@ mod tests {
         assert_eq!(acas.output_dim(), 5);
     }
 
+    /// Builds `spec` and checks its trained bits against `hash`.
+    fn assert_trained_bits(spec: &str, hash: u64) {
+        let got = prdnn_nn::network_content_hash(&build_model(spec).unwrap());
+        assert_eq!(got, hash, "{spec}: content hash {got:#x}");
+    }
+
+    /// The trained bits of the two generator specs the in-process serving
+    /// benchmark loads, pinned: every served digit and collision-avoidance
+    /// number rests on them.  Training sums each minibatch's gradients in
+    /// example order, so a trainer that reorders a single sum changes
+    /// these hashes.
+    #[test]
+    fn served_digit_spec_keeps_its_bits() {
+        assert_trained_bits("digits:20210425:400:200", 0xbc36_82a1_dba8_1c47);
+    }
+
+    /// See [`served_digit_spec_keeps_its_bits`].
+    #[test]
+    fn served_acas_spec_keeps_its_bits() {
+        assert_trained_bits("acas:1121:1500", 0x031c_72ad_4733_2c14);
+    }
+
     #[test]
     fn malformed_specs_are_rejected() {
         for bad in [
