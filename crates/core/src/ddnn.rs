@@ -24,8 +24,8 @@ fn channel_batches(in_dim: usize, pairs: &[(&[f64], &[f64])]) -> (FlatBatch, Fla
     (v_act, v_val)
 }
 
-/// Every layer's activation kernel, built once per pass and read by the
-/// value channel and the backward accumulation.
+/// Every layer's activation kernel, built once per pass and read by both
+/// channels and the backward accumulation.
 fn kernels(net: &Network) -> Vec<ActivationKernel> {
     net.layers().iter().map(Layer::activation_kernel).collect()
 }
@@ -210,7 +210,10 @@ impl DecoupledNetwork {
             let z_act = self.activation.layer(i).preactivation_batch_flat(&v_act);
             let z_val = self.value.layer(i).preactivation_batch_flat(&v_val);
             v_val = apply_linearized_batch(kernel, &z_act, &z_val);
-            v_act = self.activation.layer(i).activate_batch_flat(&z_act);
+            // The last layer's activation-channel output is never read.
+            if i + 1 < self.num_layers() {
+                v_act = kernel.apply_batch(&z_act);
+            }
         }
         v_val.to_rows()
     }
@@ -408,7 +411,10 @@ impl DecoupledNetwork {
                 let z_val = self.value.layer(i).preactivation_batch_flat(&v_val);
                 v_val = apply_linearized_batch(kernel, &z_act, &z_val);
             }
-            v_act = self.activation.layer(i).activate_batch_flat(&z_act);
+            // The last layer's activation-channel output is never read.
+            if i + 1 < self.num_layers() {
+                v_act = kernel.apply_batch(&z_act);
+            }
             act_preacts.push(z_act);
         }
 

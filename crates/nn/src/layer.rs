@@ -36,10 +36,13 @@
 //!   pre-activation.  A single input runs as a batch of one.
 //! * **Parameter VJP.** Per input, one `gemm_nn` of `dz`, viewed as
 //!   `(rows · out_c) × positions`, by that input's patch panel.  Column 0
-//!   of the product holds the bias gradients.
+//!   of the product holds the bias gradients.  Training's minibatch
+//!   gradient runs the same chains per example, passing over the
+//!   positions where `dz` is zero, and adds the examples in order.
 //! * **Input VJP.** No GEMM: it walks the gather table in the direct loop's
-//!   connection order.  A GEMM and a col2im scatter would reorder its sums,
-//!   and training calls it on every sample.
+//!   connection order, passing over zero `dz` entries.  A GEMM and a
+//!   col2im scatter would reorder its sums, and training calls it on every
+//!   sample.
 //!
 //! **Why the bits hold.** The GEMM accumulates each output in one
 //! ascending-`k` chain that starts at 0.0 and uses no FMA.  A pre-activation
@@ -48,11 +51,13 @@
 //! `w · 0.0 = ±0.0`, which leaves the sum unchanged: a sum that starts at
 //! `b ≠ −0.0` can never become −0.0.  A parameter-VJP entry is likewise the
 //! direct loop's ascending-position chain from 0.0, plus ±0.0 padding
-//! terms.  So every conv kernel is bit-identical to the direct loops, which
-//! remain as the `#[cfg(test)]` oracle, with two exceptions: a bias of
-//! exactly −0.0 (the GEMM's `0.0 + −0.0` is +0.0), and non-finite weights
-//! (or `dz` entries, for the parameter VJP), whose padding terms are NaN
-//! where the direct loop skips them.
+//! terms.  A zero `dz` entry passed over would have added `0.0 · w = ±0.0`
+//! to a sum that starts at +0.0, which never becomes −0.0 either.  So every
+//! conv kernel is bit-identical to the direct loops, which remain as the
+//! `#[cfg(test)]` oracle, with two exceptions: a bias of exactly −0.0 (the
+//! GEMM's `0.0 + −0.0` is +0.0), and non-finite weights or inputs (or `dz`
+//! entries, for the parameter VJP), whose padding terms and passed-over
+//! terms are NaN where the direct loop skips or adds them.
 
 use crate::activation::Activation;
 use crate::batch::{zeros, FlatBatch};
@@ -288,21 +293,80 @@ impl Conv2dLayer {
         Matrix::from_flat(dz.rows(), width, out)
     }
 
-    /// `dz · ∂z/∂input`, accumulated through the gather table in the direct
-    /// loop's connection order — output channel, position, filter tap —
-    /// for each `dz` row.  A GEMM followed by a col2im scatter would
-    /// reorder these sums, and SGD training runs this on every sample, so
-    /// keeping the order is what keeps a trained network's bits.
-    fn input_vjp(&self, dz: &Matrix) -> Matrix {
+    /// The sum over a batch of each row's parameter gradient
+    /// `dz[k] · ∂z/∂params` at `inputs[k]`, in [`Layer::params`] order.
+    ///
+    /// Each row's gradient is [`Self::param_vjp`]'s GEMM sum: per filter
+    /// tap (and bias), one ascending chain over positions from +0.0.  Here
+    /// the chain passes over positions where `dz` is ±0.0, whose products
+    /// are ±0.0 for finite inputs and leave a chain from +0.0 unchanged;
+    /// below a max pool most positions are.  The row's gradient is then
+    /// added into the sum in row order.  One GEMM over every (row,
+    /// position) pair would re-associate each row's sum over positions, so
+    /// the rows stay apart; their patches are unfolded once for the batch.
+    fn batch_param_gradient(&self, dz: &FlatBatch, inputs: &FlatBatch) -> Vec<f64> {
+        let (taps, positions, out_c, nw) = (
+            self.taps(),
+            self.positions(),
+            self.out_channels,
+            self.weights.len(),
+        );
+        let mut panel = Vec::with_capacity(inputs.count() * positions * (1 + taps));
+        self.push_patches(
+            &self.tap_table(),
+            inputs.count(),
+            inputs.as_slice(),
+            &mut panel,
+        );
+        let mut g = zeros(out_c * (1 + taps));
+        let mut grad = zeros(nw + out_c);
+        let (filters, biases) = grad.split_at_mut(nw);
+        for (k, dz) in dz.rows().enumerate() {
+            let patches = &panel[k * positions * (1 + taps)..][..positions * (1 + taps)];
+            g.fill(0.0);
+            for (g_row, dz_row) in g.chunks_exact_mut(1 + taps).zip(dz.chunks_exact(positions)) {
+                for (&d, patch) in dz_row.iter().zip(patches.chunks_exact(1 + taps)) {
+                    if d != 0.0 {
+                        for (gv, &x) in g_row.iter_mut().zip(patch) {
+                            *gv += d * x;
+                        }
+                    }
+                }
+            }
+            for (oc, row) in g.chunks_exact(1 + taps).enumerate() {
+                biases[oc] += row[0];
+                for (f, &v) in filters[oc * taps..(oc + 1) * taps]
+                    .iter_mut()
+                    .zip(&row[1..])
+                {
+                    *f += v;
+                }
+            }
+        }
+        grad
+    }
+
+    /// `dz · ∂z/∂input` for the `rows` rows of `dz`, `in_dim` entries each,
+    /// accumulated through the gather table in the direct loop's
+    /// connection order — output channel, position, filter tap — for each
+    /// row.  A GEMM followed by a col2im scatter would reorder these sums,
+    /// and SGD training runs this on every sample, so keeping the order is
+    /// what keeps a trained network's bits.
+    fn input_vjp(&self, rows: usize, dz: &[f64]) -> Vec<f64> {
         let (taps, positions, in_dim) = (self.taps(), self.positions(), self.in_dim());
+        let out_dim = self.out_channels * positions;
         let table = self.tap_table();
-        let mut out = vec![0.0; dz.rows() * in_dim];
-        for r in 0..dz.rows() {
-            let (g_row, out_row) = (dz.row(r), &mut out[r * in_dim..(r + 1) * in_dim]);
+        let mut out = zeros(rows * in_dim);
+        for r in 0..rows {
+            let g_row = &dz[r * out_dim..(r + 1) * out_dim];
+            let out_row = &mut out[r * in_dim..(r + 1) * in_dim];
             for oc in 0..self.out_channels {
                 let filter = &self.weights[oc * taps..(oc + 1) * taps];
                 for p in 0..positions {
                     let g = g_row[oc * positions + p];
+                    if g == 0.0 {
+                        continue;
+                    }
                     for (&i, &w) in table[p * taps..(p + 1) * taps].iter().zip(filter) {
                         if i != PADDING_TAP {
                             out_row[i] += g * w;
@@ -311,7 +375,7 @@ impl Conv2dLayer {
                 }
             }
         }
-        Matrix::from_flat(dz.rows(), in_dim, out)
+        out
     }
 
     #[cfg(test)]
@@ -550,6 +614,24 @@ impl ActivationKernel {
         }
     }
 
+    /// Activates every pre-activation in a batch-major flat buffer: row `k`
+    /// of the result is [`Self::apply_row`] of row `k` of `zs`.
+    /// Element-wise activations run over the whole buffer as one slice.
+    pub fn apply_batch(&self, zs: &FlatBatch) -> FlatBatch {
+        let mut out = FlatBatch::zeros(self.output_dim(zs.dim()), zs.count());
+        match self {
+            ActivationKernel::Elementwise(activation) => {
+                activation.apply_into(zs.as_slice(), out.as_mut_slice())
+            }
+            ActivationKernel::Max(_) | ActivationKernel::Average(_) => {
+                for (k, z) in zs.rows().enumerate() {
+                    self.apply_row(z, out.row_mut(k));
+                }
+            }
+        }
+        out
+    }
+
     /// Writes the activation linearised at `center` (Definition 4.2),
     /// applied to `z`, into `out`: the DDNN value channel's step
     /// (Definition 4.3), with `center` the activation channel's
@@ -606,6 +688,45 @@ impl ActivationKernel {
                         let coeff = rows[(r, w)] / idxs.len() as f64;
                         for &i in idxs {
                             out[(r, i)] += coeff;
+                        }
+                    }
+                }
+                out
+            }
+        }
+    }
+
+    /// The backward step of a batch: row `k` of the result is [`Self::vjp`]
+    /// of row `k` of `upstream` at row `k` of `centers`, with the same
+    /// arithmetic, so the same bits.  Training's backward pass.
+    pub(crate) fn vjp_batch(&self, centers: &FlatBatch, mut upstream: FlatBatch) -> FlatBatch {
+        assert_eq!(centers.count(), upstream.count(), "vjp_batch: row mismatch");
+        match self {
+            ActivationKernel::Elementwise(activation) => {
+                let slopes = activation.derivative(centers.as_slice());
+                for (u, s) in upstream.as_mut_slice().iter_mut().zip(&slopes) {
+                    *u *= s;
+                }
+                upstream
+            }
+            ActivationKernel::Max(windows) => {
+                let mut out = FlatBatch::zeros(centers.dim(), centers.count());
+                for (k, (center, up)) in centers.rows().zip(upstream.rows()).enumerate() {
+                    let out = out.row_mut(k);
+                    for (w, &g) in windows.iter().zip(up) {
+                        out[w[Self::argmax(w, center)]] += g;
+                    }
+                }
+                out
+            }
+            ActivationKernel::Average(windows) => {
+                let mut out = FlatBatch::zeros(centers.dim(), centers.count());
+                for (k, up) in upstream.rows().enumerate() {
+                    let out = out.row_mut(k);
+                    for (w, &g) in windows.iter().zip(up) {
+                        let coeff = g / w.len() as f64;
+                        for &i in w {
+                            out[i] += coeff;
                         }
                     }
                 }
@@ -866,12 +987,7 @@ impl Layer {
     /// index map ([`Pool2dLayer::flat_windows`]) — no per-window or
     /// per-vector index allocations.
     pub fn activate_batch_flat(&self, zs: &FlatBatch) -> FlatBatch {
-        let kernel = self.activation_kernel();
-        let mut out = FlatBatch::zeros(kernel.output_dim(zs.dim()), zs.count());
-        for (i, z) in zs.rows().enumerate() {
-            kernel.apply_row(z, out.row_mut(i));
-        }
-        out
+        self.activation_kernel().apply_batch(zs)
     }
 
     /// Full forward pass for a batch of inputs in a batch-major flat buffer.
@@ -935,8 +1051,46 @@ impl Layer {
         );
         match self {
             Layer::Dense(d) => rows.matmul(&d.weights),
-            Layer::Conv2d(c) => c.input_vjp(rows),
+            Layer::Conv2d(c) => Matrix::from_flat(
+                rows.rows(),
+                c.in_dim(),
+                c.input_vjp(rows.rows(), rows.as_slice()),
+            ),
             Layer::MaxPool2d(_) | Layer::AvgPool2d(_) => rows.clone(),
+        }
+    }
+
+    /// The batch form of [`Self::preact_input_vjp`] that training's
+    /// backward pass runs: row `k` of the result is row `k` of `dz` times
+    /// `∂z/∂input`, with the same bits.  A dense layer is one GEMM `dz · W`
+    /// (each entry the per-row product's ascending chain); a conv layer
+    /// walks one gather table for the whole batch.
+    pub(crate) fn preact_input_vjp_batch(&self, dz: FlatBatch) -> FlatBatch {
+        assert_eq!(
+            dz.dim(),
+            self.preactivation_dim(),
+            "preact_input_vjp_batch: column mismatch"
+        );
+        match self {
+            Layer::Dense(d) => {
+                let (out_dim, in_dim) = (d.weights.rows(), d.weights.cols());
+                let mut out = FlatBatch::zeros(in_dim, dz.count());
+                gemm::gemm_nn(
+                    dz.count(),
+                    out_dim,
+                    in_dim,
+                    dz.as_slice(),
+                    d.weights.as_slice(),
+                    out.as_mut_slice(),
+                );
+                out
+            }
+            Layer::Conv2d(c) => FlatBatch::from_vec(
+                c.in_dim(),
+                dz.count(),
+                c.input_vjp(dz.count(), dz.as_slice()),
+            ),
+            Layer::MaxPool2d(_) | Layer::AvgPool2d(_) => dz,
         }
     }
 
@@ -980,6 +1134,46 @@ impl Layer {
             }
             Layer::Conv2d(c) => c.param_vjp(rows, input),
             Layer::MaxPool2d(_) | Layer::AvgPool2d(_) => Matrix::zeros(rows.rows(), 0),
+        }
+    }
+
+    /// A minibatch's parameter gradient for training: the sum over `k`, in
+    /// row order, of [`Self::preact_param_vjp`] of row `k` of `dz` at row
+    /// `k` of `inputs`, with the same bits for finite inputs.
+    ///
+    /// A dense layer's weight gradient is one GEMM `dzᵀ · X` whose k-loop
+    /// runs over the batch in row order, and its bias gradient the column
+    /// sums of `dz` in row order.  Each entry is then one ascending chain
+    /// from +0.0 over the rows' products, which is what adding the rows'
+    /// gradients one by one computes, because each row's entry is a single
+    /// product.  The per-row VJP skips a `dz` entry of ±0.0, where the
+    /// chain adds a product of ±0.0; a chain from +0.0 never holds −0.0,
+    /// so that adds nothing either.  A conv layer computes each row's
+    /// gradient apart and adds them in row order.  Pooling layers have no
+    /// parameters and return an empty vector.
+    pub(crate) fn batch_param_gradient(&self, dz: &FlatBatch, inputs: &FlatBatch) -> Vec<f64> {
+        assert_eq!(dz.count(), inputs.count(), "batch_param_gradient: rows");
+        match self {
+            Layer::Dense(d) => {
+                let (out_dim, in_dim, count) = (d.weights.rows(), d.weights.cols(), dz.count());
+                let mut dz_t = zeros(out_dim * count);
+                for (k, row) in dz.rows().enumerate() {
+                    for (j, &g) in row.iter().enumerate() {
+                        dz_t[j * count + k] = g;
+                    }
+                }
+                let mut grad = zeros(self.num_params());
+                let (weights, biases) = grad.split_at_mut(out_dim * in_dim);
+                gemm::gemm_nn(out_dim, count, in_dim, &dz_t, inputs.as_slice(), weights);
+                for row in dz.rows() {
+                    for (b, &g) in biases.iter_mut().zip(row) {
+                        *b += g;
+                    }
+                }
+                grad
+            }
+            Layer::Conv2d(c) => c.batch_param_gradient(dz, inputs),
+            Layer::MaxPool2d(_) | Layer::AvgPool2d(_) => Vec::new(),
         }
     }
 }

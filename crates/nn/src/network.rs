@@ -59,6 +59,11 @@ impl ForwardTrace {
     }
 }
 
+/// Inputs per batch when [`Network::accuracy`] and
+/// [`crate::Dataset::misclassified`] classify a dataset: bounds the batch
+/// buffers, and changes no bit.
+const CLASSIFY_CHUNK: usize = 256;
+
 /// The activation pattern of a network at a point (Definition 2.5): for each
 /// layer, the linear piece each unit (or pooling window) falls into.
 pub type ActivationPattern = Vec<Vec<i8>>;
@@ -247,6 +252,18 @@ impl Network {
         vector::argmax(&self.forward(input))
     }
 
+    /// [`Self::classify`] of every input, in order, pushed through the
+    /// network [`CLASSIFY_CHUNK`] inputs at a time by
+    /// [`Self::forward_batch_flat`], whose rows are [`Self::forward`]'s.
+    pub(crate) fn classify_all(&self, inputs: &[Vec<f64>]) -> Vec<usize> {
+        let mut classes = Vec::with_capacity(inputs.len());
+        for chunk in inputs.chunks(CLASSIFY_CHUNK) {
+            let outputs = self.forward_batch_flat(&FlatBatch::from_rows(self.input_dim(), chunk));
+            classes.extend(outputs.rows().map(vector::argmax));
+        }
+        classes
+    }
+
     /// Fraction of `(input, label)` pairs classified correctly.
     ///
     /// Returns 1.0 for an empty dataset.
@@ -259,10 +276,11 @@ impl Network {
         if inputs.is_empty() {
             return 1.0;
         }
-        let correct = inputs
+        let correct = self
+            .classify_all(inputs)
             .iter()
             .zip(labels)
-            .filter(|(x, &label)| self.classify(x) == label)
+            .filter(|(class, label)| class == label)
             .count();
         correct as f64 / inputs.len() as f64
     }

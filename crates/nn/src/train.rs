@@ -7,6 +7,8 @@
 //!    (the paper uses pre-trained SqueezeNet/MNIST/ACAS networks), and
 //! 2. the fine-tuning (FT) and modified fine-tuning (MFT) baselines of §7.
 
+use crate::batch::FlatBatch;
+use crate::layer::{ActivationKernel, Layer};
 use crate::network::Network;
 use prdnn_linalg::Matrix;
 use rand::seq::SliceRandom;
@@ -61,7 +63,10 @@ fn loss_gradient(loss: Loss, logits: &[f64], label: usize) -> (f64, Vec<f64>) {
 
 /// Per-layer parameter gradients for one example.
 ///
-/// Pooling layers contribute empty gradient vectors.
+/// Pooling layers contribute empty gradient vectors.  This is the
+/// per-example reference of [`sgd_train`]'s batch-major pass: summing
+/// these gradients over a minibatch in example order gives the trainer's
+/// gradient bit for bit (for finite data).
 pub fn backprop(net: &Network, input: &[f64], label: usize, loss: Loss) -> (f64, Vec<Vec<f64>>) {
     let trace = net.forward_trace(input);
     let (loss_value, out_grad) = loss_gradient(loss, trace.output(), label);
@@ -90,6 +95,67 @@ pub fn backprop(net: &Network, input: &[f64], label: usize, loss: Loss) -> (f64,
         }
     }
     (loss_value, grads)
+}
+
+/// One minibatch pushed batch-major through the network: the examples'
+/// losses in batch order and, per layer, the sum of the examples'
+/// parameter gradients in batch order (empty for a layer without
+/// parameters or one that `only_layer` leaves out).
+///
+/// The forward pass keeps every layer's input and pre-activation for the
+/// whole batch (a pooling layer's pre-activation is its input).  The
+/// backward pass runs from the top down to the lowest trained layer: each
+/// layer's backward step over the batch, then its parameter gradient if
+/// it is trained and its input gradient if a trained layer lies below.
+/// Every step has the bits of [`backprop`]'s per-example step.
+fn batch_gradients(
+    net: &Network,
+    kernels: &[ActivationKernel],
+    inputs: &[Vec<f64>],
+    labels: &[usize],
+    batch: &[usize],
+    config: &TrainConfig,
+) -> (Vec<f64>, Vec<Vec<f64>>) {
+    let mut x = FlatBatch::with_capacity(net.input_dim(), batch.len());
+    for &idx in batch {
+        x.push_row(&inputs[idx]);
+    }
+    let mut layer_inputs = vec![x];
+    let mut preacts = Vec::with_capacity(net.num_layers());
+    for (layer, kernel) in net.layers().iter().zip(kernels) {
+        let x = layer_inputs.last().expect("the batch's input is first");
+        let z = (!layer.preactivation_is_identity()).then(|| layer.preactivation_batch_flat(x));
+        let out = kernel.apply_batch(z.as_ref().unwrap_or(x));
+        preacts.push(z);
+        layer_inputs.push(out);
+    }
+
+    let output = layer_inputs.pop().expect("the network's output is last");
+    let mut upstream = FlatBatch::with_capacity(output.dim(), batch.len());
+    let losses = output
+        .rows()
+        .zip(batch)
+        .map(|(logits, &idx)| {
+            let (loss, grad) = loss_gradient(config.loss, logits, labels[idx]);
+            upstream.push_row(&grad);
+            loss
+        })
+        .collect();
+
+    let lowest = config.only_layer.unwrap_or(0);
+    let mut grads = vec![Vec::new(); net.num_layers()];
+    for i in (lowest..net.num_layers()).rev() {
+        let (layer, x) = (net.layer(i), &layer_inputs[i]);
+        let z = preacts[i].as_ref().unwrap_or(x);
+        let dz = kernels[i].vjp_batch(z, std::mem::take(&mut upstream));
+        if config.only_layer.is_none_or(|only| only == i) {
+            grads[i] = layer.batch_param_gradient(&dz, x);
+        }
+        if i > lowest {
+            upstream = layer.preact_input_vjp_batch(dz);
+        }
+    }
+    (losses, grads)
 }
 
 /// Configuration for [`sgd_train`].
@@ -124,6 +190,14 @@ impl Default for TrainConfig {
 
 /// Trains `net` in place with mini-batch SGD on a labelled dataset.
 ///
+/// Each epoch shuffles the examples and cuts them into minibatches.  A
+/// minibatch goes through the network batch-major, one pass per layer
+/// each way (the layers' activation kernels are built once per call), and
+/// its summed gradient updates each trained layer with momentum.  The
+/// result is bit-identical to summing [`backprop`]'s per-example
+/// gradients in example order (for finite data).  With
+/// `config.only_layer` set, the backward pass stops at that layer.
+///
 /// Returns the average loss of the final epoch.
 ///
 /// # Panics
@@ -143,6 +217,8 @@ pub fn sgd_train(
         "sgd_train: inputs/labels mismatch"
     );
     assert!(!inputs.is_empty(), "sgd_train: empty dataset");
+    let kernels: Vec<ActivationKernel> =
+        net.layers().iter().map(Layer::activation_kernel).collect();
     let mut velocity: Vec<Vec<f64>> = (0..net.num_layers())
         .map(|i| vec![0.0; net.layer(i).num_params()])
         .collect();
@@ -153,32 +229,19 @@ pub fn sgd_train(
         order.shuffle(rng);
         let mut epoch_loss = 0.0;
         for batch in order.chunks(config.batch_size.max(1)) {
-            let mut batch_grads: Vec<Vec<f64>> = (0..net.num_layers())
-                .map(|i| vec![0.0; net.layer(i).num_params()])
-                .collect();
-            for &idx in batch {
-                let (loss, grads) = backprop(net, &inputs[idx], labels[idx], config.loss);
+            let (losses, batch_grads) =
+                batch_gradients(net, &kernels, inputs, labels, batch, config);
+            for loss in losses {
                 epoch_loss += loss;
-                for (acc, g) in batch_grads.iter_mut().zip(&grads) {
-                    for (a, gi) in acc.iter_mut().zip(g) {
-                        *a += gi;
-                    }
-                }
             }
             let scale = 1.0 / batch.len() as f64;
-            for layer_idx in 0..net.num_layers() {
-                if let Some(only) = config.only_layer {
-                    if layer_idx != only {
-                        continue;
-                    }
-                }
-                if batch_grads[layer_idx].is_empty() {
+            for (layer_idx, grad) in batch_grads.iter().enumerate() {
+                if grad.is_empty() {
                     continue;
                 }
-                let v = &mut velocity[layer_idx];
-                let update: Vec<f64> = batch_grads[layer_idx]
+                let update: Vec<f64> = grad
                     .iter()
-                    .zip(v.iter_mut())
+                    .zip(velocity[layer_idx].iter_mut())
                     .map(|(g, vel)| {
                         *vel = config.momentum * *vel - config.learning_rate * g * scale;
                         *vel
@@ -235,8 +298,9 @@ impl Dataset {
     pub fn misclassified(&self, net: &Network) -> Dataset {
         let mut inputs = Vec::new();
         let mut labels = Vec::new();
-        for (x, &y) in self.inputs.iter().zip(&self.labels) {
-            if net.classify(x) != y {
+        let classes = net.classify_all(&self.inputs);
+        for ((x, &y), &class) in self.inputs.iter().zip(&self.labels).zip(&classes) {
+            if class != y {
                 inputs.push(x.clone());
                 labels.push(y);
             }

@@ -293,7 +293,7 @@ mod oracle {
             if !kernel.is_affine() {
                 self.split(kernel, layer.preactivation_dim());
             }
-            self.vals = layer.activate_batch_flat(&self.vals);
+            self.vals = kernel.apply_batch(&self.vals);
         }
     }
 

@@ -78,7 +78,7 @@ impl TransformerState for PolygonState<'_> {
                 }
                 let mut sub = split_piece_by_layer(piece, kernel, width);
                 for piece in &mut sub {
-                    piece.vals = layer.activate_batch_flat(&piece.vals);
+                    piece.vals = kernel.apply_batch(&piece.vals);
                 }
                 sub
             })
