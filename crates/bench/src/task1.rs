@@ -3,7 +3,7 @@
 //!
 //! One run of [`run`] produces the data behind Table 1, Table 4, and
 //! Figure 7: a per-layer Provable Repair sweep for every repair-set size,
-//! plus the FT[1]/FT[2]/MFT[1]/MFT[2] baselines.
+//! plus the FT\[1\]/FT\[2\]/MFT\[1\]/MFT\[2\] baselines.
 
 use crate::metrics;
 use crate::scale::Task1Params;
@@ -246,9 +246,9 @@ pub struct Task1PointResult {
     pub points_used: usize,
     /// Per-layer Provable Repair results.
     pub pr_sweep: Vec<PrLayerResult>,
-    /// FT[1] and FT[2] baselines.
+    /// FT\[1\] and FT\[2\] baselines.
     pub ft: Vec<BaselineRun>,
-    /// MFT[1] and MFT[2] baselines (best layer).
+    /// MFT\[1\] and MFT\[2\] baselines (best layer).
     pub mft: Vec<BaselineRun>,
 }
 

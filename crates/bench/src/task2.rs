@@ -2,7 +2,7 @@
 //! interpolation lines.
 //!
 //! One run of [`run`] produces the data behind Table 2 (Provable Repair of
-//! layers 2 and 3 vs FT[1]/FT[2]) and Table 3 (the MFT baselines), plus the
+//! layers 2 and 3 vs FT\[1\]/FT\[2\]) and Table 3 (the MFT baselines), plus the
 //! RQ4 timing breakdown quoted in §7.2.
 
 use crate::metrics;
@@ -280,9 +280,9 @@ pub struct Task2LineResult {
     pub lines_used: usize,
     /// PR on layer 2 (index 1) and layer 3 (index 2).
     pub pr: Vec<Task2PrResult>,
-    /// FT[1], FT[2].
+    /// FT\[1\], FT\[2\].
     pub ft: Vec<Task2BaselineResult>,
-    /// MFT[1]/MFT[2] × layer 2/layer 3 (four entries).
+    /// MFT\[1\]/MFT\[2\] × layer 2/layer 3 (four entries).
     pub mft: Vec<Task2BaselineResult>,
 }
 

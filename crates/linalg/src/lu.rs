@@ -379,7 +379,7 @@ impl LuFactors {
 
     /// Factorises the `n × n` row-major matrix `a` with Markowitz-ordered
     /// pivoting: at each elimination step, among the candidates whose
-    /// magnitude is at least [`MARKOWITZ_THRESHOLD`] of their column's
+    /// magnitude is at least `MARKOWITZ_THRESHOLD` of their column's
     /// largest active entry, pick the one minimising the Markowitz count
     /// `(r_i − 1)(c_j − 1)`, breaking ties by larger magnitude and then by
     /// smaller indices (deterministic).  Both a row and a column permutation

@@ -13,7 +13,7 @@
 //!   becomes one task, so stealing moves whole chunks between workers and
 //!   the order of results is fixed by chunk index, never by execution order
 //!   — **parallel output is bit-identical to the serial path**.
-//! * Every worker owns a lock-free Chase–Lev deque ([`deque`]): the owner
+//! * Every worker owns a lock-free Chase–Lev deque (`deque.rs`): the owner
 //!   pushes and pops at the bottom, idle workers CAS-steal from the top.
 //!   Submitted jobs land in a small injector queue; the first worker to
 //!   pick one up fans its chunk tasks onto its own deque, where the other

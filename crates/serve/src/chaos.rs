@@ -10,7 +10,7 @@
 //!
 //! Faults are **deterministic**: each decision is a pure function of
 //! `(seed, connection index, direction, chunk index)` via
-//! [`splitmix64`](crate::faults::splitmix64), so a failing chaos run
+//! `faults::splitmix64`, so a failing chaos run
 //! replays exactly from its seed.
 //!
 //! The proxy is std-only (two pump threads per connection) and counts

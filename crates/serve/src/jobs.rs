@@ -67,7 +67,7 @@ pub enum StatusLookup {
     /// The job's current state.
     Found(JobState),
     /// The job settled long ago and its record was evicted
-    /// ([`MAX_SETTLED_RETAINED`]).
+    /// (`MAX_SETTLED_RETAINED`).
     Evicted,
     /// No job with this id was ever issued.
     NeverIssued,

@@ -15,7 +15,7 @@
 //!   job — and a blind resend could repair twice.  Connection establishment
 //!   retries; the send happens once.
 //!
-//! Jitter is deterministic (seeded [`splitmix64`](crate::faults::splitmix64)
+//! Jitter is deterministic (seeded `faults::splitmix64`
 //! keyed by attempt number), so a given policy produces one reproducible
 //! schedule — load tests and proptests can pin it exactly.
 

@@ -3,7 +3,7 @@
 //! A stored model is a *name* plus an append-only chain of immutable
 //! [`ModelVersion`]s.  Version 1 is the loaded network; every successful
 //! repair publishes version `N+1` with the repair's
-//! [`RepairProvenance`](prdnn_core::RepairProvenance).  Nothing is ever
+//! [`RepairProvenance`].  Nothing is ever
 //! mutated or removed: an eval pinned to `name@v2` keeps answering from
 //! version 2 forever, and `name@latest` moves atomically when a repair
 //! lands.

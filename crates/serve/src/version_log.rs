@@ -15,7 +15,7 @@
 //!   [`crate::wal::WalLog`] appends an fsynced record per publish and
 //!   recovers the chains on cold start.
 //!
-//! The load-bearing ordering is **write-ahead**: [`ModelEntry::publish_logged`]
+//! The load-bearing ordering is **write-ahead**: `ModelEntry::publish_logged`
 //! appends the version to the log *before* storing the new chain head, so
 //! no reader (and in particular no repair-job acknowledgement) can observe
 //! a version that is not at least as durable as the backend promises.

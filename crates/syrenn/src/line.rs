@@ -197,7 +197,7 @@ impl ChainState {
 /// The subdivision is carried through the network incrementally: each
 /// layer's affine map is applied once per current subdivision point, and new
 /// crossing points interpolate the carried values (see
-/// [`crate::transformer`]), so the cost is linear — not quadratic — in
+/// `transformer.rs`), so the cost is linear — not quadratic — in
 /// network depth.
 ///
 /// # Errors

@@ -275,7 +275,7 @@ fn centroid(polygon: &FlatBatch) -> Vec<f64> {
 ///
 /// The pieces are carried through the network incrementally — each layer's
 /// affine map is applied once per surviving vertex and crossing vertices
-/// interpolate the carried values (see [`crate::transformer`]) — so the cost
+/// interpolate the carried values (see `transformer.rs`) — so the cost
 /// is linear, not quadratic, in network depth.
 ///
 /// # Errors
