@@ -95,16 +95,6 @@ impl FlatBatch {
         }
     }
 
-    /// Takes ownership of a row-major buffer of `count` vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != dim * count`.
-    pub(crate) fn from_vec(dim: usize, count: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), dim * count, "flat batch buffer length mismatch");
-        FlatBatch { dim, count, data }
-    }
-
     /// Vector dimension.
     #[inline]
     pub fn dim(&self) -> usize {

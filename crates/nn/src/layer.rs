@@ -304,7 +304,7 @@ impl Conv2dLayer {
     /// added into the sum in row order.  One GEMM over every (row,
     /// position) pair would re-associate each row's sum over positions, so
     /// the rows stay apart; their patches are unfolded once for the batch.
-    fn batch_param_gradient(&self, dz: &FlatBatch, inputs: &FlatBatch) -> Vec<f64> {
+    fn batch_param_gradient(&self, dz: &Matrix, inputs: &FlatBatch) -> Vec<f64> {
         let (taps, positions, out_c, nw) = (
             self.taps(),
             self.positions(),
@@ -321,10 +321,13 @@ impl Conv2dLayer {
         let mut g = zeros(out_c * (1 + taps));
         let mut grad = zeros(nw + out_c);
         let (filters, biases) = grad.split_at_mut(nw);
-        for (k, dz) in dz.rows().enumerate() {
+        for k in 0..dz.rows() {
             let patches = &panel[k * positions * (1 + taps)..][..positions * (1 + taps)];
             g.fill(0.0);
-            for (g_row, dz_row) in g.chunks_exact_mut(1 + taps).zip(dz.chunks_exact(positions)) {
+            for (g_row, dz_row) in g
+                .chunks_exact_mut(1 + taps)
+                .zip(dz.row(k).chunks_exact(positions))
+            {
                 for (&d, patch) in dz_row.iter().zip(patches.chunks_exact(1 + taps)) {
                     if d != 0.0 {
                         for (gv, &x) in g_row.iter_mut().zip(patch) {
@@ -346,20 +349,18 @@ impl Conv2dLayer {
         grad
     }
 
-    /// `dz · ∂z/∂input` for the `rows` rows of `dz`, `in_dim` entries each,
-    /// accumulated through the gather table in the direct loop's
-    /// connection order — output channel, position, filter tap — for each
-    /// row.  A GEMM followed by a col2im scatter would reorder these sums,
-    /// and SGD training runs this on every sample, so keeping the order is
-    /// what keeps a trained network's bits.
-    fn input_vjp(&self, rows: usize, dz: &[f64]) -> Vec<f64> {
+    /// `dz · ∂z/∂input`, accumulated through the gather table in the direct
+    /// loop's connection order — output channel, position, filter tap —
+    /// for each `dz` row, passing over zero `dz` entries.  A GEMM followed
+    /// by a col2im scatter would reorder these sums, and SGD training runs
+    /// this on every minibatch, so keeping the order is what keeps a
+    /// trained network's bits.
+    fn input_vjp(&self, dz: &Matrix) -> Matrix {
         let (taps, positions, in_dim) = (self.taps(), self.positions(), self.in_dim());
-        let out_dim = self.out_channels * positions;
         let table = self.tap_table();
-        let mut out = zeros(rows * in_dim);
-        for r in 0..rows {
-            let g_row = &dz[r * out_dim..(r + 1) * out_dim];
-            let out_row = &mut out[r * in_dim..(r + 1) * in_dim];
+        let mut out = vec![0.0; dz.rows() * in_dim];
+        for r in 0..dz.rows() {
+            let (g_row, out_row) = (dz.row(r), &mut out[r * in_dim..(r + 1) * in_dim]);
             for oc in 0..self.out_channels {
                 let filter = &self.weights[oc * taps..(oc + 1) * taps];
                 for p in 0..positions {
@@ -375,7 +376,7 @@ impl Conv2dLayer {
                 }
             }
         }
-        out
+        Matrix::from_flat(dz.rows(), in_dim, out)
     }
 
     #[cfg(test)]
@@ -699,8 +700,8 @@ impl ActivationKernel {
     /// The backward step of a batch: row `k` of the result is [`Self::vjp`]
     /// of row `k` of `upstream` at row `k` of `centers`, with the same
     /// arithmetic, so the same bits.  Training's backward pass.
-    pub(crate) fn vjp_batch(&self, centers: &FlatBatch, mut upstream: FlatBatch) -> FlatBatch {
-        assert_eq!(centers.count(), upstream.count(), "vjp_batch: row mismatch");
+    pub(crate) fn vjp_batch(&self, centers: &FlatBatch, mut upstream: Matrix) -> Matrix {
+        assert_eq!(centers.count(), upstream.rows(), "vjp_batch: row mismatch");
         match self {
             ActivationKernel::Elementwise(activation) => {
                 let slopes = activation.derivative(centers.as_slice());
@@ -710,23 +711,21 @@ impl ActivationKernel {
                 upstream
             }
             ActivationKernel::Max(windows) => {
-                let mut out = FlatBatch::zeros(centers.dim(), centers.count());
-                for (k, (center, up)) in centers.rows().zip(upstream.rows()).enumerate() {
-                    let out = out.row_mut(k);
-                    for (w, &g) in windows.iter().zip(up) {
-                        out[w[Self::argmax(w, center)]] += g;
+                let mut out = Matrix::zeros(upstream.rows(), centers.dim());
+                for (r, center) in centers.rows().enumerate() {
+                    for (w, window) in windows.iter().enumerate() {
+                        out[(r, window[Self::argmax(window, center)])] += upstream[(r, w)];
                     }
                 }
                 out
             }
             ActivationKernel::Average(windows) => {
-                let mut out = FlatBatch::zeros(centers.dim(), centers.count());
-                for (k, up) in upstream.rows().enumerate() {
-                    let out = out.row_mut(k);
-                    for (w, &g) in windows.iter().zip(up) {
-                        let coeff = g / w.len() as f64;
-                        for &i in w {
-                            out[i] += coeff;
+                let mut out = Matrix::zeros(upstream.rows(), centers.dim());
+                for r in 0..upstream.rows() {
+                    for (w, window) in windows.iter().enumerate() {
+                        let coeff = upstream[(r, w)] / window.len() as f64;
+                        for &i in window {
+                            out[(r, i)] += coeff;
                         }
                     }
                 }
@@ -1051,46 +1050,8 @@ impl Layer {
         );
         match self {
             Layer::Dense(d) => rows.matmul(&d.weights),
-            Layer::Conv2d(c) => Matrix::from_flat(
-                rows.rows(),
-                c.in_dim(),
-                c.input_vjp(rows.rows(), rows.as_slice()),
-            ),
+            Layer::Conv2d(c) => c.input_vjp(rows),
             Layer::MaxPool2d(_) | Layer::AvgPool2d(_) => rows.clone(),
-        }
-    }
-
-    /// The batch form of [`Self::preact_input_vjp`] that training's
-    /// backward pass runs: row `k` of the result is row `k` of `dz` times
-    /// `∂z/∂input`, with the same bits.  A dense layer is one GEMM `dz · W`
-    /// (each entry the per-row product's ascending chain); a conv layer
-    /// walks one gather table for the whole batch.
-    pub(crate) fn preact_input_vjp_batch(&self, dz: FlatBatch) -> FlatBatch {
-        assert_eq!(
-            dz.dim(),
-            self.preactivation_dim(),
-            "preact_input_vjp_batch: column mismatch"
-        );
-        match self {
-            Layer::Dense(d) => {
-                let (out_dim, in_dim) = (d.weights.rows(), d.weights.cols());
-                let mut out = FlatBatch::zeros(in_dim, dz.count());
-                gemm::gemm_nn(
-                    dz.count(),
-                    out_dim,
-                    in_dim,
-                    dz.as_slice(),
-                    d.weights.as_slice(),
-                    out.as_mut_slice(),
-                );
-                out
-            }
-            Layer::Conv2d(c) => FlatBatch::from_vec(
-                c.in_dim(),
-                dz.count(),
-                c.input_vjp(dz.count(), dz.as_slice()),
-            ),
-            Layer::MaxPool2d(_) | Layer::AvgPool2d(_) => dz,
         }
     }
 
@@ -1151,22 +1112,24 @@ impl Layer {
     /// so that adds nothing either.  A conv layer computes each row's
     /// gradient apart and adds them in row order.  Pooling layers have no
     /// parameters and return an empty vector.
-    pub(crate) fn batch_param_gradient(&self, dz: &FlatBatch, inputs: &FlatBatch) -> Vec<f64> {
-        assert_eq!(dz.count(), inputs.count(), "batch_param_gradient: rows");
+    pub(crate) fn batch_param_gradient(&self, dz: &Matrix, inputs: &FlatBatch) -> Vec<f64> {
+        assert_eq!(dz.rows(), inputs.count(), "batch_param_gradient: rows");
         match self {
             Layer::Dense(d) => {
-                let (out_dim, in_dim, count) = (d.weights.rows(), d.weights.cols(), dz.count());
-                let mut dz_t = zeros(out_dim * count);
-                for (k, row) in dz.rows().enumerate() {
-                    for (j, &g) in row.iter().enumerate() {
-                        dz_t[j * count + k] = g;
-                    }
-                }
+                let (out_dim, in_dim) = (d.weights.rows(), d.weights.cols());
                 let mut grad = zeros(self.num_params());
                 let (weights, biases) = grad.split_at_mut(out_dim * in_dim);
-                gemm::gemm_nn(out_dim, count, in_dim, &dz_t, inputs.as_slice(), weights);
-                for row in dz.rows() {
-                    for (b, &g) in biases.iter_mut().zip(row) {
+                let dz_t = dz.transpose();
+                gemm::gemm_nn(
+                    out_dim,
+                    dz.rows(),
+                    in_dim,
+                    dz_t.as_slice(),
+                    inputs.as_slice(),
+                    weights,
+                );
+                for r in 0..dz.rows() {
+                    for (b, &g) in biases.iter_mut().zip(dz.row(r)) {
                         *b += g;
                     }
                 }

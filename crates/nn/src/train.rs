@@ -131,29 +131,36 @@ fn batch_gradients(
     }
 
     let output = layer_inputs.pop().expect("the network's output is last");
-    let mut upstream = FlatBatch::with_capacity(output.dim(), batch.len());
+    let mut out_grads = Vec::with_capacity(output.as_slice().len());
     let losses = output
         .rows()
         .zip(batch)
         .map(|(logits, &idx)| {
             let (loss, grad) = loss_gradient(config.loss, logits, labels[idx]);
-            upstream.push_row(&grad);
+            out_grads.extend(grad);
             loss
         })
         .collect();
 
+    // One row per example: the gradient with respect to the current
+    // layer's output, then (`dz`) its pre-activation.
+    let mut upstream = Matrix::from_flat(batch.len(), output.dim(), out_grads);
     let lowest = config.only_layer.unwrap_or(0);
     let mut grads = vec![Vec::new(); net.num_layers()];
     for i in (lowest..net.num_layers()).rev() {
         let (layer, x) = (net.layer(i), &layer_inputs[i]);
-        let z = preacts[i].as_ref().unwrap_or(x);
-        let dz = kernels[i].vjp_batch(z, std::mem::take(&mut upstream));
+        let dz = kernels[i].vjp_batch(preacts[i].as_ref().unwrap_or(x), upstream);
         if config.only_layer.is_none_or(|only| only == i) {
             grads[i] = layer.batch_param_gradient(&dz, x);
         }
-        if i > lowest {
-            upstream = layer.preact_input_vjp_batch(dz);
+        if i == lowest {
+            break;
         }
+        upstream = if layer.preactivation_is_identity() {
+            dz
+        } else {
+            layer.preact_input_vjp(&dz)
+        };
     }
     (losses, grads)
 }
