@@ -42,7 +42,7 @@
 //! * **Input VJP.** No GEMM: it walks the gather table in the direct loop's
 //!   connection order, passing over zero `dz` entries.  A GEMM and a
 //!   col2im scatter would reorder its sums, and training calls it on every
-//!   sample.
+//!   minibatch.
 //!
 //! **Why the bits hold.** The GEMM accumulates each output in one
 //! ascending-`k` chain that starts at 0.0 and uses no FMA.  A pre-activation
@@ -51,8 +51,8 @@
 //! `w · 0.0 = ±0.0`, which leaves the sum unchanged: a sum that starts at
 //! `b ≠ −0.0` can never become −0.0.  A parameter-VJP entry is likewise the
 //! direct loop's ascending-position chain from 0.0, plus ±0.0 padding
-//! terms.  A zero `dz` entry passed over would have added `0.0 · w = ±0.0`
-//! to a sum that starts at +0.0, which never becomes −0.0 either.  So every
+//! terms.  A zero `dz` entry passed over would have added products of ±0.0
+//! to sums that start at +0.0, which never become −0.0 either.  So every
 //! conv kernel is bit-identical to the direct loops, which remain as the
 //! `#[cfg(test)]` oracle, with two exceptions: a bias of exactly −0.0 (the
 //! GEMM's `0.0 + −0.0` is +0.0), and non-finite weights or inputs (or `dz`
