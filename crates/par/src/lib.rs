@@ -562,7 +562,7 @@ pub fn pool_for(explicit: Option<usize>) -> PoolRef {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicU32};
 
     #[test]
     fn par_map_preserves_order() {
@@ -731,6 +731,132 @@ mod tests {
             .collect();
         for h in handles {
             h.join().unwrap();
+        }
+    }
+
+    /// Burns a little time so that chunk costs are uneven.
+    fn spin(iterations: u32) {
+        for i in 0..iterations {
+            std::hint::black_box(i);
+        }
+    }
+
+    #[test]
+    fn every_chunk_runs_once_under_concurrent_submitters() {
+        // Four threads share each pool.  Every round covers the submitter's
+        // 97 items exactly once: a `par_chunks` call over a prefix of
+        // varying length and chunk size, and a `par_map` over the rest.
+        // So after `ROUNDS` rounds every item's counter reads `ROUNDS`
+        // unless some chunk ran twice or never.
+        const ITEMS: usize = 97;
+        const ROUNDS: u32 = 50;
+        for threads in [2, 3, 4] {
+            let pool = Arc::new(ThreadPool::new(threads));
+            let submitters: Vec<_> = (0..4usize)
+                .map(|t| {
+                    let pool = Arc::clone(&pool);
+                    thread::spawn(move || {
+                        let counts: Vec<AtomicU32> =
+                            (0..ITEMS).map(|_| AtomicU32::new(0)).collect();
+                        let items: Vec<usize> = (0..ITEMS).collect();
+                        let value = |x: usize| x * 31 + t;
+                        let visit = |x: usize| {
+                            counts[x].fetch_add(1, Ordering::Relaxed);
+                            if (x + t).is_multiple_of(5) {
+                                spin(2_000);
+                            }
+                            value(x)
+                        };
+                        for round in 0..ROUNDS as usize {
+                            let len = 1 + (round * 37 + t * 11) % ITEMS;
+                            let chunk_size = 1 + (round + t) % 7;
+                            let (head, tail) = items.split_at(len);
+                            let got = pool.par_chunks(head, chunk_size, |chunk| {
+                                chunk.iter().map(|&x| visit(x)).collect::<Vec<_>>()
+                            });
+                            let expected: Vec<Vec<usize>> = head
+                                .chunks(chunk_size)
+                                .map(|chunk| chunk.iter().map(|&x| value(x)).collect())
+                                .collect();
+                            assert_eq!(got, expected, "par_chunks, round {round}");
+                            let got = pool.par_map(tail.to_vec(), visit);
+                            let expected: Vec<usize> = tail.iter().map(|&x| value(x)).collect();
+                            assert_eq!(got, expected, "par_map, round {round}");
+                        }
+                        for (x, count) in counts.iter().enumerate() {
+                            assert_eq!(count.load(Ordering::Relaxed), ROUNDS, "item {x}");
+                        }
+                    })
+                })
+                .collect();
+            for submitter in submitters {
+                submitter.join().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_in_one_job_leaves_a_concurrent_job_intact() {
+        let pool = Arc::new(ThreadPool::new(3));
+        for round in 0..20 {
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let failing = {
+                let pool = Arc::clone(&pool);
+                let start = Arc::clone(&start);
+                thread::spawn(move || {
+                    start.wait();
+                    panic::catch_unwind(AssertUnwindSafe(|| {
+                        pool.par_map((0..200).collect::<Vec<usize>>(), |x| {
+                            spin(500);
+                            if x == 57 {
+                                panic!("boom at {x}");
+                            }
+                            x
+                        })
+                    }))
+                })
+            };
+            start.wait();
+            let got = pool.par_map((0..200).collect::<Vec<usize>>(), |x| {
+                spin(500);
+                x * 2
+            });
+            let expected: Vec<usize> = (0..200).map(|x| x * 2).collect();
+            assert_eq!(got, expected, "round {round}");
+            let payload = failing
+                .join()
+                .unwrap()
+                .expect_err("the failing job must re-raise its panic");
+            let msg = payload.downcast_ref::<String>().expect("panic message");
+            assert!(msg.contains("boom at 57"), "round {round}: {msg}");
+        }
+    }
+
+    #[test]
+    fn sleeping_workers_wake_for_every_job() {
+        // Each round's two chunks both wait until both have started.  The
+        // submitter runs at most one of them, so a worker, asleep after
+        // the idle gap, must wake and claim the other.  The wait is
+        // bounded: a missed wake-up fails the test instead of hanging it.
+        for threads in [2, 4] {
+            let pool = ThreadPool::new(threads);
+            for round in 0..200 {
+                thread::sleep(std::time::Duration::from_micros(500));
+                let started = AtomicUsize::new(0);
+                let out = pool.par_map(vec![0, 1], |x| {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                    while started.load(Ordering::SeqCst) < 2 {
+                        assert!(
+                            std::time::Instant::now() < deadline,
+                            "threads {threads}, round {round}: no worker claimed the second chunk"
+                        );
+                        thread::yield_now();
+                    }
+                    x
+                });
+                assert_eq!(out, vec![0, 1]);
+            }
         }
     }
 
