@@ -1,65 +1,60 @@
-//! A hand-rolled work-stealing thread pool for the PRDNN hot paths.
+//! A hand-rolled thread pool for the PRDNN hot paths.
 //!
 //! The build environment has no registry access, so `rayon` is not an
 //! option; this crate implements the small slice of it the workspace needs:
 //! order-preserving [`ThreadPool::par_map`] / [`ThreadPool::par_chunks`]
-//! built on `std::thread` workers with per-worker deques and chunked
-//! stealing.
+//! built on `std::thread` workers.
 //!
 //! Design:
 //!
 //! * Work is submitted one *job* at a time (one `par_map`/`par_chunks`
-//!   call).  The job's items are split into contiguous chunks; each chunk
-//!   becomes one task, so stealing moves whole chunks between workers and
-//!   the order of results is fixed by chunk index, never by execution order
-//!   — **parallel output is bit-identical to the serial path**.
-//! * Every worker owns a lock-free Chase–Lev deque (`deque.rs`): the owner
-//!   pushes and pops at the bottom, idle workers CAS-steal from the top.
-//!   Submitted jobs land in a small injector queue; the first worker to
-//!   pick one up fans its chunk tasks onto its own deque, where the other
-//!   workers steal them.
-//! * Each chunk carries a claim flag, taken exactly once (atomic swap) by
-//!   whoever runs it; a task popped after its chunk was already claimed is
-//!   a no-op.  This is what lets the *submitting* thread help with its own
-//!   job without touching any deque (see `run_job`).
+//!   call).  The job's items are split into contiguous chunks, all known
+//!   up front, and the order of results is fixed by chunk index, never by
+//!   execution order — **parallel output is bit-identical to the serial
+//!   path**.
+//! * Each job carries one atomic next-chunk counter.  Whoever runs its
+//!   chunks claims the next one with `fetch_add` until the counter passes
+//!   the chunk count, so every chunk runs exactly once and a thread that
+//!   finishes a cheap chunk early simply claims another (self-scheduling;
+//!   Polychronopoulos & Kuck, *Guided Self-Scheduling*, IEEE TC 1987).
+//! * Submitted jobs wait in one mutex-guarded FIFO.  Idle workers sleep on
+//!   a condvar beside it and take the oldest job that is still queued; a
+//!   job leaves the queue once a thread finds all of its chunks claimed.
+//! * The submitting thread is not idle while its job runs: it claims and
+//!   runs its own job's chunks and only sleeps on the completion condvar
+//!   once every chunk is claimed.  (It never runs *other* jobs' chunks —
+//!   that could strand it in a long foreign chunk after its own job
+//!   finished.)
 //! * Panics inside the mapped closure are caught per chunk, the remaining
 //!   chunks still run, and the first payload is re-raised on the calling
 //!   thread ([`std::panic::resume_unwind`]), matching the serial behaviour
 //!   as closely as possible.
-//! * The submitting thread is not idle while its job runs: it pops and runs
-//!   its own job's pending chunks and only sleeps on the completion condvar
-//!   when every remaining chunk is already executing on a worker.  (It
-//!   never runs *other* jobs' chunks — that could strand it in a long
-//!   foreign chunk after its own job finished.)
 //! * A pool of [`ThreadPool::new`]`(1)` spawns **no worker threads**: every
 //!   call runs inline on the caller, giving a guaranteed serial fallback.
-//! * Nested calls from inside a worker run inline (serially) on that
-//!   worker, so `par_map` inside `par_map` cannot deadlock the pool.
+//! * Nested calls from inside a running chunk run inline (serially) on
+//!   that thread, so `par_map` inside `par_map` cannot deadlock the pool.
 //!
 //! The pool used by the library hot paths is [`global`], sized by the
 //! `PRDNN_THREADS` environment variable (falling back to
 //! `std::thread::available_parallelism`).  Callers that want an explicit
-//! thread count (e.g. `RepairConfig::threads`, which takes precedence over
-//! `PRDNN_THREADS`) resolve a pool via [`pool_for`].
+//! thread count (e.g. the server's `--threads`, which takes precedence
+//! over `PRDNN_THREADS`) resolve a pool via [`pool_for`].
 
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
 
 pub mod arena;
-mod deque;
-
-use deque::{ChaseLev, Steal};
 
 /// How many chunks to deal per worker: more than one so that uneven chunk
-/// costs can be rebalanced by stealing, but few enough that per-task
-/// overhead stays negligible.
+/// costs even out (a thread that finishes early claims another chunk), but
+/// few enough that per-chunk overhead stays negligible.
 const CHUNKS_PER_WORKER: usize = 4;
 
 thread_local! {
-    /// Set while a pool worker is executing a task; nested parallel calls
+    /// Set while this thread runs a pool chunk; nested parallel calls
     /// observe it and run inline instead of re-entering the pool.
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
@@ -67,18 +62,18 @@ thread_local! {
 /// One submitted `par_map`/`par_chunks` call.
 ///
 /// `run` type-erases the caller's chunk closure.  The pointee lives on the
-/// calling thread's stack; erasing the lifetime is sound because the caller
-/// blocks until `pending` reaches zero (even when unwinding), so every
-/// execution of `run` happens while the closure and its borrows are alive.
-struct JobCore {
+/// calling thread's stack; erasing the lifetime is sound because `run` is
+/// only called on a chunk index claimed below `chunk_count`, and the caller
+/// blocks until `pending` reaches zero (even when unwinding), so every call
+/// happens while the closure and its borrows are alive.  A thread still
+/// holding the job after that only ever claims indices past the end.
+struct Job {
     run: *const (dyn Fn(usize) + Sync),
     /// Total number of chunks dealt for this job.
     chunk_count: usize,
-    /// Per-chunk claim flags: whoever swaps a flag to `true` runs that
-    /// chunk; everyone else treats the chunk's task as a no-op.  This lets
-    /// the submitter claim its own leftover chunks directly instead of
-    /// hunting for them inside the workers' lock-free deques.
-    claimed: Vec<AtomicBool>,
+    /// The next unclaimed chunk: `fetch_add` hands each index out once.
+    next: AtomicUsize,
+    /// Chunks that have not finished running.
     pending: AtomicUsize,
     done: Mutex<bool>,
     done_cv: Condvar,
@@ -86,144 +81,87 @@ struct JobCore {
 }
 
 // SAFETY: `run` is only dereferenced while the submitting thread keeps the
-// closure alive (see `JobCore` docs); the closure itself is `Sync`, and all
+// closure alive (see `Job` docs); the closure itself is `Sync`, and all
 // other fields are synchronised.
-unsafe impl Send for JobCore {}
-unsafe impl Sync for JobCore {}
+unsafe impl Send for Job {}
+unsafe impl Sync for Job {}
 
-/// One chunk of one job.
-struct Task {
-    job: Arc<JobCore>,
-    chunk: usize,
-}
-
-impl Task {
-    /// Claims and runs the chunk; a no-op if someone (the submitter, or a
-    /// duplicate task surviving in a deque) already claimed it.
-    fn execute(self) {
-        if !self.job.claimed[self.chunk].swap(true, Ordering::AcqRel) {
-            run_chunk(&self.job, self.chunk);
+impl Job {
+    /// Claims the next chunk and runs it, publishing the job's completion
+    /// after its last chunk; `false` once every chunk has been claimed.
+    fn run_next(&self) -> bool {
+        let chunk = self.next.fetch_add(1, Ordering::Relaxed);
+        if chunk >= self.chunk_count {
+            return false;
         }
-    }
-}
-
-/// Runs one *claimed* chunk of `job` and publishes its completion.
-///
-/// The claim must already be held by the caller: this is the only place
-/// `job.run` is dereferenced, and a claim is handed out exactly once per
-/// chunk, so `pending` reaches zero exactly when every chunk has run.
-fn run_chunk(job: &JobCore, chunk: usize) {
-    IN_WORKER.with(|f| f.set(true));
-    // SAFETY: the submitting thread is blocked in `run_job`'s wait until
-    // `pending` hits zero, which happens strictly after this call returns.
-    let result = panic::catch_unwind(AssertUnwindSafe(|| unsafe { (*job.run)(chunk) }));
-    IN_WORKER.with(|f| f.set(false));
-    if let Err(payload) = result {
-        let mut slot = job.panic.lock().unwrap();
-        if slot.is_none() {
-            *slot = Some(payload);
+        IN_WORKER.with(|f| f.set(true));
+        // SAFETY: `chunk` is claimed and in range, so the submitting thread
+        // is blocked in `run_job`'s wait until this chunk has finished.
+        let result = panic::catch_unwind(AssertUnwindSafe(|| unsafe { (*self.run)(chunk) }));
+        IN_WORKER.with(|f| f.set(false));
+        if let Err(payload) = result {
+            self.panic.lock().unwrap().get_or_insert(payload);
         }
-    }
-    if job.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-        let mut done = job.done.lock().unwrap();
-        *done = true;
-        job.done_cv.notify_all();
+        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            *self.done.lock().unwrap() = true;
+            self.done_cv.notify_all();
+        }
+        true
     }
 }
 
 /// State shared between the pool handle and its workers.
 struct Shared {
-    /// One lock-free Chase–Lev deque per worker: the owner pushes/pops at
-    /// the bottom, the other workers CAS-steal whole chunks from the top.
-    deques: Vec<ChaseLev<Task>>,
-    /// Freshly submitted jobs, awaiting fan-out by the first worker that
-    /// sees them.  A plain mutexed queue is fine here: it is touched once
-    /// per *job*, not once per chunk.
-    injector: Mutex<VecDeque<Arc<JobCore>>>,
-    /// Wakeup generation + shutdown flag, guarded together so workers can
-    /// sleep without missing a submission.
-    state: Mutex<WakeState>,
+    queue: Mutex<Queue>,
+    /// Signalled when a job is queued or the pool shuts down.
     cv: Condvar,
 }
 
-struct WakeState {
-    generation: u64,
+struct Queue {
+    /// Submitted jobs, oldest first, until a thread finds every chunk of
+    /// one claimed and takes it off (`Shared::retire`).
+    jobs: VecDeque<Arc<Job>>,
     shutdown: bool,
 }
 
 impl Shared {
-    /// Wakes every sleeping worker (new work became visible).
-    fn wake_workers(&self) {
-        let mut state = self.state.lock().unwrap();
-        state.generation += 1;
-        self.cv.notify_all();
+    /// The oldest queued job, sleeping until there is one; `None` once the
+    /// pool shuts down.
+    fn next_job(&self) -> Option<Arc<Job>> {
+        let mut queue = self.queue.lock().unwrap();
+        loop {
+            if queue.shutdown {
+                return None;
+            }
+            if let Some(job) = queue.jobs.front() {
+                return Some(Arc::clone(job));
+            }
+            queue = self.cv.wait(queue).unwrap();
+        }
     }
 
-    /// Finds a task for worker `who`: its own deque first, then the
-    /// injector (fanning a fresh job's chunks onto its own deque for the
-    /// siblings to steal), then a steal sweep over the other deques.
-    fn find_task(&self, who: usize) -> Option<Task> {
-        if let Some(task) = self.deques[who].pop() {
-            return Some(task);
-        }
-        let job = self.injector.lock().unwrap().pop_front();
-        if let Some(job) = job {
-            // Fan the job out onto our own deque (we are its owner; only
-            // owners may push).  Chunks the submitter has already claimed
-            // would be popped as no-ops, so skip them here; the claim swap
-            // in `Task::execute` makes a racy miss harmless.
-            for chunk in 0..job.chunk_count {
-                if !job.claimed[chunk].load(Ordering::Acquire) {
-                    self.deques[who].push(Task {
-                        job: Arc::clone(&job),
-                        chunk,
-                    });
-                }
-            }
-            // The siblings can steal from our top now; wake them.
-            self.wake_workers();
-            if let Some(task) = self.deques[who].pop() {
-                return Some(task);
-            }
-        }
-        let n = self.deques.len();
-        for offset in 1..n {
-            let victim = (who + offset) % n;
-            loop {
-                match self.deques[victim].steal() {
-                    Steal::Stolen(task) => return Some(task),
-                    // Lost a race; the deque may still hold work.
-                    Steal::Retry => continue,
-                    Steal::Empty => break,
-                }
-            }
-        }
-        None
-    }
-}
-
-fn worker_loop(shared: Arc<Shared>, who: usize) {
-    let mut last_seen = 0u64;
-    loop {
-        if let Some(task) = shared.find_task(who) {
-            task.execute();
-            continue;
-        }
-        let mut state = shared.state.lock().unwrap();
-        if state.shutdown {
-            return;
-        }
-        if state.generation == last_seen {
-            state = shared.cv.wait(state).unwrap();
-        }
-        last_seen = state.generation;
-        if state.shutdown {
-            return;
+    /// Takes `job`, every chunk of which is claimed, off the queue; a no-op
+    /// if another thread already did.
+    fn retire(&self, job: &Arc<Job>) {
+        let mut queue = self.queue.lock().unwrap();
+        if let Some(at) = queue
+            .jobs
+            .iter()
+            .position(|queued| Arc::ptr_eq(queued, job))
+        {
+            queue.jobs.remove(at);
         }
     }
 }
 
-/// A fixed-size work-stealing thread pool.
+fn worker_loop(shared: &Shared) {
+    while let Some(job) = shared.next_job() {
+        while job.run_next() {}
+        shared.retire(&job);
+    }
+}
+
+/// A fixed-size thread pool.
 ///
 /// Dropping the pool shuts the workers down and joins them.
 pub struct ThreadPool {
@@ -237,15 +175,16 @@ impl ThreadPool {
     ///
     /// `threads == 1` spawns no worker threads at all: every `par_map` /
     /// `par_chunks` call executes inline on the caller (the guaranteed
-    /// serial fallback).  `threads == 0` is treated as 1.
+    /// serial fallback).  `threads == 0` is treated as 1.  A pool of
+    /// `n > 1` threads spawns `n` workers, and each submitting thread also
+    /// claims chunks of its own job, so one call can run on `n + 1`
+    /// threads.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let worker_count = if threads == 1 { 0 } else { threads };
         let shared = Arc::new(Shared {
-            deques: (0..worker_count).map(|_| ChaseLev::new()).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            state: Mutex::new(WakeState {
-                generation: 0,
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
                 shutdown: false,
             }),
             cv: Condvar::new(),
@@ -255,7 +194,7 @@ impl ThreadPool {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("prdnn-par-{who}"))
-                    .spawn(move || worker_loop(shared, who))
+                    .spawn(move || worker_loop(&shared))
                     .expect("failed to spawn pool worker")
             })
             .collect();
@@ -388,49 +327,41 @@ impl ThreadPool {
             .max(1)
     }
 
-    /// Submits `chunk_count` tasks running `run` and blocks until all have
+    /// Queues `chunk_count` chunks running `run` and blocks until all have
     /// finished, re-raising the first recorded panic.
     fn run_job(&self, run: &(dyn Fn(usize) + Sync), chunk_count: usize) {
         // SAFETY: lifetime erasure; this function does not return (or
-        // unwind) before every task has executed, see `wait` below.
+        // unwind) before every chunk has run, see `wait` below.
         let run: *const (dyn Fn(usize) + Sync) = unsafe {
             std::mem::transmute::<*const (dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(
                 run as *const _,
             )
         };
-        let job = Arc::new(JobCore {
+        let job = Arc::new(Job {
             run,
             chunk_count,
-            claimed: (0..chunk_count).map(|_| AtomicBool::new(false)).collect(),
+            next: AtomicUsize::new(0),
             pending: AtomicUsize::new(chunk_count),
             done: Mutex::new(false),
             done_cv: Condvar::new(),
             panic: Mutex::new(None),
         });
-
-        // Publish the job: the first worker to pick it out of the injector
-        // fans its chunks onto its own lock-free deque for the others to
-        // steal (see `Shared::find_task`).
         self.shared
-            .injector
+            .queue
             .lock()
             .unwrap()
+            .jobs
             .push_back(Arc::clone(&job));
-        self.shared.wake_workers();
+        self.shared.cv.notify_all();
 
-        // The submitting thread *participates* while it waits: it sweeps
-        // its own job's claim flags and runs every chunk the workers have
-        // not already claimed.  It never touches the deques — stale tasks
-        // for chunks claimed here execute as no-ops when popped — and it
+        // The submitting thread *participates* while it waits, claiming
+        // its own job's chunks through the same counter as the workers.  It
         // never runs *other* jobs' chunks, which could strand it in a long
         // foreign chunk after its own job finished (latency-sensitive
         // callers — e.g. a serving batch worker sharing the pool with
         // repair workers — care).
-        for chunk in 0..chunk_count {
-            if !job.claimed[chunk].swap(true, Ordering::AcqRel) {
-                run_chunk(&job, chunk);
-            }
-        }
+        while job.run_next() {}
+        self.shared.retire(&job);
 
         // Block until every chunk has run (some may still be in flight on
         // workers).  This wait is unconditional — the soundness of the
@@ -451,12 +382,8 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        {
-            let mut state = self.shared.state.lock().unwrap();
-            state.shutdown = true;
-            state.generation += 1;
-            self.shared.cv.notify_all();
-        }
+        self.shared.queue.lock().unwrap().shutdown = true;
+        self.shared.cv.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -537,7 +464,7 @@ impl std::ops::Deref for PoolRef {
 
 /// Resolves the pool for an optional explicit thread count.
 ///
-/// Precedence: `explicit` (e.g. `RepairConfig::threads`) wins over the
+/// Precedence: `explicit` (e.g. the server's `--threads`) wins over the
 /// `PRDNN_THREADS` environment variable, which wins over
 /// `available_parallelism`.  When `explicit` is `None` or matches the
 /// global pool's size, the global pool is reused; otherwise a fresh pool of
