@@ -65,7 +65,8 @@ pub fn repair_points(
 /// Provable Point Repair starting from an existing DDNN.
 ///
 /// This allows repairs to be chained: the result of one repair (a DDNN) can
-/// be repaired again on a different layer or specification.
+/// be repaired again on a different layer or specification.  The
+/// Jacobian pass runs on the [`prdnn_par::global`] pool.
 ///
 /// # Errors
 ///
@@ -76,16 +77,14 @@ pub fn repair_points_ddnn(
     spec: &PointSpec,
     config: &RepairConfig,
 ) -> Result<RepairOutcome, RepairError> {
-    let pool = prdnn_par::pool_for(config.threads);
-    repair_points_ddnn_in(&pool, ddnn, layer, spec, config)
+    repair_points_ddnn_in(prdnn_par::global(), ddnn, layer, spec, config)
 }
 
 /// [`repair_points_ddnn`] on an explicit thread pool.
 ///
-/// Long-lived callers that run many repairs (the serving layer's job
-/// workers) resolve their pool once and pass it here, instead of paying a
-/// `pool_for` resolution — and possibly a transient pool spawn — per
-/// repair.  `config.threads` is ignored in favour of `pool`.
+/// The serving layer's job workers pass the server's pool here.  The
+/// result is bit-identical for every pool size; only wall-clock time
+/// changes.
 ///
 /// # Errors
 ///
@@ -274,9 +273,9 @@ mod tests {
 
     #[test]
     fn repair_is_bit_identical_for_every_thread_count() {
-        // The `threads` knob may only change wall-clock time: the batched
-        // Jacobians come back in key-point order, so the LP — and the
-        // minimal delta — are identical bit for bit.
+        // The pool may only change wall-clock time: the batched Jacobians
+        // come back in key-point order, so the LP — and the minimal delta —
+        // are identical bit for bit.
         let mut rng = StdRng::seed_from_u64(57);
         let net = prdnn_nn::Network::mlp(&[4, 12, 10, 3], Activation::Relu, &mut rng);
         let points: Vec<Vec<f64>> = (0..6)
@@ -284,22 +283,15 @@ mod tests {
             .collect();
         let labels: Vec<usize> = (0..6).map(|i| i % 3).collect();
         let spec = PointSpec::from_classification(&points, &labels, 3, 1e-4);
-        let serial = repair_points(
-            &net,
-            2,
-            &spec,
-            &RepairConfig {
-                threads: Some(1),
-                ..RepairConfig::default()
-            },
-        )
-        .expect("serial repair succeeds");
+        let ddnn = DecoupledNetwork::from_network(&net);
+        let config = RepairConfig::default();
+        let repair = |threads: usize| {
+            let pool = prdnn_par::ThreadPool::new(threads);
+            repair_points_ddnn_in(&pool, &ddnn, 2, &spec, &config).expect("repair succeeds")
+        };
+        let serial = repair(1);
         for threads in [2, 4] {
-            let config = RepairConfig {
-                threads: Some(threads),
-                ..RepairConfig::default()
-            };
-            let outcome = repair_points(&net, 2, &spec, &config).expect("repair succeeds");
+            let outcome = repair(threads);
             assert_eq!(outcome.delta, serial.delta, "threads = {threads}");
             assert_eq!(outcome.repaired, serial.repaired, "threads = {threads}");
         }

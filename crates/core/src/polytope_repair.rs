@@ -95,13 +95,13 @@ pub fn repair_polytopes_ddnn(
     }
 
     let lin_start = Instant::now();
-    let pool = prdnn_par::pool_for(config.threads);
-    let (key_points, num_regions) = region_key_points(&pool, activation_net, spec)?;
+    let pool = prdnn_par::global();
+    let (key_points, num_regions) = region_key_points(pool, activation_net, spec)?;
     let lin_regions_time: Duration = lin_start.elapsed();
     let num_key_points = key_points.len();
 
     // Line 7: hand the constructed point specification to Algorithm 1.
-    let outcome = repair_key_points(ddnn, layer, &key_points, config, &pool, lin_regions_time)?;
+    let outcome = repair_key_points(ddnn, layer, &key_points, config, pool, lin_regions_time)?;
     Ok(PolytopeRepairOutcome {
         outcome,
         num_regions,

@@ -31,15 +31,6 @@ pub struct RepairConfig {
     /// Iteration limit handed to the simplex solver, shared by the
     /// row-generation rounds.
     pub max_lp_iterations: usize,
-    /// Thread count for the parallel hot paths (`LinRegions` and the
-    /// per-key-point Jacobians).
-    ///
-    /// Precedence: `Some(n)` wins over the `PRDNN_THREADS` environment
-    /// variable (`Some(1)` forces the guaranteed serial path); `None`
-    /// defers to `PRDNN_THREADS`, then to the machine's available
-    /// parallelism.  The repair result is bit-identical for every setting —
-    /// the knob only affects wall-clock time.
-    pub threads: Option<usize>,
 }
 
 impl Default for RepairConfig {
@@ -48,7 +39,6 @@ impl Default for RepairConfig {
             norm: RepairNorm::L1,
             param_bound: None,
             max_lp_iterations: 2_000_000,
-            threads: None,
         }
     }
 }
@@ -179,10 +169,9 @@ impl RepairConfig {
     /// Encodes the configuration as a JSON document — the shared format of
     /// the serve wire protocol and the durable version log.
     ///
-    /// `threads` is deliberately **not** encoded: it is an execution knob
-    /// owned by whoever runs the repair (the server owns its pool), never
-    /// part of what a repair *means*, and results are bit-identical across
-    /// every setting.
+    /// The thread count is not part of it: the pool belongs to whoever runs
+    /// the repair (the server owns its pool), never to what a repair
+    /// *means*, and results are bit-identical at every thread count.
     pub fn to_json(&self) -> Value {
         Value::obj([
             (
@@ -207,10 +196,9 @@ impl RepairConfig {
     }
 
     /// Decodes a configuration from its JSON document.  Missing fields take
-    /// their defaults (`threads` is always `None`; see [`Self::to_json`]),
-    /// and unknown ones are ignored: records written when the LP solver
-    /// had selectable backends carry `lp_backend` and `lp_pricing`, which
-    /// no longer mean anything.
+    /// their defaults, and unknown ones are ignored: records written when
+    /// the LP solver had selectable backends carry `lp_backend` and
+    /// `lp_pricing`, which no longer mean anything.
     ///
     /// # Errors
     ///
@@ -597,8 +585,8 @@ impl<'a> KeyPointRows<'a> {
 /// feasibility test; and an infeasible relaxation proves the full LP
 /// infeasible.  If `Δ = 0` violates no row, it is returned without an LP.
 ///
-/// `pool` is the thread pool already resolved from `config.threads` (the
-/// caller may have used it for `LinRegions` first).
+/// `pool` runs the key points' Jacobian pass (the caller may have used it
+/// for `LinRegions` first).
 pub(crate) fn repair_key_points(
     ddnn: &DecoupledNetwork,
     layer: usize,
@@ -1030,8 +1018,6 @@ mod tests {
         let c = RepairConfig::default();
         assert_eq!(c.norm, RepairNorm::L1);
         assert!(c.param_bound.is_none());
-        // Default thread count defers to PRDNN_THREADS / the machine.
-        assert_eq!(c.threads, None);
     }
 
     #[test]
@@ -1045,7 +1031,6 @@ mod tests {
                 norm,
                 param_bound: bound,
                 max_lp_iterations: 12_345,
-                threads: None,
             };
             let back = RepairConfig::from_json(&config.to_json()).unwrap();
             assert_eq!(back, config);

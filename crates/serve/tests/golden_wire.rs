@@ -67,7 +67,6 @@ fn requests() -> Vec<Request> {
                 norm: RepairNorm::LInf,
                 param_bound: Some(0.5),
                 max_lp_iterations: 5000,
-                threads: None,
             },
         },
         Request::JobStatus { job: 42 },

@@ -72,7 +72,6 @@ fn config() -> impl Strategy<Value = RepairConfig> {
         param_bound: [None, Some(0.5), Some(1e3)][bound],
         max_lp_iterations: iters * 1000,
         // Not on the wire: the server owns its pool.
-        threads: None,
     })
 }
 

@@ -81,7 +81,6 @@ fn a_store_written_with_lp_backend_settings_recovers_bit_identical() {
         norm: RepairNorm::L1,
         param_bound: None,
         max_lp_iterations: 100_000,
-        threads: None,
     };
     let provenance = v2.provenance.as_ref().expect("a repair's provenance");
     assert_eq!(provenance.config, config);

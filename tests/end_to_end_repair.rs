@@ -3,8 +3,8 @@
 //! LP, to a verified repaired network.
 
 use prdnn::core::{
-    repair_points, repair_polytopes, DecoupledNetwork, InputPolytope, OutputPolytope, PointSpec,
-    PolytopeSpec, RepairConfig, RepairError, RepairNorm,
+    repair_points, repair_points_ddnn_in, repair_polytopes, DecoupledNetwork, InputPolytope,
+    OutputPolytope, PointSpec, PolytopeSpec, RepairConfig, RepairError, RepairNorm,
 };
 use prdnn::datasets::{acas, corruptions, digits, imagenet_like, natural_adversarial};
 use prdnn::nn::{Activation, Network};
@@ -30,13 +30,11 @@ fn golden_paper_example_repair_is_invariant_across_configurations() {
     const GOLDEN_DRAWDOWN: f64 = 7.0 / 6.0;
     let n1 = prdnn::core::paper_example::n1();
     let spec = prdnn::core::paper_example::equation_2_spec();
+    let ddnn = DecoupledNetwork::from_network(&n1);
     for threads in [1usize, 4] {
         let label = format!("threads={threads}");
-        let config = RepairConfig {
-            threads: Some(threads),
-            ..RepairConfig::default()
-        };
-        let outcome = repair_points(&n1, 0, &spec, &config)
+        let pool = prdnn::par::ThreadPool::new(threads);
+        let outcome = repair_points_ddnn_in(&pool, &ddnn, 0, &spec, &RepairConfig::default())
             .unwrap_or_else(|e| panic!("{label}: repair failed: {e}"));
         // Success: the specification holds on the repaired network.
         assert!(
