@@ -4,37 +4,22 @@
 use prdnn_core::DecoupledNetwork;
 use prdnn_nn::{Dataset, Network};
 
-/// Anything that maps an input to a class label — both plain networks
+/// Anything that maps inputs to class labels — both plain networks
 /// (fine-tuning baselines) and repaired DDNNs.
 pub trait Classifier {
-    /// Predicted class label for `input`.
-    fn classify_point(&self, input: &[f64]) -> usize;
-
-    /// Predicted class labels for a batch of inputs.
-    ///
-    /// The default maps [`Self::classify_point`]; implementations with a
-    /// batched forward pass should override it.
-    fn classify_batch(&self, inputs: &[Vec<f64>]) -> Vec<usize> {
-        inputs.iter().map(|x| self.classify_point(x)).collect()
-    }
+    /// Predicted class labels of `inputs`, in order.
+    fn classify_batch(&self, inputs: &[Vec<f64>]) -> Vec<usize>;
 }
 
 impl Classifier for Network {
-    fn classify_point(&self, input: &[f64]) -> usize {
-        self.classify(input)
-    }
-
     fn classify_batch(&self, inputs: &[Vec<f64>]) -> Vec<usize> {
-        self.forward_batch(inputs)
-            .iter()
-            .map(|out| prdnn_linalg::argmax(out))
-            .collect()
+        self.classify_all(inputs)
     }
 }
 
 impl Classifier for DecoupledNetwork {
-    fn classify_point(&self, input: &[f64]) -> usize {
-        self.classify(input)
+    fn classify_batch(&self, inputs: &[Vec<f64>]) -> Vec<usize> {
+        self.classify_all(inputs)
     }
 }
 

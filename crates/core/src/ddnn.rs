@@ -242,19 +242,19 @@ impl DecoupledNetwork {
         vector::argmax(&self.forward(input))
     }
 
-    /// Classification accuracy of the DDNN on a labelled dataset.
-    ///
-    /// Returns 1.0 on an empty dataset.
-    pub fn accuracy(&self, inputs: &[Vec<f64>], labels: &[usize]) -> f64 {
-        if inputs.is_empty() {
-            return 1.0;
+    /// [`Self::classify`] of every input, in order, pushed through
+    /// [`Self::forward_decoupled_batch`] [`prdnn_nn::CLASSIFY_CHUNK`] inputs
+    /// at a time on the calling thread; the batch's rows are
+    /// [`Self::forward`]'s.
+    pub fn classify_all(&self, inputs: &[Vec<f64>]) -> Vec<usize> {
+        let mut classes = Vec::with_capacity(inputs.len());
+        for chunk in inputs.chunks(prdnn_nn::CLASSIFY_CHUNK) {
+            let pairs: Vec<(&[f64], &[f64])> =
+                chunk.iter().map(|x| (x.as_slice(), x.as_slice())).collect();
+            let outputs = self.forward_decoupled_batch(&pairs);
+            classes.extend(outputs.iter().map(|y| vector::argmax(y)));
         }
-        let correct = inputs
-            .iter()
-            .zip(labels)
-            .filter(|(x, &y)| self.classify(x) == y)
-            .count();
-        correct as f64 / inputs.len() as f64
+        classes
     }
 
     /// The Jacobian of the DDNN output with respect to the parameters of
@@ -681,6 +681,46 @@ mod tests {
             assert_eq!(jacobians, expected_jac, "threads = {threads}");
             assert_eq!(outputs, expected, "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn classify_all_matches_per_point_classify_past_a_chunk_boundary() {
+        // conv(3×3, pad 1) → max pool(2×2) → dense on 1×4×4 inputs, with
+        // the conv's value channel moved off the activation channel.
+        let mut rng = StdRng::seed_from_u64(61);
+        let conv = Layer::Conv2d(prdnn_nn::Conv2dLayer {
+            in_channels: 1,
+            in_height: 4,
+            in_width: 4,
+            out_channels: 2,
+            kernel_h: 3,
+            kernel_w: 3,
+            stride: 1,
+            padding: 1,
+            weights: (0..18).map(|_| rng.gen_range(-0.6..0.6)).collect(),
+            bias: vec![0.1, -0.1],
+            activation: Activation::Relu,
+        });
+        let pool = Layer::MaxPool2d(prdnn_nn::Pool2dLayer {
+            channels: 2,
+            in_height: 4,
+            in_width: 4,
+            pool_h: 2,
+            pool_w: 2,
+            stride: 2,
+        });
+        let dense = Layer::dense(
+            Matrix::from_fn(3, 8, |_, _| rng.gen_range(-0.5..0.5)),
+            vec![0.0; 3],
+            Activation::Identity,
+        );
+        let mut ddnn = DecoupledNetwork::from_network(&Network::new(vec![conv, pool, dense]));
+        let delta: Vec<f64> = (0..20).map(|_| rng.gen_range(-0.3..0.3)).collect();
+        ddnn.apply_value_delta(0, &delta);
+        let inputs = random_points(&mut rng, 16, 300);
+        assert!(inputs.len() > prdnn_nn::CLASSIFY_CHUNK);
+        let expected: Vec<usize> = inputs.iter().map(|x| ddnn.classify(x)).collect();
+        assert_eq!(ddnn.classify_all(&inputs), expected);
     }
 
     proptest! {

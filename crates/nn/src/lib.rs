@@ -37,5 +37,5 @@ pub use activation::Activation;
 pub use batch::FlatBatch;
 pub use io::{network_content_hash, network_from_json, network_to_json};
 pub use layer::{ActivationKernel, Conv2dLayer, DenseLayer, Layer, Pool2dLayer, PoolWindows};
-pub use network::{ActivationPattern, ForwardTrace, Network};
+pub use network::{ActivationPattern, ForwardTrace, Network, CLASSIFY_CHUNK};
 pub use train::{backprop, cross_entropy, sgd_train, softmax, Dataset, Loss, TrainConfig};

@@ -59,10 +59,10 @@ impl ForwardTrace {
     }
 }
 
-/// Inputs per batch when [`Network::accuracy`] and
-/// [`crate::Dataset::misclassified`] classify a dataset: bounds the batch
-/// buffers, and changes no bit.
-const CLASSIFY_CHUNK: usize = 256;
+/// Inputs per batch when [`Network::classify_all`] (and through it
+/// [`Network::accuracy`] and [`crate::Dataset::misclassified`]) classifies a
+/// dataset: bounds the batch buffers, and changes no bit.
+pub const CLASSIFY_CHUNK: usize = 256;
 
 /// The activation pattern of a network at a point (Definition 2.5): for each
 /// layer, the linear piece each unit (or pooling window) falls into.
@@ -255,7 +255,7 @@ impl Network {
     /// [`Self::classify`] of every input, in order, pushed through the
     /// network [`CLASSIFY_CHUNK`] inputs at a time by
     /// [`Self::forward_batch_flat`], whose rows are [`Self::forward`]'s.
-    pub(crate) fn classify_all(&self, inputs: &[Vec<f64>]) -> Vec<usize> {
+    pub fn classify_all(&self, inputs: &[Vec<f64>]) -> Vec<usize> {
         let mut classes = Vec::with_capacity(inputs.len());
         for chunk in inputs.chunks(CLASSIFY_CHUNK) {
             let outputs = self.forward_batch_flat(&FlatBatch::from_rows(self.input_dim(), chunk));
