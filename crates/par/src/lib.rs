@@ -59,6 +59,10 @@ thread_local! {
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
+/// Why taking a pool lock cannot fail: chunk closures run outside every
+/// pool lock, under `catch_unwind`, so no thread panics while holding one.
+const POISONED: &str = "a thread panicked while holding a pool lock";
+
 /// One submitted `par_map`/`par_chunks` call.
 ///
 /// `run` type-erases the caller's chunk closure.  The pointee lives on the
@@ -90,6 +94,10 @@ impl Job {
     /// Claims the next chunk and runs it, publishing the job's completion
     /// after its last chunk; `false` once every chunk has been claimed.
     fn run_next(&self) -> bool {
+        // `Relaxed`: the counter publishes no data.  The closure's inputs
+        // reach a worker through the queue's mutex, and the chunk results
+        // reach the submitter through `pending`'s `AcqRel` countdown and
+        // the `done` mutex.
         let chunk = self.next.fetch_add(1, Ordering::Relaxed);
         if chunk >= self.chunk_count {
             return false;
@@ -100,10 +108,10 @@ impl Job {
         let result = panic::catch_unwind(AssertUnwindSafe(|| unsafe { (*self.run)(chunk) }));
         IN_WORKER.with(|f| f.set(false));
         if let Err(payload) = result {
-            self.panic.lock().unwrap().get_or_insert(payload);
+            self.panic.lock().expect(POISONED).get_or_insert(payload);
         }
         if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            *self.done.lock().unwrap() = true;
+            *self.done.lock().expect(POISONED) = true;
             self.done_cv.notify_all();
         }
         true
@@ -128,7 +136,7 @@ impl Shared {
     /// The oldest queued job, sleeping until there is one; `None` once the
     /// pool shuts down.
     fn next_job(&self) -> Option<Arc<Job>> {
-        let mut queue = self.queue.lock().unwrap();
+        let mut queue = self.queue.lock().expect(POISONED);
         loop {
             if queue.shutdown {
                 return None;
@@ -136,14 +144,14 @@ impl Shared {
             if let Some(job) = queue.jobs.front() {
                 return Some(Arc::clone(job));
             }
-            queue = self.cv.wait(queue).unwrap();
+            queue = self.cv.wait(queue).expect(POISONED);
         }
     }
 
     /// Takes `job`, every chunk of which is claimed, off the queue; a no-op
     /// if another thread already did.
     fn retire(&self, job: &Arc<Job>) {
-        let mut queue = self.queue.lock().unwrap();
+        let mut queue = self.queue.lock().expect(POISONED);
         if let Some(at) = queue
             .jobs
             .iter()
@@ -349,7 +357,7 @@ impl ThreadPool {
         self.shared
             .queue
             .lock()
-            .unwrap()
+            .expect(POISONED)
             .jobs
             .push_back(Arc::clone(&job));
         self.shared.cv.notify_all();
@@ -367,13 +375,13 @@ impl ThreadPool {
         // workers).  This wait is unconditional — the soundness of the
         // lifetime erasure above depends on it.  The flag is set under the
         // mutex, so the wakeup cannot be missed.
-        let mut done = job.done.lock().unwrap();
+        let mut done = job.done.lock().expect(POISONED);
         while !*done {
-            done = job.done_cv.wait(done).unwrap();
+            done = job.done_cv.wait(done).expect(POISONED);
         }
         drop(done);
 
-        let payload = job.panic.lock().unwrap().take();
+        let payload = job.panic.lock().expect(POISONED).take();
         if let Some(payload) = payload {
             panic::resume_unwind(payload);
         }
@@ -382,7 +390,12 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.queue.lock().unwrap().shutdown = true;
+        // `Drop` must not panic; setting the flag is valid in any state.
+        self.shared
+            .queue
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .shutdown = true;
         self.shared.cv.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
