@@ -32,9 +32,9 @@ pub use scale::Scale;
 /// Applies the bench binaries' `--threads N` (or `--threads=N`) knob by
 /// exporting it as `PRDNN_THREADS` before any thread pool exists.
 ///
-/// Precedence, highest first: an explicit `RepairConfig::threads`, then
-/// this flag / `PRDNN_THREADS`, then the machine's available parallelism.
-/// Call this at the top of `main`, before any repair runs.
+/// Precedence, highest first: this flag / `PRDNN_THREADS`, then the
+/// machine's available parallelism.  Call this at the top of `main`, before
+/// any repair runs.
 pub fn apply_threads_arg() {
     if let Some(n) = flag_value("--threads")
         .and_then(|v| v.parse::<usize>().ok())

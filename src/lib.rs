@@ -8,7 +8,7 @@
 //! * [`lp`] — an LP solver (a dual simplex from the slack basis,
 //!   resumable after rows are appended; ℓ1/ℓ∞ norm objectives),
 //! * [`nn`] — the DNN substrate (layers, activations, training),
-//! * [`par`] — the work-stealing thread pool behind the parallel hot paths,
+//! * [`par`] — the thread pool behind the parallel hot paths,
 //! * [`syrenn`] — exact linear-region computation for PWL networks,
 //! * [`core`] — Decoupled DNNs and the provable point/polytope repair
 //!   algorithms (the paper's contribution),
