@@ -15,8 +15,9 @@
 //! * Each job carries one atomic next-chunk counter.  Whoever runs its
 //!   chunks claims the next one with `fetch_add` until the counter passes
 //!   the chunk count, so every chunk runs exactly once and a thread that
-//!   finishes a cheap chunk early simply claims another (self-scheduling;
-//!   Polychronopoulos & Kuck, *Guided Self-Scheduling*, IEEE TC 1987).
+//!   finishes a cheap chunk early simply claims another (self-scheduling
+//!   with fixed chunks; Polychronopoulos & Kuck, *Guided Self-Scheduling*,
+//!   IEEE TC 1987, shrink the chunks as the work runs out).
 //! * Submitted jobs wait in one mutex-guarded FIFO.  Idle workers sleep on
 //!   a condvar beside it and take the oldest job that is still queued; a
 //!   job leaves the queue once a thread finds all of its chunks claimed.
