@@ -551,6 +551,78 @@ mod tests {
         assert_eq!(hash, 0x38ef_c84f_85d3_b527);
     }
 
+    /// The DDNN passes' bits on the trained CNN when both channels are fed
+    /// the same image, pinned: one FNV-1a hash over the outputs and
+    /// value-parameter Jacobians of `(x, x)` for each of the twelve
+    /// repair-pool images, batched and per point, for the unrepaired DDNN
+    /// and for copies whose value channel is perturbed at layer idx 2 and at
+    /// layer idx 0, followed by the repaired layer's parameters after a
+    /// point repair at layer idx 2 of the unrepaired and the layer-0 copies
+    /// (the repair loop's fused pass).  Equal inputs are what the batched
+    /// passes may compute once for both channels; a pass that shares a
+    /// layer whose channels differ changes this hash.
+    #[test]
+    fn tiny_task1_ddnn_shared_pass_keeps_its_bits() {
+        use prdnn_core::{repair_points_ddnn, DecoupledNetwork, OutputPolytope};
+        let setup = setup(&Task1Params::for_scale(Scale::Tiny));
+        let pool = &setup.repair_pool;
+        assert_eq!(pool.len(), 12);
+        let pairs: Vec<(&[f64], &[f64])> = pool
+            .inputs
+            .iter()
+            .map(|x| (x.as_slice(), x.as_slice()))
+            .collect();
+        let unrepaired = DecoupledNetwork::from_network(&setup.network);
+        let perturbed = |layer: usize| {
+            let mut ddnn = unrepaired.clone();
+            let n = ddnn.value_layer(layer).num_params();
+            let delta: Vec<f64> = (0..n).map(|i| 0.05 * (0.37 * i as f64).sin()).collect();
+            ddnn.apply_value_delta(layer, &delta);
+            ddnn
+        };
+        let (at_2, at_0) = (perturbed(2), perturbed(0));
+
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |values: &[f64]| {
+            for v in values {
+                for byte in v.to_bits().to_le_bytes() {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        };
+        for ddnn in [&unrepaired, &at_2, &at_0] {
+            for row in ddnn.forward_decoupled_batch(&pairs) {
+                mix(&row);
+            }
+            for layer in [0, 2, 4, 5] {
+                for jacobian in ddnn.value_param_jacobian_batch(layer, &pairs) {
+                    mix(jacobian.as_slice());
+                }
+            }
+            for x in &pool.inputs {
+                mix(&ddnn.forward(x));
+                mix(ddnn.value_param_jacobian(2, x, x).as_slice());
+            }
+        }
+
+        let mut spec = PointSpec::new();
+        for (x, &label) in pool.inputs.iter().zip(&pool.labels).take(6) {
+            let constraint =
+                OutputPolytope::classification(label, imagenet_like::NUM_CLASSES, 1e-4);
+            spec.push(x.clone(), constraint);
+        }
+        let mut l1 = Vec::new();
+        for ddnn in [&unrepaired, &at_0] {
+            let outcome = repair_points_ddnn(ddnn, 2, &spec, &RepairConfig::default())
+                .expect("the layer idx 2 repair succeeds");
+            l1.push(outcome.stats.delta_l1);
+            mix(&outcome.repaired.value_layer(2).params());
+        }
+        assert_eq!(l1, [2.526376415915972, 3.0208861094001853]);
+        assert_eq!(hash, 0xf347_374d_176b_2219);
+    }
+
     #[test]
     fn failed_repairs_keep_their_cause() {
         let outcomes = [
