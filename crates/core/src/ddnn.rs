@@ -9,25 +9,172 @@
 //! facts the repair algorithms rely on.
 
 use prdnn_linalg::{vector, Matrix};
-use prdnn_nn::{ActivationKernel, FlatBatch, Layer, Network};
+use prdnn_nn::{ActivationKernel, Conv2dLayer, FlatBatch, Layer, Network};
 use serde::{Deserialize, Serialize};
 
-/// Splits `(act, val)` input pairs into the two channel batches, stored
-/// flat so every dense layer below is one GEMM call per channel.
-fn channel_batches(in_dim: usize, pairs: &[(&[f64], &[f64])]) -> (FlatBatch, FlatBatch) {
-    let mut v_act = FlatBatch::with_capacity(in_dim, pairs.len());
-    let mut v_val = FlatBatch::with_capacity(in_dim, pairs.len());
-    for (a, v) in pairs {
-        v_act.push_row(a);
-        v_val.push_row(v);
-    }
-    (v_act, v_val)
+/// Whether `a` and `b` hold the same values bit for bit: +0.0 and −0.0
+/// differ, and a NaN equals only a NaN of the same payload.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
+
+/// Whether two layers of one architecture hold bitwise-equal parameters.
+fn same_params(a: &Layer, v: &Layer) -> bool {
+    match (a, v) {
+        (Layer::Dense(a), Layer::Dense(v)) => {
+            same_bits(a.weights.as_slice(), v.weights.as_slice()) && same_bits(&a.bias, &v.bias)
+        }
+        (Layer::Conv2d(a), Layer::Conv2d(v)) => {
+            same_bits(&a.weights, &v.weights) && same_bits(&a.bias, &v.bias)
+        }
+        // `DecoupledNetwork::try_new` makes the channels' layer kinds
+        // agree, so these are pooling layers, which have no parameters.
+        _ => true,
+    }
+}
+
+/// How value-channel layer `v` differs from activation-channel layer `a`
+/// in anything but its parameter values, if it does.
+fn architecture_mismatch(layer: usize, a: &Layer, v: &Layer) -> Option<ChannelMismatch> {
+    let same_geometry = match (a, v) {
+        (Layer::Dense(a), Layer::Dense(v)) => {
+            (a.weights.rows(), a.weights.cols(), a.bias.len())
+                == (v.weights.rows(), v.weights.cols(), v.bias.len())
+        }
+        (Layer::Conv2d(a), Layer::Conv2d(v)) => {
+            let geometry = |c: &Conv2dLayer| {
+                [
+                    c.in_channels,
+                    c.in_height,
+                    c.in_width,
+                    c.out_channels,
+                    c.kernel_h,
+                    c.kernel_w,
+                    c.stride,
+                    c.padding,
+                    c.weights.len(),
+                    c.bias.len(),
+                ]
+            };
+            geometry(a) == geometry(v)
+        }
+        (Layer::MaxPool2d(a), Layer::MaxPool2d(v)) | (Layer::AvgPool2d(a), Layer::AvgPool2d(v)) => {
+            a == v
+        }
+        _ => return Some(ChannelMismatch::Kind { layer }),
+    };
+    if a.activation() != v.activation() {
+        Some(ChannelMismatch::Activation { layer })
+    } else if !same_geometry {
+        Some(ChannelMismatch::Geometry { layer })
+    } else {
+        None
+    }
+}
+
+/// Why two networks cannot be the channels of one DDNN: Definition 4.1
+/// requires identical architectures ([`DecoupledNetwork::try_new`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChannelMismatch {
+    /// The channels have different numbers of layers.
+    LayerCount {
+        /// The activation channel's layer count.
+        activation: usize,
+        /// The value channel's layer count.
+        value: usize,
+    },
+    /// Layer `layer` is dense, conv, max pool or average pool in one
+    /// channel and another kind in the other.
+    Kind {
+        /// The offending layer index.
+        layer: usize,
+    },
+    /// Layer `layer` has another activation function in each channel.
+    Activation {
+        /// The offending layer index.
+        layer: usize,
+    },
+    /// Layer `layer` differs in its shape, kernel, stride, padding or
+    /// pooling window.
+    Geometry {
+        /// The offending layer index.
+        layer: usize,
+    },
+}
+
+impl std::fmt::Display for ChannelMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ChannelMismatch::LayerCount { activation, value } => write!(
+                f,
+                "DDNN channels have {activation} and {value} layers; they must match"
+            ),
+            ChannelMismatch::Kind { layer } => {
+                write!(f, "DDNN channels differ in kind at layer {layer}")
+            }
+            ChannelMismatch::Activation { layer } => {
+                write!(f, "DDNN channels differ in activation at layer {layer}")
+            }
+            ChannelMismatch::Geometry { layer } => {
+                write!(f, "DDNN channels differ in geometry at layer {layer}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ChannelMismatch {}
 
 /// Every layer's activation kernel, built once per pass and read by both
 /// channels and the backward accumulation.
 fn kernels(net: &Network) -> Vec<ActivationKernel> {
     net.layers().iter().map(Layer::activation_kernel).collect()
+}
+
+/// What a batched pass builds once per public call and hands to every
+/// chunk.
+struct PassSetup {
+    /// Every layer's activation kernel ([`kernels`]).
+    kernels: Vec<ActivationKernel>,
+    /// How many leading layers hold bitwise-equal parameters in both
+    /// channels.
+    equal_params: usize,
+}
+
+/// The two channels' values on entry to a layer of a batched pass, stored
+/// flat so every dense layer is one GEMM call per batch.
+enum Channels {
+    /// Bitwise-equal values: one batch stands for both channels.
+    Shared(FlatBatch),
+    /// The activation channel's values and the value channel's; the
+    /// latter is empty once the pass stops carrying the value channel.
+    Split(FlatBatch, FlatBatch),
+}
+
+impl Channels {
+    /// The channel batches of `(act, val)` input pairs: one batch when
+    /// every pair's two inputs are bitwise equal.
+    fn of_pairs(in_dim: usize, pairs: &[(&[f64], &[f64])]) -> Self {
+        let mut v_act = FlatBatch::with_capacity(in_dim, pairs.len());
+        if pairs.iter().all(|(a, v)| same_bits(a, v)) {
+            for (a, _) in pairs {
+                v_act.push_row(a);
+            }
+            return Channels::Shared(v_act);
+        }
+        let mut v_val = FlatBatch::with_capacity(in_dim, pairs.len());
+        for (a, v) in pairs {
+            v_act.push_row(a);
+            v_val.push_row(v);
+        }
+        Channels::Split(v_act, v_val)
+    }
+
+    /// The value channel's values.
+    fn into_value(self) -> FlatBatch {
+        match self {
+            Channels::Shared(v) | Channels::Split(_, v) => v,
+        }
+    }
 }
 
 /// The value channel's step for one point (Definition 4.3): `z_val`
@@ -95,30 +242,35 @@ impl DecoupledNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if the two networks do not have the same architecture (same
-    /// number of layers with matching input/output dimensions and parameter
-    /// counts).
+    /// Panics with [`Self::try_new`]'s error if the two networks do not
+    /// have the same architecture.
     pub fn new(activation: Network, value: Network) -> Self {
-        assert_eq!(
-            activation.num_layers(),
-            value.num_layers(),
-            "DDNN channels must have the same number of layers"
-        );
-        for i in 0..activation.num_layers() {
-            let (a, v) = (activation.layer(i), value.layer(i));
-            assert_eq!(a.input_dim(), v.input_dim(), "layer {i}: input dims differ");
-            assert_eq!(
-                a.output_dim(),
-                v.output_dim(),
-                "layer {i}: output dims differ"
-            );
-            assert_eq!(
-                a.num_params(),
-                v.num_params(),
-                "layer {i}: parameter counts differ"
-            );
+        Self::try_new(activation, value).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds a DDNN from separate activation- and value-channel networks
+    /// of the same architecture (Definition 4.1): per layer, the same kind,
+    /// activation and geometry, so that the two differ in parameter values
+    /// only.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first layer at which the architectures differ.
+    pub fn try_new(activation: Network, value: Network) -> Result<Self, ChannelMismatch> {
+        if activation.num_layers() != value.num_layers() {
+            return Err(ChannelMismatch::LayerCount {
+                activation: activation.num_layers(),
+                value: value.num_layers(),
+            });
         }
-        DecoupledNetwork { activation, value }
+        let layers = activation.layers().iter().zip(value.layers());
+        if let Some(mismatch) = layers
+            .enumerate()
+            .find_map(|(i, (a, v))| architecture_mismatch(i, a, v))
+        {
+            return Err(mismatch);
+        }
+        Ok(DecoupledNetwork { activation, value })
     }
 
     /// The activation-channel network.
@@ -198,43 +350,113 @@ impl DecoupledNetwork {
     /// The whole batch is pushed through one layer at a time — mirroring
     /// [`prdnn_nn::Network::forward_batch`] — so per-layer setup (each
     /// layer's activation kernel, with its pooling window table) is paid
-    /// once per layer instead of once per point.  Per-point results are
-    /// identical to [`Self::forward_decoupled`].
+    /// once per layer instead of once per point.  When every pair feeds
+    /// both channels the same input, bit for bit, a layer's pre-activation
+    /// is computed once for both channels while its parameters agree bit
+    /// for bit and the layer below it produced bitwise-equal outputs in
+    /// both.  Per-point results are identical to
+    /// [`Self::forward_decoupled`], which stays the two-channel reference.
     ///
     /// # Panics
     ///
     /// Panics if any input has the wrong dimension.
     pub fn forward_decoupled_batch(&self, pairs: &[(&[f64], &[f64])]) -> Vec<Vec<f64>> {
-        let (mut v_act, mut v_val) = channel_batches(self.input_dim(), pairs);
-        for (i, kernel) in kernels(&self.activation).iter().enumerate() {
-            let z_act = self.activation.layer(i).preactivation_batch_flat(&v_act);
-            let z_val = self.value.layer(i).preactivation_batch_flat(&v_val);
-            v_val = apply_linearized_batch(kernel, &z_act, &z_val);
-            // The last layer's activation-channel output is never read.
-            if i + 1 < self.num_layers() {
-                v_act = kernel.apply_batch(&z_act);
-            }
-        }
-        v_val.to_rows()
+        self.forward_batch(&self.pass_setup(), pairs).to_rows()
     }
 
     /// [`Self::forward_decoupled_batch`] fanned across a thread pool.
     ///
-    /// The pairs are cut into contiguous chunks, each evaluated with the
-    /// serial batch entry point on a pool worker and spliced back in input
-    /// order, so the output is bit-identical for every thread count.
+    /// The pairs are cut into contiguous chunks, each evaluated as a serial
+    /// batch on a pool worker and spliced back in input order, so the
+    /// output is bit-identical for every thread count.
     pub fn forward_decoupled_batch_in(
         &self,
         pool: &prdnn_par::ThreadPool,
         pairs: &[(&[f64], &[f64])],
     ) -> Vec<Vec<f64>> {
+        let setup = self.pass_setup();
         let chunk_size = pool.even_chunk_size(pairs.len());
         pool.par_chunks(pairs, chunk_size, |chunk| {
-            self.forward_decoupled_batch(chunk)
+            self.forward_batch(&setup, chunk).to_rows()
         })
         .into_iter()
         .flatten()
         .collect()
+    }
+
+    /// The kernels and the count of leading layers whose parameters agree,
+    /// for one public call of a batched pass.
+    fn pass_setup(&self) -> PassSetup {
+        let equal_params = self
+            .activation
+            .layers()
+            .iter()
+            .zip(self.value.layers())
+            .take_while(|(a, v)| same_params(a, v))
+            .count();
+        PassSetup {
+            kernels: kernels(&self.activation),
+            equal_params,
+        }
+    }
+
+    /// One layer of a batched pass, the step every batched pass takes.
+    /// Returns the activation channel's pre-activation, which fixes the
+    /// layer's linearisation, and the layer's outputs: the value channel's
+    /// while `carry_value`, and the activation channel's unless `i` is the
+    /// last layer, whose activation output nothing reads.
+    ///
+    /// While the channels' inputs are [`Channels::Shared`] and layer `i`'s
+    /// parameters agree bit for bit, one pre-activation `z` serves both
+    /// channels: `σ(z)` for the activation channel and σ linearised at `z`,
+    /// applied to `z`, for the value channel — the two-channel step's
+    /// operations on bitwise-equal operands, so the same bits.  The
+    /// outputs stay shared only if they come out bitwise equal: σ and its
+    /// linearisation can differ at the centre (Tanh in the last bit, a max
+    /// pool's tie of +0.0 and −0.0 in the sign of the zero).  Once the
+    /// channels split, they stay split for the rest of the pass.
+    fn layer_step(
+        &self,
+        setup: &PassSetup,
+        i: usize,
+        input: &Channels,
+        carry_value: bool,
+    ) -> (FlatBatch, Channels) {
+        let kernel = &setup.kernels[i];
+        let (v_act, v_val, shared) = match input {
+            Channels::Shared(v) => (v, v, carry_value && i < setup.equal_params),
+            Channels::Split(act, val) => (act, val, false),
+        };
+        let z_act = self.activation.layer(i).preactivation_batch_flat(v_act);
+        let val = if !carry_value {
+            FlatBatch::default()
+        } else if shared {
+            apply_linearized_batch(kernel, &z_act, &z_act)
+        } else {
+            let z_val = self.value.layer(i).preactivation_batch_flat(v_val);
+            apply_linearized_batch(kernel, &z_act, &z_val)
+        };
+        let act = if i + 1 < self.num_layers() {
+            kernel.apply_batch(&z_act)
+        } else {
+            FlatBatch::default()
+        };
+        let output = if shared && same_bits(act.as_slice(), val.as_slice()) {
+            Channels::Shared(val)
+        } else {
+            Channels::Split(act, val)
+        };
+        (z_act, output)
+    }
+
+    /// [`Self::forward_decoupled_batch`] of one chunk, with the call's
+    /// setup.
+    fn forward_batch(&self, setup: &PassSetup, pairs: &[(&[f64], &[f64])]) -> FlatBatch {
+        let mut channels = Channels::of_pairs(self.input_dim(), pairs);
+        for i in 0..self.num_layers() {
+            channels = self.layer_step(setup, i, &channels, true).1;
+        }
+        channels.into_value()
     }
 
     /// Predicted class label of the DDNN output (argmax).
@@ -247,12 +469,13 @@ impl DecoupledNetwork {
     /// at a time on the calling thread; the batch's rows are
     /// [`Self::forward`]'s.
     pub fn classify_all(&self, inputs: &[Vec<f64>]) -> Vec<usize> {
+        let setup = self.pass_setup();
         let mut classes = Vec::with_capacity(inputs.len());
         for chunk in inputs.chunks(prdnn_nn::CLASSIFY_CHUNK) {
             let pairs: Vec<(&[f64], &[f64])> =
                 chunk.iter().map(|x| (x.as_slice(), x.as_slice())).collect();
-            let outputs = self.forward_decoupled_batch(&pairs);
-            classes.extend(outputs.iter().map(|y| vector::argmax(y)));
+            let outputs = self.forward_batch(&setup, &pairs);
+            classes.extend(outputs.rows().map(vector::argmax));
         }
         classes
     }
@@ -329,7 +552,8 @@ impl DecoupledNetwork {
         layer: usize,
         pairs: &[(&[f64], &[f64])],
     ) -> Vec<Matrix> {
-        self.jacobian_batch(layer, pairs, false).0
+        self.jacobian_batch(&self.pass_setup(), layer, pairs, false)
+            .0
     }
 
     /// [`Self::value_param_jacobian_batch`] fanned across a thread pool,
@@ -341,9 +565,10 @@ impl DecoupledNetwork {
         layer: usize,
         pairs: &[(&[f64], &[f64])],
     ) -> Vec<Matrix> {
+        let setup = self.pass_setup();
         let chunk_size = pool.even_chunk_size(pairs.len());
         pool.par_chunks(pairs, chunk_size, |chunk| {
-            self.value_param_jacobian_batch(layer, chunk)
+            self.jacobian_batch(&setup, layer, chunk, false).0
         })
         .into_iter()
         .flatten()
@@ -362,9 +587,10 @@ impl DecoupledNetwork {
         layer: usize,
         pairs: &[(&[f64], &[f64])],
     ) -> (Vec<Matrix>, Vec<Vec<f64>>) {
+        let setup = self.pass_setup();
         let chunk_size = pool.even_chunk_size(pairs.len());
         let chunks = pool.par_chunks(pairs, chunk_size, |chunk| {
-            self.jacobian_batch(layer, chunk, true)
+            self.jacobian_batch(&setup, layer, chunk, true)
         });
         let mut jacobians = Vec::with_capacity(pairs.len());
         let mut outputs = Vec::with_capacity(pairs.len());
@@ -375,17 +601,18 @@ impl DecoupledNetwork {
         (jacobians, outputs)
     }
 
-    /// The shared batched Jacobian pass.  A batched forward pass records
-    /// every layer's activation-channel pre-activations (they fix every
-    /// linearisation of the backward pass) and the value-channel inputs of
-    /// the repaired layer; the backward accumulation then runs per point,
-    /// through the same kernels.  The value channel is
-    /// propagated up to the repaired layer — beyond it the Jacobian depends
-    /// on the activation channel alone — or, with `with_outputs`, through
-    /// to the output, which is returned as the second element (empty
-    /// otherwise).
+    /// The shared batched Jacobian pass, on one chunk with the call's
+    /// setup.  A batched forward pass records every layer's
+    /// activation-channel pre-activations (they fix every linearisation of
+    /// the backward pass) and the value-channel inputs of the repaired
+    /// layer; the backward accumulation then runs per point, through the
+    /// same kernels.  The value channel is propagated up to the repaired
+    /// layer — beyond it the Jacobian depends on the activation channel
+    /// alone — or, with `with_outputs`, through to the output, which is
+    /// returned as the second element (empty otherwise).
     fn jacobian_batch(
         &self,
+        setup: &PassSetup,
         layer: usize,
         pairs: &[(&[f64], &[f64])],
         with_outputs: bool,
@@ -394,29 +621,18 @@ impl DecoupledNetwork {
             layer < self.num_layers(),
             "layer index {layer} out of bounds"
         );
-        let kernels = kernels(&self.activation);
-        let (mut v_act, mut v_val) = channel_batches(self.input_dim(), pairs);
+        let mut channels = Channels::of_pairs(self.input_dim(), pairs);
         let mut act_preacts: Vec<FlatBatch> = Vec::with_capacity(self.num_layers());
         let mut repaired_layer_inputs = FlatBatch::default();
-        for (i, kernel) in kernels.iter().enumerate() {
-            let z_act = self.activation.layer(i).preactivation_batch_flat(&v_act);
+        for i in 0..self.num_layers() {
+            let (z_act, output) = self.layer_step(setup, i, &channels, i < layer || with_outputs);
             if i == layer {
-                repaired_layer_inputs = if with_outputs {
-                    v_val.clone()
-                } else {
-                    std::mem::take(&mut v_val)
-                };
+                repaired_layer_inputs = channels.into_value();
             }
-            if i < layer || with_outputs {
-                let z_val = self.value.layer(i).preactivation_batch_flat(&v_val);
-                v_val = apply_linearized_batch(kernel, &z_act, &z_val);
-            }
-            // The last layer's activation-channel output is never read.
-            if i + 1 < self.num_layers() {
-                v_act = kernel.apply_batch(&z_act);
-            }
+            channels = output;
             act_preacts.push(z_act);
         }
+        let kernels = &setup.kernels;
 
         // Backward accumulation per point (see `value_param_jacobian`).
         let out_dim = self.output_dim();
@@ -434,7 +650,7 @@ impl DecoupledNetwork {
             })
             .collect();
         let outputs = if with_outputs {
-            v_val
+            channels.into_value()
         } else {
             FlatBatch::default()
         };
@@ -587,53 +803,70 @@ mod tests {
     fn batched_channels_match_per_point_calls_for_every_thread_count() {
         // The batch entry points must be bit-identical to the per-point
         // channels — serially and on a real pool (the repair loop relies on
-        // this to keep the LP, and so the repair, deterministic).
+        // this to keep the LP, and so the repair, deterministic) — on pairs
+        // that feed the channels different inputs and on pairs that feed
+        // both the same one, which the batched passes compute once for
+        // both channels up to the repaired copy's layer 1.
         let mut rng = StdRng::seed_from_u64(41);
         let net = Network::mlp(&[3, 8, 6, 2], Activation::Relu, &mut rng);
         let ddnn = DecoupledNetwork::from_network(&net);
+        let mut repaired = ddnn.clone();
+        let delta: Vec<f64> = (0..repaired.value_layer(1).num_params())
+            .map(|_| rng.gen_range(-0.5..0.5))
+            .collect();
+        repaired.apply_value_delta(1, &delta);
         let acts = random_points(&mut rng, 3, 13);
         let vals = random_points(&mut rng, 3, 13);
-        let pairs: Vec<(&[f64], &[f64])> = acts
+        let unequal: Vec<(&[f64], &[f64])> = acts
             .iter()
             .zip(&vals)
             .map(|(a, v)| (a.as_slice(), v.as_slice()))
             .collect();
+        let equal: Vec<(&[f64], &[f64])> =
+            acts.iter().map(|a| (a.as_slice(), a.as_slice())).collect();
 
-        let expected_fwd: Vec<Vec<f64>> = pairs
-            .iter()
-            .map(|(a, v)| ddnn.forward_decoupled(a, v))
-            .collect();
-        assert_eq!(ddnn.forward_decoupled_batch(&pairs), expected_fwd);
-
-        for layer in 0..ddnn.num_layers() {
-            let expected_jac: Vec<Matrix> = pairs
+        for (ddnn, pairs) in [
+            (&ddnn, &unequal),
+            (&ddnn, &equal),
+            (&repaired, &equal),
+            (&repaired, &unequal),
+        ] {
+            let expected_fwd: Vec<Vec<f64>> = pairs
                 .iter()
-                .map(|(a, v)| ddnn.value_param_jacobian(layer, a, v))
+                .map(|(a, v)| ddnn.forward_decoupled(a, v))
                 .collect();
-            assert_eq!(ddnn.value_param_jacobian_batch(layer, &pairs), expected_jac);
-            for threads in [1, 2, 4] {
-                let pool = prdnn_par::ThreadPool::new(threads);
-                assert_eq!(
-                    ddnn.forward_decoupled_batch_in(&pool, &pairs),
-                    expected_fwd,
-                    "forward, threads = {threads}"
-                );
-                assert_eq!(
-                    ddnn.value_param_jacobian_batch_in(&pool, layer, &pairs),
-                    expected_jac,
-                    "jacobian, layer {layer}, threads = {threads}"
-                );
-                // The repair loop's fused pass: both channels from one pass.
-                let (jacobians, outputs) =
-                    ddnn.jacobians_and_outputs_batch_in(&pool, layer, &pairs);
-                assert_eq!(
-                    jacobians, expected_jac,
-                    "fused jacobian, layer {layer}, threads = {threads}"
-                );
-                assert_eq!(
-                    outputs, expected_fwd,
-                    "fused output, layer {layer}, threads = {threads}"
-                );
+            assert_eq!(ddnn.forward_decoupled_batch(pairs), expected_fwd);
+
+            for layer in 0..ddnn.num_layers() {
+                let expected_jac: Vec<Matrix> = pairs
+                    .iter()
+                    .map(|(a, v)| ddnn.value_param_jacobian(layer, a, v))
+                    .collect();
+                assert_eq!(ddnn.value_param_jacobian_batch(layer, pairs), expected_jac);
+                for threads in [1, 2, 4] {
+                    let pool = prdnn_par::ThreadPool::new(threads);
+                    assert_eq!(
+                        ddnn.forward_decoupled_batch_in(&pool, pairs),
+                        expected_fwd,
+                        "forward, threads = {threads}"
+                    );
+                    assert_eq!(
+                        ddnn.value_param_jacobian_batch_in(&pool, layer, pairs),
+                        expected_jac,
+                        "jacobian, layer {layer}, threads = {threads}"
+                    );
+                    // The repair loop's fused pass: both channels from one pass.
+                    let (jacobians, outputs) =
+                        ddnn.jacobians_and_outputs_batch_in(&pool, layer, pairs);
+                    assert_eq!(
+                        jacobians, expected_jac,
+                        "fused jacobian, layer {layer}, threads = {threads}"
+                    );
+                    assert_eq!(
+                        outputs, expected_fwd,
+                        "fused output, layer {layer}, threads = {threads}"
+                    );
+                }
             }
         }
     }
@@ -680,6 +913,120 @@ mod tests {
             let (jacobians, outputs) = ddnn.jacobians_and_outputs_batch_in(&pool, 1, &pairs);
             assert_eq!(jacobians, expected_jac, "threads = {threads}");
             assert_eq!(outputs, expected, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn shared_pass_keeps_the_bits_at_max_pool_ties_of_signed_zeros() {
+        // A max pool fed both channels the same windows with ties of +0.0
+        // and −0.0.  The linearisation copies each window's first strict
+        // maximum; the fold with `f64::max` may resolve a tie of zeros
+        // either way (IEEE maxNum leaves the sign open), so the channels
+        // may split after the pool.  Either way the bits must be the
+        // per-point reference's.
+        let net = Network::new(vec![
+            Layer::MaxPool2d(prdnn_nn::Pool2dLayer {
+                channels: 1,
+                in_height: 2,
+                in_width: 4,
+                pool_h: 2,
+                pool_w: 2,
+                stride: 2,
+            }),
+            Layer::dense(
+                Matrix::from_rows(&[vec![1.0, -1.0], vec![0.5, 2.0]]),
+                vec![0.0, 0.0],
+                Activation::Tanh,
+            ),
+            Layer::dense(
+                Matrix::from_rows(&[vec![1.0, 1.0]]),
+                vec![0.0],
+                Activation::Identity,
+            ),
+        ]);
+        // Windows are input entries (0, 1, 4, 5) and (2, 3, 6, 7).
+        let inputs = [
+            vec![-0.0, 0.0, 0.0, -0.0, -1.0, -2.0, -3.0, -0.5],
+            vec![0.0, -0.0, -0.0, -0.0, -0.0, 0.0, 0.0, -4.0],
+            vec![-1.0, 0.5, -2.0, 0.0, -0.0, 0.25, -0.0, -3.0],
+        ];
+        let pairs: Vec<(&[f64], &[f64])> = inputs
+            .iter()
+            .map(|x| (x.as_slice(), x.as_slice()))
+            .collect();
+        let mut repaired = DecoupledNetwork::from_network(&net);
+        repaired.apply_value_delta(2, &[0.25, -0.5, 0.125]);
+        for ddnn in [DecoupledNetwork::from_network(&net), repaired] {
+            let expected: Vec<Vec<f64>> = inputs.iter().map(|x| ddnn.forward(x)).collect();
+            assert_eq!(ddnn.forward_decoupled_batch(&pairs), expected);
+            for layer in [1, 2] {
+                let expected_jac: Vec<Matrix> = inputs
+                    .iter()
+                    .map(|x| ddnn.value_param_jacobian(layer, x, x))
+                    .collect();
+                assert_eq!(ddnn.value_param_jacobian_batch(layer, &pairs), expected_jac);
+                let pool = prdnn_par::ThreadPool::new(2);
+                let (jacobians, outputs) =
+                    ddnn.jacobians_and_outputs_batch_in(&pool, layer, &pairs);
+                assert_eq!(jacobians, expected_jac, "layer {layer}");
+                assert_eq!(outputs, expected, "layer {layer}");
+            }
+        }
+    }
+
+    #[test]
+    fn channels_must_share_kind_activation_and_geometry() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let relu = Network::mlp(&[2, 3, 1], Activation::Relu, &mut rng);
+        let mut tanh = relu.clone();
+        if let Layer::Dense(d) = tanh.layer_mut(0) {
+            d.activation = Activation::Tanh;
+        }
+        let pool = prdnn_nn::Pool2dLayer {
+            channels: 1,
+            in_height: 2,
+            in_width: 2,
+            pool_h: 2,
+            pool_w: 2,
+            stride: 1,
+        };
+        let max = Network::new(vec![Layer::MaxPool2d(pool.clone())]);
+        let avg = Network::new(vec![Layer::AvgPool2d(pool.clone())]);
+        let wider = Network::new(vec![Layer::MaxPool2d(prdnn_nn::Pool2dLayer {
+            pool_w: 1,
+            in_width: 1,
+            in_height: 4,
+            ..pool
+        })]);
+        let deeper = Network::mlp(&[2, 3, 3, 1], Activation::Relu, &mut rng);
+
+        assert_eq!(
+            DecoupledNetwork::try_new(relu.clone(), tanh.clone()),
+            Err(ChannelMismatch::Activation { layer: 0 })
+        );
+        assert_eq!(
+            DecoupledNetwork::try_new(max.clone(), avg.clone()),
+            Err(ChannelMismatch::Kind { layer: 0 })
+        );
+        assert_eq!(
+            DecoupledNetwork::try_new(max.clone(), wider),
+            Err(ChannelMismatch::Geometry { layer: 0 })
+        );
+        assert_eq!(
+            DecoupledNetwork::try_new(relu.clone(), deeper),
+            Err(ChannelMismatch::LayerCount {
+                activation: 2,
+                value: 3
+            })
+        );
+        // Parameter values may differ: that is what a repair changes.
+        let mut edited = relu.clone();
+        edited.layer_mut(1).add_to_params(&[0.5; 4]);
+        assert!(DecoupledNetwork::try_new(relu.clone(), edited).is_ok());
+
+        for (activation, value) in [(relu, tanh), (max, avg)] {
+            let panic = std::panic::catch_unwind(|| DecoupledNetwork::new(activation, value));
+            assert!(panic.is_err(), "`new` must refuse what `try_new` refuses");
         }
     }
 

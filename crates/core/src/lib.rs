@@ -39,7 +39,7 @@ mod polytope_repair;
 mod repair;
 mod spec;
 
-pub use ddnn::DecoupledNetwork;
+pub use ddnn::{ChannelMismatch, DecoupledNetwork};
 pub use point_repair::{repair_points, repair_points_ddnn, repair_points_ddnn_in};
 pub use polytope_repair::{repair_polytopes, repair_polytopes_ddnn, PolytopeRepairOutcome};
 pub use repair::{

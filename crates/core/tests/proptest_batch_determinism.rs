@@ -9,7 +9,12 @@
 //! kernels accumulate in the same ascending-k order, so the two must agree
 //! to the last bit — and parallelism may only change wall-clock time,
 //! never a single f64 bit.  Both MLPs and small CNNs (conv → maxpool →
-//! conv → dense) are drawn.
+//! conv → dense) are drawn, with value-channel deltas on some layers, and
+//! fed batches whose pairs feed both channels the same input, batches whose
+//! pairs all differ, and mixed batches: the batched passes compute a layer
+//! once for both channels while inputs, parameters and the previous
+//! layer's outputs agree bit for bit, and every way that sharing ends must
+//! keep the per-point bits.
 //!
 //! The repair loop reads both channels from one fused pass that shares the
 //! batched Jacobian code (its bit-identity to the two entry points is a
@@ -29,12 +34,38 @@ use rand::{Rng, SeedableRng};
 /// container has cores.
 const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 4];
 
+/// An MLP whose hidden activation is ReLU, LeakyReLU, HardTanh or Tanh.
+/// Tanh and its linearisation at a centre can differ in the last bit, so
+/// a Tanh layer ends a shared prefix.
 fn random_ddnn(seed: u64, depth: usize, width: usize, in_dim: usize) -> DecoupledNetwork {
     let mut rng = StdRng::seed_from_u64(seed);
+    let activations = [
+        Activation::Relu,
+        Activation::LeakyRelu { alpha: 0.1 },
+        Activation::HardTanh,
+        Activation::Tanh,
+    ];
+    let activation = activations[rng.gen_range(0..activations.len())];
     let mut sizes = vec![in_dim];
     sizes.extend(std::iter::repeat_n(width, depth));
     sizes.push(3);
-    DecoupledNetwork::from_network(&Network::mlp(&sizes, Activation::Relu, &mut rng))
+    DecoupledNetwork::from_network(&Network::mlp(&sizes, activation, &mut rng))
+}
+
+/// `ddnn` with value-channel deltas on 0–2 random layers with parameters;
+/// one delta in four is all zeros.
+fn perturbed(mut ddnn: DecoupledNetwork, seed: u64) -> DecoupledNetwork {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let layers = ddnn.repairable_layers();
+    for _ in 0..rng.gen_range(0..3) {
+        let layer = layers[rng.gen_range(0..layers.len())];
+        let zero = rng.gen_range(0..4) == 0;
+        let delta: Vec<f64> = (0..ddnn.value_layer(layer).num_params())
+            .map(|_| if zero { 0.0 } else { rng.gen_range(-0.3..0.3) })
+            .collect();
+        ddnn.apply_value_delta(layer, &delta);
+    }
+    ddnn
 }
 
 /// conv(3×3, pad 1) → maxpool(2×2) → conv(3×3, pad 1) → dense(→ 3) on
@@ -76,15 +107,44 @@ fn random_cnn(seed: u64, in_c: usize, side: usize, c1: usize, c2: usize) -> Deco
     DecoupledNetwork::from_network(&Network::new(vec![conv1, pool, conv2, dense]))
 }
 
-fn random_pairs(seed: u64, count: usize, dim: usize) -> Vec<(Vec<f64>, Vec<f64>)> {
+/// `count` `(act, val)` input pairs with entries in [−2, 2), one in eight
+/// of them exactly +0.0 or −0.0.  A random run of `differing` rows feeds
+/// the value channel an input of its own; the other rows feed both
+/// channels the same input.
+fn random_pairs(
+    seed: u64,
+    count: usize,
+    dim: usize,
+    differing: usize,
+) -> Vec<(Vec<f64>, Vec<f64>)> {
     let mut rng = StdRng::seed_from_u64(seed);
+    let input = |rng: &mut StdRng| -> Vec<f64> {
+        (0..dim)
+            .map(|_| match rng.gen_range(0..16) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-2.0..2.0),
+            })
+            .collect()
+    };
+    let first = rng.gen_range(0..=count - differing);
     (0..count)
-        .map(|_| {
-            let a: Vec<f64> = (0..dim).map(|_| rng.gen_range(-2.0..2.0)).collect();
-            let v: Vec<f64> = (0..dim).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        .map(|k| {
+            let a = input(&mut rng);
+            let v = if (first..first + differing).contains(&k) {
+                input(&mut rng)
+            } else {
+                a.clone()
+            };
             (a, v)
         })
         .collect()
+}
+
+/// The row counts of [`random_pairs`] that differ, for a batch of
+/// `count`: none, one (a mixed batch), all.
+fn differing_rows(count: usize) -> [usize; 3] {
+    [0, 1, count]
 }
 
 fn borrowed(owned: &[(Vec<f64>, Vec<f64>)]) -> Vec<(&[f64], &[f64])> {
@@ -162,8 +222,10 @@ proptest! {
         width in 4usize..14,
         batch in 1usize..20,
     ) {
-        let ddnn = random_ddnn(seed, depth, width, 3);
-        check_forward_batch(&ddnn, &borrowed(&random_pairs(seed ^ 0xD00D, batch, 3)));
+        let ddnn = perturbed(random_ddnn(seed, depth, width, 3), seed);
+        for differing in differing_rows(batch) {
+            check_forward_batch(&ddnn, &borrowed(&random_pairs(seed ^ 0xD00D, batch, 3, differing)));
+        }
     }
 
     #[test]
@@ -173,9 +235,12 @@ proptest! {
         width in 4usize..12,
         batch in 1usize..12,
     ) {
-        let ddnn = random_ddnn(seed, depth, width, 3);
+        let ddnn = perturbed(random_ddnn(seed, depth, width, 3), seed);
         let layers: Vec<usize> = (0..=depth).collect();
-        check_jacobian_batch(&ddnn, &layers, &borrowed(&random_pairs(seed ^ 0xBEEF, batch, 3)));
+        for differing in differing_rows(batch) {
+            let pairs = random_pairs(seed ^ 0xBEEF, batch, 3, differing);
+            check_jacobian_batch(&ddnn, &layers, &borrowed(&pairs));
+        }
     }
 
     #[test]
@@ -185,9 +250,9 @@ proptest! {
         width in 4usize..10,
         batch in 1usize..8,
     ) {
-        let ddnn = random_ddnn(seed, depth, width, 3);
+        let ddnn = perturbed(random_ddnn(seed, depth, width, 3), seed);
         let points: Vec<Vec<f64>> =
-            random_pairs(seed ^ 0xFACE, batch, 3).into_iter().map(|(a, _)| a).collect();
+            random_pairs(seed ^ 0xFACE, batch, 3, 0).into_iter().map(|(a, _)| a).collect();
         let layers: Vec<usize> = (0..=depth).collect();
         check_point_repair(&ddnn, &layers, &points, seed);
     }
@@ -203,12 +268,16 @@ proptest! {
         channels in (1usize..5, 1usize..5),
         batch in 1usize..9,
     ) {
-        let ddnn = random_cnn(seed, in_c, 2 * half_side, channels.0, channels.1);
-        let owned = random_pairs(seed ^ 0xC0DE, batch, ddnn.input_dim());
-        let pairs = borrowed(&owned);
-        check_forward_batch(&ddnn, &pairs);
-        check_jacobian_batch(&ddnn, &[0, 2, 3], &pairs);
-        let points: Vec<Vec<f64>> = owned.into_iter().map(|(a, _)| a).collect();
+        let ddnn = perturbed(random_cnn(seed, in_c, 2 * half_side, channels.0, channels.1), seed);
+        for differing in differing_rows(batch) {
+            let pairs = random_pairs(seed ^ 0xC0DE, batch, ddnn.input_dim(), differing);
+            check_forward_batch(&ddnn, &borrowed(&pairs));
+            check_jacobian_batch(&ddnn, &[0, 2, 3], &borrowed(&pairs));
+        }
+        let points: Vec<Vec<f64>> = random_pairs(seed ^ 0xC0DE, batch, ddnn.input_dim(), 0)
+            .into_iter()
+            .map(|(a, _)| a)
+            .collect();
         check_point_repair(&ddnn, &[0, 2], &points, seed);
     }
 }

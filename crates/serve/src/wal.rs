@@ -210,33 +210,12 @@ pub fn record_from_json(v: &Value) -> Result<(ModelVersion, Option<u64>), String
             "model {name:?} v{version}: value channel content hash mismatch"
         ));
     }
-    // The two channels were verified independently; `new` re-checks that
-    // they share an architecture, which we pre-validate to fail softly on a
-    // (hash-consistent but) mismatched pair instead of panicking.
-    if activation.num_layers() != value.num_layers() {
-        return Err(format!(
-            "model {name:?} v{version}: channel layer counts differ"
-        ));
-    }
-    for i in 0..activation.num_layers() {
-        let (a, w) = (activation.layer(i), value.layer(i));
-        if a.input_dim() != w.input_dim()
-            || a.output_dim() != w.output_dim()
-            || a.num_params() != w.num_params()
-        {
-            return Err(format!(
-                "model {name:?} v{version}: channel architectures differ at layer {i}"
-            ));
-        }
-    }
+    // The two channels were verified independently; a hash-consistent pair
+    // may still differ in architecture, which fails the record softly.
+    let ddnn = DecoupledNetwork::try_new(activation, value)
+        .map_err(|e| format!("model {name:?} v{version}: {e}"))?;
     Ok((
-        ModelVersion::new(
-            name,
-            version,
-            DecoupledNetwork::new(activation, value),
-            source,
-            provenance,
-        ),
+        ModelVersion::new(name, version, ddnn, source, provenance),
         seq,
     ))
 }
@@ -1119,5 +1098,32 @@ mod tests {
             .to_json()
             .replacen("\"val_hash\":\"0x", "\"val_hash\":\"0y", 1);
         assert!(record_from_json(&Value::parse(&tampered).unwrap()).is_err());
+    }
+
+    #[test]
+    fn record_with_channels_of_another_activation_is_an_error() {
+        let version = ModelVersion::new("m".into(), 1, ddnn("mlp:7:2x4x2"), "m".into(), None);
+        let mut value = version.ddnn.value_network().clone();
+        match value.layer_mut(0) {
+            prdnn_nn::Layer::Dense(d) => d.activation = prdnn_nn::Activation::Tanh,
+            other => panic!("expected a dense layer, got {other:?}"),
+        }
+        // A record whose hashes match its channels, so only the
+        // architecture check can refuse it.
+        let Value::Obj(mut fields) = record_to_json(&version, Some(3)) else {
+            panic!("a record is a JSON object");
+        };
+        for (key, field) in &mut fields {
+            match key.as_str() {
+                "value" => *field = network_to_json(&value),
+                "val_hash" => *field = hex_u64(network_content_hash(&value)),
+                _ => {}
+            }
+        }
+        let err = record_from_json(&Value::Obj(fields)).unwrap_err();
+        assert_eq!(
+            err,
+            "model \"m\" v1: DDNN channels differ in activation at layer 0"
+        );
     }
 }
