@@ -5,19 +5,23 @@
 //! is what CI keys off), plus the end-to-end workloads the repair pipeline
 //! spends its time in: `Network::forward_batch`, the DDNN parameter
 //! Jacobian (on an MLP and on the Task 1 CNN), the Task 1 CNN's conv
-//! pre-activations, ExactLine on the Task 1 CNN, and SyReNN
-//! `plane_regions`.  Each conv case first checks its batch result against
-//! per-point calls bit for bit (the per-point calls take the naive GEMM
-//! path, the batches the blocked one) and fails the process on a
-//! mismatch; the ExactLine case fails it when any run's breakpoints differ
-//! from the first run's in a single bit.  Pool workloads are swept at
-//! `--threads 1/2/4`.
+//! pre-activations, the DDNN eval on the Task 1 CNN, ExactLine on the
+//! Task 1 CNN, and SyReNN `plane_regions`.  Each conv and DDNN eval case
+//! first checks its batch result against per-point calls bit for bit (the
+//! per-point calls take the naive GEMM path and both DDNN channels, the
+//! batches the blocked GEMM and, on `(x, x)` pairs, one pre-activation per
+//! shared layer) and fails the process on a mismatch; the ExactLine case
+//! fails it when any run's breakpoints differ from the first run's in a
+//! single bit.  Pool workloads are swept at `--threads 1/2/4`.
 //!
 //! Every case runs at least [`prdnn_bench::stats::MIN_RUNS`] times and is
 //! reported as **median + IQR**, never a single sample.  The report also
 //! records `host_cores`: on a 1-core container the thread sweep measures
 //! pool overhead, not speedup, and the JSON says so instead of letting a
-//! reader mistake the sweep for a multicore scaling claim.
+//! reader mistake the sweep for a multicore scaling claim.  A fixed
+//! reference loop, timed before and after the cases
+//! (`reference_loop_ms_before` / `_after`), tells a run taken while the
+//! host was slow from a slower build.
 //!
 //! ```text
 //! cargo run --release -p prdnn-bench --bin kernelbench -- \
@@ -35,8 +39,32 @@ use prdnn_syrenn::{exact_line, plane_regions_in};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::json::Value;
+use std::time::Instant;
 
 const THREAD_SWEEP: [usize; 3] = [1, 2, 4];
+
+/// Median wall time in ms of a fixed integer/float loop, a yardstick for
+/// the host's speed at the time of the run (the same loop as the repo
+/// benchmark's `reference_loop_ms`).
+fn reference_loop_ms() -> f64 {
+    let mut times: Vec<f64> = (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            let mut acc = 0.0f64;
+            for _ in 0..20_000_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                acc += (x >> 11) as f64 * 1e-16;
+            }
+            std::hint::black_box(acc);
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[1]
+}
 
 struct Case {
     name: String,
@@ -279,6 +307,49 @@ fn jacobian_cnn_cases(runs: usize, net: &Network, images: &[Vec<f64>], cases: &m
     }
 }
 
+/// The DDNN eval of `reprobench`'s `point_repair`: `forward_decoupled_batch`
+/// on 4-image batches of `(x, x)` pairs, on the unrepaired Task 1 CNN and
+/// on a copy whose value channel is perturbed at layer idx 2 (the layer
+/// `point_repair` repairs), so that the batched pass shares every layer
+/// and layers 0–1 respectively.  Each batch must match per-point
+/// [`DecoupledNetwork::forward`] bit for bit.
+fn ddnn_eval_cnn_cases(runs: usize, net: &Network, images: &[Vec<f64>], cases: &mut Vec<Case>) {
+    let unrepaired = DecoupledNetwork::from_network(net);
+    let mut repaired = unrepaired.clone();
+    let delta: Vec<f64> = (0..repaired.value_layer(2).num_params())
+        .map(|i| 0.05 * (0.37 * i as f64).sin())
+        .collect();
+    repaired.apply_value_delta(2, &delta);
+    let batches: Vec<Vec<(&[f64], &[f64])>> = images[..64]
+        .chunks(4)
+        .map(|chunk| chunk.iter().map(|x| (&x[..], &x[..])).collect())
+        .collect();
+    for (ddnn, repaired_layer) in [(&unrepaired, Value::Null), (&repaired, Value::Num(2.0))] {
+        for batch in &batches {
+            let per_point: Vec<f64> = batch.iter().flat_map(|(x, _)| ddnn.forward(x)).collect();
+            let batched: Vec<f64> = ddnn.forward_decoupled_batch(batch).concat();
+            check_oracle("ddnn_eval_cnn_b4", &batched, &per_point);
+        }
+        let summary = summarize(time_runs(runs, || {
+            for batch in &batches {
+                std::hint::black_box(ddnn.forward_decoupled_batch(batch));
+            }
+        }));
+        cases.push(Case {
+            name: "ddnn_eval_cnn_b4".to_owned(),
+            config: vec![
+                ("net", Value::Str("task1 cnn (tiny)".to_owned())),
+                ("batch", Value::Num(4.0)),
+                ("batches", Value::Num(batches.len() as f64)),
+                ("repaired_layer", repaired_layer),
+            ],
+            threads: None,
+            summary,
+            speedup_vs_naive: None,
+        });
+    }
+}
+
 /// ExactLine along 16 fixed segments between repair-pool images, the
 /// `LinRegions` read of `reprobench`'s `point_repair`.  Every run must
 /// reproduce the first run's breakpoints bit for bit.
@@ -357,6 +428,7 @@ fn main() {
         prdnn_bench::flag_value("--out").unwrap_or_else(|| "BENCH_kernels.json".to_owned());
     let host_cores = std::thread::available_parallelism().map_or(0, |n| n.get());
 
+    let reference_before = reference_loop_ms();
     let mut cases = Vec::new();
     gemm_cases(runs, &mut cases);
     forward_batch_cases(runs, &mut cases);
@@ -364,8 +436,10 @@ fn main() {
     let (cnn, images, pool) = task1_cnn();
     conv_forward_cases(runs, &cnn, &images, &mut cases);
     jacobian_cnn_cases(runs, &cnn, &images, &mut cases);
+    ddnn_eval_cnn_cases(runs, &cnn, &images, &mut cases);
     exact_line_cnn_case(runs, &cnn, &pool, &mut cases);
     plane_regions_cases(runs, &mut cases);
+    let reference_after = reference_loop_ms();
 
     for case in &cases {
         let threads = case
@@ -379,11 +453,16 @@ fn main() {
             case.name, case.summary.median_ms, case.summary.iqr_ms
         );
     }
+    eprintln!(
+        "reference loop: {reference_before:.1} ms before the cases, {reference_after:.1} ms after"
+    );
 
     let doc = Value::obj([
         ("bench", Value::Str("kernelbench".to_owned())),
         ("runs_per_case", Value::Num(runs as f64)),
         ("host_cores", Value::Num(host_cores as f64)),
+        ("reference_loop_ms_before", Value::Num(reference_before)),
+        ("reference_loop_ms_after", Value::Num(reference_after)),
         (
             "note",
             Value::Str(
