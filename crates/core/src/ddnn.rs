@@ -33,9 +33,9 @@ fn same_params(a: &Layer, v: &Layer) -> bool {
     }
 }
 
-/// How value-channel layer `v` differs from activation-channel layer `a`
-/// in anything but its parameter values, if it does.
-fn architecture_mismatch(layer: usize, a: &Layer, v: &Layer) -> Option<ChannelMismatch> {
+/// Whether two layers differ in nothing but their parameter values: the
+/// same kind, activation function and geometry.
+fn same_architecture(a: &Layer, v: &Layer) -> bool {
     let same_geometry = match (a, v) {
         (Layer::Dense(a), Layer::Dense(v)) => {
             (a.weights.rows(), a.weights.cols(), a.bias.len())
@@ -61,15 +61,9 @@ fn architecture_mismatch(layer: usize, a: &Layer, v: &Layer) -> Option<ChannelMi
         (Layer::MaxPool2d(a), Layer::MaxPool2d(v)) | (Layer::AvgPool2d(a), Layer::AvgPool2d(v)) => {
             a == v
         }
-        _ => return Some(ChannelMismatch::Kind { layer }),
+        _ => false,
     };
-    if a.activation() != v.activation() {
-        Some(ChannelMismatch::Activation { layer })
-    } else if !same_geometry {
-        Some(ChannelMismatch::Geometry { layer })
-    } else {
-        None
-    }
+    same_geometry && a.activation() == v.activation()
 }
 
 /// Why two networks cannot be the channels of one DDNN: Definition 4.1
@@ -83,20 +77,10 @@ pub enum ChannelMismatch {
         /// The value channel's layer count.
         value: usize,
     },
-    /// Layer `layer` is dense, conv, max pool or average pool in one
-    /// channel and another kind in the other.
-    Kind {
-        /// The offending layer index.
-        layer: usize,
-    },
-    /// Layer `layer` has another activation function in each channel.
-    Activation {
-        /// The offending layer index.
-        layer: usize,
-    },
-    /// Layer `layer` differs in its shape, kernel, stride, padding or
-    /// pooling window.
-    Geometry {
+    /// Layer `layer` differs between the channels in kind (dense, conv,
+    /// max or average pool), activation function, or geometry (shape,
+    /// kernel, stride, padding, pooling window).
+    Layer {
         /// The offending layer index.
         layer: usize,
     },
@@ -109,15 +93,10 @@ impl std::fmt::Display for ChannelMismatch {
                 f,
                 "DDNN channels have {activation} and {value} layers; they must match"
             ),
-            ChannelMismatch::Kind { layer } => {
-                write!(f, "DDNN channels differ in kind at layer {layer}")
-            }
-            ChannelMismatch::Activation { layer } => {
-                write!(f, "DDNN channels differ in activation at layer {layer}")
-            }
-            ChannelMismatch::Geometry { layer } => {
-                write!(f, "DDNN channels differ in geometry at layer {layer}")
-            }
+            ChannelMismatch::Layer { layer } => write!(
+                f,
+                "DDNN channels differ in kind, activation or geometry at layer {layer}"
+            ),
         }
     }
 }
@@ -263,12 +242,10 @@ impl DecoupledNetwork {
                 value: value.num_layers(),
             });
         }
-        let layers = activation.layers().iter().zip(value.layers());
-        if let Some(mismatch) = layers
-            .enumerate()
-            .find_map(|(i, (a, v))| architecture_mismatch(i, a, v))
-        {
-            return Err(mismatch);
+        let mismatch = (activation.layers().iter().zip(value.layers()))
+            .position(|(a, v)| !same_architecture(a, v));
+        if let Some(layer) = mismatch {
+            return Err(ChannelMismatch::Layer { layer });
         }
         Ok(DecoupledNetwork { activation, value })
     }
@@ -1002,15 +979,15 @@ mod tests {
 
         assert_eq!(
             DecoupledNetwork::try_new(relu.clone(), tanh.clone()),
-            Err(ChannelMismatch::Activation { layer: 0 })
+            Err(ChannelMismatch::Layer { layer: 0 })
         );
         assert_eq!(
             DecoupledNetwork::try_new(max.clone(), avg.clone()),
-            Err(ChannelMismatch::Kind { layer: 0 })
+            Err(ChannelMismatch::Layer { layer: 0 })
         );
         assert_eq!(
             DecoupledNetwork::try_new(max.clone(), wider),
-            Err(ChannelMismatch::Geometry { layer: 0 })
+            Err(ChannelMismatch::Layer { layer: 0 })
         );
         assert_eq!(
             DecoupledNetwork::try_new(relu.clone(), deeper),

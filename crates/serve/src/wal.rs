@@ -1123,7 +1123,7 @@ mod tests {
         let err = record_from_json(&Value::Obj(fields)).unwrap_err();
         assert_eq!(
             err,
-            "model \"m\" v1: DDNN channels differ in activation at layer 0"
+            "model \"m\" v1: DDNN channels differ in kind, activation or geometry at layer 0"
         );
     }
 }
