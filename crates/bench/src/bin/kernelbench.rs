@@ -448,8 +448,15 @@ fn main() {
         let speedup = case
             .speedup_vs_naive
             .map_or(String::new(), |s| format!(" speedup_vs_naive={s:.2}x"));
+        let repaired = case
+            .config
+            .iter()
+            .find(|(key, _)| *key == "repaired_layer")
+            .map_or(String::new(), |(_, layer)| {
+                format!(" repaired_layer={}", layer.to_json())
+            });
         eprintln!(
-            "{:<28}{threads:<11} median {:>8.3} ms  iqr {:>7.3} ms{speedup}",
+            "{:<28}{threads:<11} median {:>8.3} ms  iqr {:>7.3} ms{speedup}{repaired}",
             case.name, case.summary.median_ms, case.summary.iqr_ms
         );
     }
