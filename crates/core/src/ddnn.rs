@@ -969,7 +969,7 @@ mod tests {
         };
         let max = Network::new(vec![Layer::MaxPool2d(pool.clone())]);
         let avg = Network::new(vec![Layer::AvgPool2d(pool.clone())]);
-        let wider = Network::new(vec![Layer::MaxPool2d(prdnn_nn::Pool2dLayer {
+        let taller = Network::new(vec![Layer::MaxPool2d(prdnn_nn::Pool2dLayer {
             pool_w: 1,
             in_width: 1,
             in_height: 4,
@@ -986,7 +986,7 @@ mod tests {
             Err(ChannelMismatch::Layer { layer: 0 })
         );
         assert_eq!(
-            DecoupledNetwork::try_new(max.clone(), wider),
+            DecoupledNetwork::try_new(max.clone(), taller),
             Err(ChannelMismatch::Layer { layer: 0 })
         );
         assert_eq!(
